@@ -196,14 +196,19 @@ def cmd_decide(args) -> int:
     elif args.target == "circle":
         if args.cls is None:
             raise InvalidParameterError("circle target needs --class p,p1,...")
-        cls = tuple(int(part) for part in args.cls.split(","))
-        m = (len(cls) - 1) // args.n
+        cls = _parse_ints(args.cls, "--class")
+        _require_order(args.n)
+        m, extra = divmod(len(cls) - 1, args.n)
+        if extra:
+            raise InvalidParameterError(
+                f"--class must list 1 + a multiple of n={args.n} values, got {len(cls)}"
+            )
         verdict = dec.decide_circle(cls, args.n, m)
     else:
         if args.k is None:
             raise InvalidParameterError("wedge target needs --k")
         m = args.m if args.m is not None else args.n
-        action = dec.ActionData(m, 1, (1,))
+        action = dec.ActionData(m, 1, _parse_theta(args.theta, 1, m))
         verdict = dec.decide_wedge(args.k, m, action)
     report.records.append(("borsuk_ulam", "holds" if verdict.holds else "fails"))
     if args.emit_witness and verdict.witness is not None:
@@ -212,10 +217,25 @@ def cmd_decide(args) -> int:
     return 0
 
 
+def _parse_ints(spec: str, option: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in spec.split(","))
+    except ValueError:
+        raise InvalidParameterError(
+            f"{option} must be a comma-separated list of integers, got {spec!r}"
+        ) from None
+
+
+def _require_order(n: int) -> None:
+    if n < 2:
+        raise InvalidParameterError(f"need n >= 2, got {n}")
+
+
 def _parse_theta(spec: Optional[str], r: int, n: int) -> tuple[int, ...]:
     if spec is None:
         return (1,) + (0,) * (r - 1)
-    values = tuple(int(part) % n for part in spec.split(","))
+    _require_order(n)
+    values = tuple(v % n for v in _parse_ints(spec, "--theta"))
     if len(values) != r:
         raise InvalidParameterError(f"--theta must list {r} values")
     return values

@@ -83,11 +83,9 @@ class GroupHom:
         values = list(self.images.values())
         if values and isinstance(values[0], int):
             return word.evaluate_additive(lambda l: self.images[l])
-        out = FreeWord()
-        for letter, sign in word:
-            image = self.images[letter]
-            out = out * (image if sign == 1 else image.inverse())
-        return out
+        return FreeWord.product(
+            self.images[letter] if sign == 1 else self.images[letter].inverse() for letter, sign in word
+        )
 
 
 @dataclass(frozen=True)
@@ -294,14 +292,11 @@ class TreeTargetSystem:
         return word.evaluate_additive(self.theta_letter) % self.n
 
     def iota_word(self, word: FreeWord) -> FreeWord:
-        out = FreeWord()
-        for letter, sign in word:
-            if letter not in self._iota_cache:
-                projected = project_path(self.quotient, self.loop_fm(letter))
-                self._iota_cache[letter] = self.canon_q(self._express_q_raw(projected))
-            image = self._iota_cache[letter]
-            out = out * (image if sign == 1 else image.inverse())
-        return out
+        cache = self._iota_cache
+        for letter in word.support() - cache.keys():
+            projected = project_path(self.quotient, self.loop_fm(letter))
+            cache[letter] = self.canon_q(self._express_q_raw(projected))
+        return FreeWord.product(cache[l] if sign == 1 else cache[l].inverse() for l, sign in word)
 
     def p1_word(self, word: FreeWord) -> int:
         return 0  # the target is a tree: its fundamental group is trivial

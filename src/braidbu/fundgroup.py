@@ -131,6 +131,7 @@ class BraidSystem:
         self.basis_q.sort(key=lambda g: (g.type_b, g.sigma.images))
 
         self._loop_cache: dict[tuple[str, GeneratorId], EdgePath] = {}
+        self._iota_cache: dict[GeneratorId, FreeWord] = {}
         self._iota_oracle_cache: dict[GeneratorId, FreeWord] = {}
         self._rs_table: dict[tuple[int, GeneratorId], FreeWord] = {}
 
@@ -222,13 +223,10 @@ class BraidSystem:
         c1 = self.c1
 
         def type1_run(tau_of_i, count) -> FreeWord:
-            out = FreeWord()
-            for i in range(1, count + 1):
-                letter = self._bracket(tau_of_i(i), 1)
-                if letter is None:
-                    raise StructuralError("type-1 orbit can never be selected")
-                out = out * FreeWord.gen(letter)
-            return out
+            letters = [self._bracket(tau_of_i(i), 1) for i in range(1, count + 1)]
+            if None in letters:
+                raise StructuralError("type-1 orbit can never be selected")
+            return FreeWord.product(FreeWord.gen(letter) for letter in letters)
 
         if b == 1:
             return type1_run(lambda i: sigma * c1 ** (-(i - 1)), m)
@@ -246,7 +244,7 @@ class BraidSystem:
         cb_inv = Perm.cycle(b, m).inverse()
         count = (s - 1) if s < b else (m - 1) if s == b else (s - 2)
         suffix = type1_run(lambda i: sigma * cb_inv * c1 ** (-(i - 1)), count)
-        return prefix.inverse() * middle * suffix
+        return FreeWord.product((prefix.inverse(), middle, suffix))
 
     def iota_oracle(self, gen: GeneratorId) -> FreeWord:
         """Project the basis loop cell-wise and read it off downstairs."""
@@ -256,11 +254,10 @@ class BraidSystem:
         return self._iota_oracle_cache[gen]
 
     def iota_word(self, word: FreeWord) -> FreeWord:
-        out = FreeWord()
-        for gen, sign in word:
-            image = self.iota_closed_form(gen)
-            out = out * (image if sign == 1 else image.inverse())
-        return out
+        cache = self._iota_cache
+        for gen in word.support() - cache.keys():
+            cache[gen] = self.iota_closed_form(gen)
+        return FreeWord.product(cache[gen] if sign == 1 else cache[gen].inverse() for gen, sign in word)
 
     # -- p1 ---------------------------------------------------------------
 
@@ -354,18 +351,18 @@ class BraidSystem:
         word lies outside the index-m subgroup (nonzero theta)."""
         if self.theta_word(word) % self.m != 0:
             return None
-        out = FreeWord()
+        pieces = []
         t = 0
         for gen, sign in word:
             if sign == 1:
-                out = out * self._transversal_piece(t, gen)
+                pieces.append(self._transversal_piece(t, gen))
                 t = (t + self.theta_closed_form(gen)) % self.m
             else:
                 t = (t - self.theta_closed_form(gen)) % self.m
-                out = out * self._transversal_piece(t, gen).inverse()
+                pieces.append(self._transversal_piece(t, gen).inverse())
         if t != 0:
             raise StructuralError("coset state did not return to the identity")
-        return out
+        return FreeWord.product(pieces)
 
 
 def maximal_tree(field: GradientField, selected: frozenset[Cell]) -> frozenset[Cell]:

@@ -262,11 +262,18 @@ def emit_graph_text(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_int(field: str, lineno: int) -> int:
+    try:
+        return int(field)
+    except ValueError:
+        raise InvalidParameterError(f"line {lineno}: not an integer: {field!r}") from None
+
+
 def parse_graph_text(text: str) -> Graph:
     num_vertices = None
     edges: list[Edge] = []
     next_ordinal = 1
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -274,9 +281,9 @@ def parse_graph_text(text: str) -> Graph:
         if fields[0] == "V" and len(fields) == 2:
             if num_vertices is not None:
                 raise InvalidParameterError("duplicate V line")
-            num_vertices = int(fields[1])
+            num_vertices = _parse_int(fields[1], lineno)
         elif fields[0] == "E" and len(fields) in (4, 5):
-            name, u, v = fields[1], int(fields[2]), int(fields[3])
+            name, u, v = fields[1], _parse_int(fields[2], lineno), _parse_int(fields[3], lineno)
             loop = len(fields) == 5 and fields[4] == "loop"
             if len(fields) == 5 and not loop:
                 raise InvalidParameterError(f"bad edge flag: {fields[4]!r}")

@@ -1,7 +1,15 @@
-"""Freely reduced words over an arbitrary hashable alphabet."""
+"""Freely reduced words over an arbitrary hashable alphabet.
+
+Class invariant: a ``FreeWord`` holds a freely reduced tuple of syllables.
+Every constructor below keeps it (``of`` reduces its input; the operations
+start from reduced operands), so products only cancel where two words meet.
+Costs, for words of lengths p and q: ``u * v`` is O(p + q); ``w ** k`` is
+O(|k| * |w|); ``FreeWord.product(ws)`` is O(total length of ws), one pass.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
 Letter = Hashable
@@ -22,7 +30,11 @@ def _reduced(pairs: Iterable[Syllable]) -> tuple[Syllable, ...]:
 
 @dataclass(frozen=True)
 class FreeWord:
-    """A freely reduced word: a sequence of (letter, sign) with sign in {1, -1}."""
+    """A freely reduced word: a sequence of (letter, sign) with sign in {1, -1}.
+
+    The field constructor trusts its tuple to be reduced; build words from
+    raw syllables with ``of``.
+    """
 
     letters: tuple[Syllable, ...] = field(default=())
 
@@ -47,8 +59,18 @@ class FreeWord:
     def __iter__(self) -> Iterator[Syllable]:
         return iter(self.letters)
 
+    @staticmethod
+    def product(words: Iterable["FreeWord"]) -> "FreeWord":
+        """The product of the words in order, reduced in a single pass."""
+        return FreeWord.of(chain.from_iterable(w.letters for w in words))
+
     def __mul__(self, other: "FreeWord") -> "FreeWord":
-        return FreeWord.of(self.letters + other.letters)
+        """Both operands are reduced, so only the join can cancel."""
+        left, right = self.letters, other.letters
+        i, limit = 0, min(len(left), len(right))
+        while i < limit and left[-1 - i][0] == right[i][0] and left[-1 - i][1] == -right[i][1]:
+            i += 1
+        return FreeWord(left[: len(left) - i] + right[i:])
 
     def inverse(self) -> "FreeWord":
         return FreeWord(tuple((l, -s) for l, s in reversed(self.letters)))
@@ -57,12 +79,14 @@ class FreeWord:
         return self.inverse()
 
     def __pow__(self, k: int) -> "FreeWord":
+        """w = u c u^-1 with c cyclically reduced, so w^k = u c^k u^-1 reduced."""
         if k < 0:
             return self.inverse() ** (-k)
-        out = FreeWord()
-        for _ in range(k):
-            out = out * self
-        return out
+        if k == 0:
+            return FreeWord()
+        letters = self.letters
+        i, n = _conjugator_length(letters), len(letters)
+        return FreeWord(letters[:i] + letters[i : n - i] * k + letters[n - i :])
 
     def conjugate(self, by: "FreeWord") -> "FreeWord":
         return by * self * by.inverse()
@@ -97,9 +121,16 @@ class FreeWord:
         return self.format()
 
 
+def _conjugator_length(letters: tuple[Syllable, ...]) -> int:
+    """How many first syllables cancel the matching last ones: the length of
+    u in letters = u c u^-1 with c cyclically reduced."""
+    i, n = 0, len(letters)
+    while n - 2 * i >= 2 and letters[i][0] == letters[n - 1 - i][0] and letters[i][1] == -letters[n - 1 - i][1]:
+        i += 1
+    return i
+
+
 def cyclically_reduced(word: FreeWord) -> FreeWord:
     """Strip cancelling first/last syllables until the word is cyclically reduced."""
-    letters = list(word.letters)
-    while len(letters) >= 2 and letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
-        letters = letters[1:-1]
-    return FreeWord(tuple(letters))
+    i, n = _conjugator_length(word.letters), len(word.letters)
+    return FreeWord(word.letters[i : n - i])

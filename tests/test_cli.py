@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import braidbu.decide as dec
 import braidbu.fundgroup as fundgroup
 import braidbu.morse as morse
 from braidbu.cli import main
@@ -129,10 +135,68 @@ class TestDecide:
         assert code == 0
         assert "borsuk_ulam = fails" in out
 
+    def test_wedge_theta_is_used(self, capsys):
+        argv = ("decide", "--target", "wedge", "--m", "3", "--k", "5", "--emit-witness")
+        code, with_two = run(capsys, *argv, "--theta", "2")
+        assert code == 0
+        _, with_one = run(capsys, *argv)
+        assert with_two != with_one
+        psi = dec.decide_wedge(5, 3, dec.ActionData(3, 1, (2,))).witness.psi.images[dec.x_letter(1)]
+        assert f"witness.psi.x1 = {psi.format(lambda g: g.name())}\n" in with_two
+
+    def test_wedge_theta_not_a_unit_is_usage_error(self, capsys):
+        code = main(["decide", "--target", "wedge", "--m", "4", "--k", "5", "--theta", "2"])
+        assert code == 2
+        assert "not surjective" in capsys.readouterr().err
+
     def test_unknown_target_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["decide", "--target", "plane"])
         assert exc.value.code == 2
+
+
+BAD_INPUTS = {
+    "class-not-integer": ("decide", "--target", "circle", "--class", "1,x"),
+    "zero-order": ("decide", "--target", "circle", "--n", "0", "--class", "1"),
+    "theta-zero-order": ("decide", "--target", "wedge", "--m", "0", "--k", "1", "--theta", "1"),
+    "class-length": ("decide", "--target", "circle", "--n", "2", "--class", "1,2"),
+    "graph-not-integer": ("graph", "check", "--graph", "{graph}", "--m", "2"),
+}
+
+
+class TestBadInput:
+    """Bad input exits 2 with a one-line message and no traceback."""
+
+    @pytest.fixture
+    def bad_graph(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("V abc\n")
+        return str(path)
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_exit_code_and_message(self, case, bad_graph, capsys):
+        argv = [arg.format(graph=bad_graph) for arg in BAD_INPUTS[case]]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_messages_name_the_fault(self, bad_graph, capsys):
+        main(list(BAD_INPUTS["class-length"]))
+        assert "n=2" in capsys.readouterr().err
+        main([arg.format(graph=bad_graph) for arg in BAD_INPUTS["graph-not-integer"]])
+        assert "line 1" in capsys.readouterr().err
+
+    def test_fresh_process(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "braidbu", *BAD_INPUTS["class-not-integer"]],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 class TestSuite:

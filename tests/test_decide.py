@@ -167,6 +167,12 @@ class TestWedge:
             verdict = dec.decide_wedge(k, m, action)
             assert not verdict.holds and verdict.witness is not None
 
+    @pytest.mark.parametrize("k, m, theta", [(2000, 4, 3), (-2000, 3, 2)])
+    def test_large_k(self, k, m, theta):
+        # decide_wedge runs verify_diagram on its own witness before returning.
+        verdict = dec.decide_wedge(k, m, dec.ActionData(m, 1, (theta,)))
+        assert not verdict.holds and verdict.witness is not None
+
     def test_other_deck_generator(self):
         verdict = dec.decide_wedge(2, 3, dec.ActionData(3, 1, (2,)))
         assert not verdict.holds

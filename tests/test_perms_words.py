@@ -95,3 +95,45 @@ class TestFreeWord:
     def test_format(self):
         assert FreeWord().format() == "1"
         assert FreeWord.of([("a", 1), ("b", -1)]).format() == "a b^-1"
+
+
+def reference(*ws):
+    """The reduced concatenation, built from raw syllables."""
+    return FreeWord.of([syllable for w in ws for syllable in w.letters])
+
+
+def is_reduced(w):
+    return all(
+        not (a == c and s == -t) for (a, s), (c, t) in zip(w.letters, w.letters[1:])
+    )
+
+
+class TestLinearProducts:
+    """Join-only ``*``, cyclic-core ``**`` and one-pass ``product`` agree with
+    reducing the concatenated syllables."""
+
+    @given(words, words)
+    def test_mul_matches_reference(self, a, b):
+        out = a * b
+        assert out == reference(a, b)
+        assert is_reduced(out)
+
+    @given(words, st.integers(min_value=-6, max_value=6))
+    def test_pow_matches_fold(self, w, k):
+        base = w if k >= 0 else w.inverse()
+        folded = FreeWord()
+        for _ in range(abs(k)):
+            folded = reference(folded, base)
+        out = w ** k
+        assert out == folded
+        assert is_reduced(out)
+
+    @given(words)
+    def test_pow_zero_is_identity(self, w):
+        assert (w ** 0).is_identity()
+
+    @given(st.lists(words, max_size=6))
+    def test_product_matches_reference(self, ws):
+        out = FreeWord.product(ws)
+        assert out == reference(*ws)
+        assert is_reduced(out)
