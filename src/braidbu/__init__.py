@@ -26,21 +26,7 @@ from .decide import (
     verify_diagram,
 )
 from .errors import InvalidParameterError, PreconditionError, StructuralError
-from .fundgroup import (
-    BraidSystem,
-    GeneratorId,
-    get_system,
-    iota_closed_form,
-    iota_oracle,
-    maximal_tree,
-    p1_closed_form,
-    p1_oracle,
-    pi1_basis,
-    rs_rewrite,
-    selected_edges,
-    theta_closed_form,
-    theta_oracle,
-)
+from .fundgroup import BraidSystem, GeneratorId, get_system, maximal_tree
 from .graphs import (
     Edge,
     Graph,

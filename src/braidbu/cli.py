@@ -1,18 +1,18 @@
 """Command-line surface: graph, dconf, morse, pi1, decide, suite.
 
 Exit codes: 0 on success, 1 when a requested check fails, 2 on usage errors
-(including invalid parameter values).
+(including invalid parameter values), 3 on an internal error (a broken
+invariant of the program, reported on one line).
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional, Sequence
 
 from . import decide as dec
 from .complexes import build_dconf, build_quotient, components
-from .errors import InvalidParameterError, PreconditionError
+from .errors import InvalidParameterError, PreconditionError, StructuralError
 from .fundgroup import get_system
 from .graphs import (
     Graph,
@@ -58,6 +58,8 @@ def cmd_graph_build(args) -> int:
 
 
 def cmd_graph_check(args) -> int:
+    if args.m < 1:
+        raise InvalidParameterError(f"need m >= 1, got {args.m}")
     graph = _load_graph(args.graph)
     report = Report(command=f"graph check --m {args.m}")
     report.records.append(("chi", str(graph.euler_characteristic)))
@@ -245,8 +247,7 @@ def _parse_theta(spec: Optional[str], r: int, n: int) -> tuple[int, ...]:
 
 
 def cmd_suite(args) -> int:
-    level = os.environ.get("BU_SUITE_LEVEL", args.level)
-    return _print_report(run_suite(level), args.format)
+    return _print_report(run_suite(args.level), args.format)
 
 
 # -- parser ----------------------------------------------------------------------
@@ -328,6 +329,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InvalidParameterError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except StructuralError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

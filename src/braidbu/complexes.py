@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterator, Union
 
 from .errors import InvalidParameterError, PreconditionError, StructuralError
-from .graphs import Coord, Graph, is_sufficiently_subdivided
+from .graphs import Coord, Graph, is_sufficiently_subdivided, union_find
 from .perms import Perm
 
 Cell = tuple[Coord, ...]
@@ -27,17 +27,16 @@ def act(sigma: Perm, cell: Cell) -> Cell:
     return tuple(cell[v - 1] for v in sigma.images)
 
 
-class CubeComplex:
-    """The m-particle configuration complex of a graph."""
+class _CellComplex:
+    """The cell API shared by a configuration complex and its quotient.
 
-    def __init__(self, graph: Graph, m: int, cells_by_dim: dict[int, tuple[Cell, ...]]):
-        self.graph = graph
-        self.m = m
-        self.cells_by_dim = cells_by_dim
-        self._cell_set = frozenset(c for cells in cells_by_dim.values() for c in cells)
-        self.base: Cell = cells_by_dim[0][0]
+    Subclasses set ``graph``, ``cells_by_dim`` (cells of each dimension in
+    sort order) and ``_cell_set``.
+    """
 
-    # -- generic cell API --------------------------------------------------
+    graph: Graph
+    cells_by_dim: dict[int, tuple[Cell, ...]]
+    _cell_set: frozenset[Cell]
 
     def sort_key(self, cell: Cell):
         return tuple(self.graph.coord_key(c) for c in cell)
@@ -58,6 +57,17 @@ class CubeComplex:
     @property
     def top_dim(self) -> int:
         return max(self.cells_by_dim)
+
+
+class CubeComplex(_CellComplex):
+    """The m-particle configuration complex of a graph."""
+
+    def __init__(self, graph: Graph, m: int, cells_by_dim: dict[int, tuple[Cell, ...]]):
+        self.graph = graph
+        self.m = m
+        self.cells_by_dim = cells_by_dim
+        self._cell_set = frozenset(c for cells in cells_by_dim.values() for c in cells)
+        self.base: Cell = cells_by_dim[0][0]
 
     def facets(self, cell: Cell) -> tuple[Cell, ...]:
         """The 2d codimension-one faces, pairing each edge coordinate with its ends."""
@@ -115,7 +125,7 @@ def build_dconf(graph: Graph, m: int) -> CubeComplex:
     return CubeComplex(graph, m, cells_by_dim)
 
 
-class QuotientComplex:
+class QuotientComplex(_CellComplex):
     """Quotient of a configuration complex by the cyclic rotation action.
 
     Cells are orbits, identified by the orbit member whose first coordinate
@@ -159,28 +169,6 @@ class QuotientComplex:
     def project(self, cell: Cell) -> Cell:
         return self.rep_of_cell[cell]
 
-    # -- generic cell API --------------------------------------------------
-
-    def sort_key(self, cell: Cell):
-        return self.fm.sort_key(cell)
-
-    def has(self, cell: Cell) -> bool:
-        return cell in self._cell_set
-
-    def dim(self, cell: Cell) -> int:
-        return cell_dim(cell)
-
-    def all_cells(self) -> Iterator[Cell]:
-        for d in sorted(self.cells_by_dim):
-            yield from self.cells_by_dim[d]
-
-    def num_cells(self, dim: int) -> int:
-        return len(self.cells_by_dim.get(dim, ()))
-
-    @property
-    def top_dim(self) -> int:
-        return max(self.cells_by_dim)
-
     def facets(self, cell: Cell) -> tuple[Cell, ...]:
         return tuple(self.project(f) for f in self.fm.facets(cell))
 
@@ -197,20 +185,8 @@ Complex = Union[CubeComplex, QuotientComplex]
 
 
 def _component_roots(cx: Complex) -> dict[Cell, Cell]:
-    parent: dict[Cell, Cell] = {v: v for v in cx.cells_by_dim[0]}
-
-    def find(x: Cell) -> Cell:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in cx.cells_by_dim.get(1, ()):
-        src, tgt = cx.edge_endpoints(e)
-        ru, rv = find(src), find(tgt)
-        if ru != rv:
-            parent[ru] = rv
-    return {v: find(v) for v in parent}
+    edges = {e: cx.edge_endpoints(e) for e in cx.cells_by_dim.get(1, ())}
+    return union_find(cx.cells_by_dim[0], edges)[0]
 
 
 def components(cx: Complex) -> int:

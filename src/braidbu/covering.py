@@ -1,11 +1,19 @@
-"""Edge paths, spanning trees, loop expression, projection and lifting.
+"""The covering of a configuration complex over its cyclic quotient.
 
-These utilities treat a complex purely through its 1-skeleton: vertices are
-0-cells, edges are 1-cells with a (source, target) orientation.  They work
-uniformly for configuration complexes and their cyclic quotients, which is
-what makes the homomorphism oracles possible: a loop downstairs lifts edge
-by edge through the m-to-1 projection, and a loop upstairs pushes forward
-cell-wise.
+``Covering`` holds the two sides of the m-to-1 covering F -> F/Z_m: the
+configuration complex ``fm``, its quotient, a spanning tree and parent
+pointers on each side, and on each side a letter map naming the based loop
+of every non-tree 1-cell.  Three maps of the paper are read off it:
+
+* ``iota_by_projection`` -- push an upstairs loop down cell-wise and express
+  it against the quotient tree (the injection iota);
+* ``theta_by_lift`` -- lift a quotient loop from the base and read the deck
+  rotation its end reached (the classifying map theta onto Z_m);
+* ``rewrite_by_lift`` -- lift a quotient loop that closes upstairs and
+  express it against the upstairs tree (restriction along the covering).
+
+The module functions below work on any complex through its 1-skeleton:
+vertices are 0-cells, edges are 1-cells with a (source, target) orientation.
 """
 from __future__ import annotations
 
@@ -13,8 +21,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
-from .complexes import Cell, QuotientComplex
+from .complexes import Cell, CubeComplex, QuotientComplex, act
 from .errors import InvalidParameterError, StructuralError
+from .perms import Perm
 from .words import FreeWord
 
 Step = tuple[Cell, int]  # (1-cell, +1 along orientation / -1 against)
@@ -31,10 +40,6 @@ class EdgePath:
 
     def is_closed(self) -> bool:
         return self.start == self.end
-
-
-def empty_path(vertex: Cell) -> EdgePath:
-    return EdgePath(vertex, (), vertex)
 
 
 def _step_endpoints(cx, step: Step) -> tuple[Cell, Cell]:
@@ -66,15 +71,6 @@ def concat(cx, *paths: EdgePath) -> EdgePath:
 
 def reverse_path(path: EdgePath) -> EdgePath:
     return EdgePath(path.end, tuple((e, -s) for e, s in reversed(path.steps)), path.start)
-
-
-def repeat_path(cx, path: EdgePath, k: int) -> EdgePath:
-    if k < 0:
-        return repeat_path(cx, reverse_path(path), -k)
-    out = empty_path(path.start)
-    for _ in range(k):
-        out = concat(cx, out, path)
-    return out
 
 
 # -- spanning trees ----------------------------------------------------------
@@ -229,3 +225,98 @@ def boundary_loop(cx, cell2: Cell) -> EdgePath:
         corner_ll,
         [(along_e1_low, 1), (along_e2_high, 1), (along_e1_high, -1), (along_e2_low, -1)],
     )
+
+
+# -- the covering --------------------------------------------------------------
+
+
+class Covering:
+    """The covering fm -> quotient, with a spanning tree on each side.
+
+    ``letter_fm`` and ``letter_q`` map each non-tree 1-cell of their side to
+    the letter naming its based loop; words on either side are words in
+    these letters.
+    """
+
+    def __init__(
+        self,
+        fm: CubeComplex,
+        quotient: QuotientComplex,
+        tree_fm: frozenset[Cell],
+        tree_q: frozenset[Cell],
+        letter_fm: Mapping[Cell, object],
+        letter_q: Mapping[Cell, object],
+    ):
+        self.fm = fm
+        self.quotient = quotient
+        self.tree_fm = tree_fm
+        self.tree_q = tree_q
+        self.parents_fm = tree_parents(fm, tree_fm, fm.base)
+        self.parents_q = tree_parents(quotient, tree_q, quotient.base)
+        self.letter_fm = letter_fm
+        self.letter_q = letter_q
+        self._edge_fm = {letter: edge for edge, letter in letter_fm.items()}
+        self._edge_q = {letter: edge for edge, letter in letter_q.items()}
+        self._loops_fm: dict[object, EdgePath] = {}
+        self._loops_q: dict[object, EdgePath] = {}
+        n = fm.m
+        self.c1 = Perm.cycle(1, n)
+        # The deck group is identified with Z_n through the inverse rotation:
+        # under it the canonical type-1 lollipop generator measures +1.
+        self._deck = {act(self.c1 ** (-t % n), fm.base): t for t in range(n)}
+
+    # -- loops and their words ----------------------------------------------
+
+    def loop_fm(self, letter) -> EdgePath:
+        """The based upstairs loop that reads the single letter."""
+        if letter not in self._loops_fm:
+            edge = self._edge_fm[letter]
+            self._loops_fm[letter] = generator_loop(self.fm, self.parents_fm, self.fm.base, edge)
+        return self._loops_fm[letter]
+
+    def loop_q(self, letter) -> EdgePath:
+        """The based quotient loop that reads the single letter."""
+        if letter not in self._loops_q:
+            edge = self._edge_q[letter]
+            q = self.quotient
+            self._loops_q[letter] = generator_loop(q, self.parents_q, q.base, edge)
+        return self._loops_q[letter]
+
+    def express_fm(self, path: EdgePath) -> FreeWord:
+        return express_loop(path, self.tree_fm, self.letter_fm.__getitem__)
+
+    def express_q(self, path: EdgePath) -> FreeWord:
+        return express_loop(path, self.tree_q, self.letter_q.__getitem__)
+
+    def realize_q(self, word: FreeWord) -> EdgePath:
+        """A based quotient loop reading the word: its letters' loops in order."""
+        steps: list[Step] = []
+        for letter, sign in word:
+            loop = self.loop_q(letter)
+            steps.extend(loop.steps if sign == 1 else reverse_path(loop).steps)
+        return EdgePath(self.quotient.base, tuple(steps), self.quotient.base)
+
+    # -- the maps of the covering ---------------------------------------------
+
+    def deck_exponent(self, vertex: Cell) -> int:
+        """t in Z_n with vertex == act(c1^-t, base)."""
+        try:
+            return self._deck[vertex]
+        except KeyError:
+            raise StructuralError(f"{vertex!r} is not in the base orbit") from None
+
+    def theta_by_lift(self, word: FreeWord) -> int:
+        """Lift the word's quotient loop from the base; the deck rotation reached."""
+        lifted = lift_path(self.quotient, self.realize_q(word), self.fm.base)
+        return self.deck_exponent(lifted.end)
+
+    def iota_by_projection(self, letter) -> FreeWord:
+        """Push the upstairs letter's loop down cell-wise; its quotient word."""
+        return self.express_q(project_path(self.quotient, self.loop_fm(letter)))
+
+    def rewrite_by_lift(self, word: FreeWord) -> FreeWord:
+        """The upstairs word of a quotient word whose lift from the base closes."""
+        lifted = lift_path(self.quotient, self.realize_q(word), self.fm.base)
+        if lifted.end != self.fm.base:
+            raise StructuralError("the lift of the word does not close")
+        return self.express_fm(lifted)

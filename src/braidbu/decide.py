@@ -19,19 +19,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
-from .complexes import Cell, act, build_dconf, build_quotient, components
+from .complexes import Cell, build_dconf, build_quotient, components
 from .covering import (
+    Covering,
     EdgePath,
     bfs_spanning_tree,
     boundary_loop,
     concat,
-    empty_path,
-    express_loop,
-    generator_loop,
-    lift_path,
     project_path,
     reverse_path,
-    tree_parents,
     tree_path_to,
 )
 from .errors import InvalidParameterError, PreconditionError, StructuralError
@@ -198,12 +194,13 @@ def eliminate_to_free_basis(
     return surviving, resolved
 
 
-class TreeTargetSystem:
+class TreeTargetSystem(Covering):
     """Covering calculus on the configuration complex of a tree target.
 
-    Spanning trees are breadth-first, so the raw loop letters satisfy the
-    square relations of the complex; Tietze elimination turns them into a
-    free basis on each level, making reduced words canonical.
+    Spanning trees are breadth-first, and the letters are the raw non-tree
+    edges, which satisfy the square relations of the complex; Tietze
+    elimination turns them into a free basis on each level, making reduced
+    words canonical.
     """
 
     def __init__(self, graph: Graph, n: int):
@@ -215,41 +212,30 @@ class TreeTargetSystem:
             raise PreconditionError(f"tree is not sufficiently subdivided for n={n}")
         self.graph = graph
         self.n = n
-        self.fm = build_dconf(graph, n)
-        if components(self.fm) != 1:
+        fm = build_dconf(graph, n)
+        if components(fm) != 1:
             raise StructuralError("configuration complex of the tree is disconnected")
-        self.quotient = build_quotient(self.fm, n)
-        self.c1 = Perm.cycle(1, n)
+        quotient = build_quotient(fm, n)
+        tree_fm = bfs_spanning_tree(fm, fm.base)
+        tree_q = bfs_spanning_tree(quotient, quotient.base)
+        fm_letters = [e for e in fm.cells_by_dim.get(1, ()) if e not in tree_fm]
+        q_letters = [e for e in quotient.cells_by_dim.get(1, ()) if e not in tree_q]
+        super().__init__(
+            fm, quotient, tree_fm, tree_q, {e: e for e in fm_letters}, {e: e for e in q_letters}
+        )
 
-        self.tree_fm = bfs_spanning_tree(self.fm, self.fm.base)
-        self.tree_q = bfs_spanning_tree(self.quotient, self.quotient.base)
-        self.parents_fm = tree_parents(self.fm, self.tree_fm, self.fm.base)
-        self.parents_q = tree_parents(self.quotient, self.tree_q, self.quotient.base)
-
-        fm_letters = [e for e in self.fm.cells_by_dim.get(1, ()) if e not in self.tree_fm]
-        q_letters = [e for e in self.quotient.cells_by_dim.get(1, ()) if e not in self.tree_q]
         fm_relators = [
-            self._express_fm_raw(boundary_based_loop(self.fm, self.parents_fm, c))
-            for c in self.fm.cells_by_dim.get(2, ())
+            self.express_fm(boundary_based_loop(fm, self.parents_fm, c))
+            for c in fm.cells_by_dim.get(2, ())
         ]
         q_relators = [
-            self._express_q_raw(
-                based_projected_boundary(self.quotient, self.parents_q, c)
-            )
-            for c in self.quotient.cells_by_dim.get(2, ())
+            self.express_q(based_projected_boundary(quotient, self.parents_q, c))
+            for c in quotient.cells_by_dim.get(2, ())
         ]
         self.fm_basis, self.fm_elim = eliminate_to_free_basis(fm_letters, fm_relators)
         self.q_basis, self.q_elim = eliminate_to_free_basis(q_letters, q_relators)
         self._theta_cache: dict[Cell, int] = {}
         self._iota_cache: dict[Cell, FreeWord] = {}
-
-    # -- raw loop expression (over all non-tree letters) ---------------------
-
-    def _express_fm_raw(self, path: EdgePath) -> FreeWord:
-        return express_loop(path, self.tree_fm, lambda e: e)
-
-    def _express_q_raw(self, path: EdgePath) -> FreeWord:
-        return express_loop(path, self.tree_q, lambda e: e)
 
     def canon_fm(self, word: FreeWord) -> FreeWord:
         return word.substitute(self.fm_elim)
@@ -257,35 +243,11 @@ class TreeTargetSystem:
     def canon_q(self, word: FreeWord) -> FreeWord:
         return word.substitute(self.q_elim)
 
-    # -- loops ---------------------------------------------------------------
-
-    def loop_q(self, letter: Cell) -> EdgePath:
-        return generator_loop(self.quotient, self.parents_q, self.quotient.base, letter)
-
-    def loop_fm(self, letter: Cell) -> EdgePath:
-        return generator_loop(self.fm, self.parents_fm, self.fm.base, letter)
-
-    def realize_q(self, word: FreeWord) -> EdgePath:
-        path = empty_path(self.quotient.base)
-        for letter, sign in word:
-            piece = self.loop_q(letter)
-            if sign < 0:
-                piece = reverse_path(piece)
-            path = concat(self.quotient, path, piece)
-        return path
-
     # -- the three maps -------------------------------------------------------
 
     def theta_letter(self, letter: Cell) -> int:
-        # Deck identification through the inverse rotation, as in BraidSystem.
         if letter not in self._theta_cache:
-            lifted = lift_path(self.quotient, self.loop_q(letter), self.fm.base)
-            for t in range(self.n):
-                if act(self.c1 ** (-t % self.n), self.fm.base) == lifted.end:
-                    self._theta_cache[letter] = t
-                    break
-            else:
-                raise StructuralError("lift ended outside the base orbit")
+            self._theta_cache[letter] = self.theta_by_lift(FreeWord.gen(letter))
         return self._theta_cache[letter]
 
     def theta_word(self, word: FreeWord) -> int:
@@ -294,8 +256,7 @@ class TreeTargetSystem:
     def iota_word(self, word: FreeWord) -> FreeWord:
         cache = self._iota_cache
         for letter in word.support() - cache.keys():
-            projected = project_path(self.quotient, self.loop_fm(letter))
-            cache[letter] = self.canon_q(self._express_q_raw(projected))
+            cache[letter] = self.canon_q(self.iota_by_projection(letter))
         return FreeWord.product(cache[l] if sign == 1 else cache[l].inverse() for l, sign in word)
 
     def p1_word(self, word: FreeWord) -> int:
@@ -305,10 +266,7 @@ class TreeTargetSystem:
         """Preimage under the covering injection, or None when none exists."""
         if self.theta_word(word) != 0:
             return None
-        lifted = lift_path(self.quotient, self.realize_q(word), self.fm.base)
-        if lifted.end != self.fm.base:
-            raise StructuralError("theta said closed but the lift is not")
-        return self.canon_fm(self._express_fm_raw(lifted))
+        return self.canon_fm(self.rewrite_by_lift(word))
 
     def unit_word(self) -> FreeWord:
         """A quotient word with theta value 1, by running gcds of letter values."""

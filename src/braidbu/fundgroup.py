@@ -17,6 +17,10 @@ geometric oracles:
 
 ``rs_rewrite`` inverts ``iota`` on its image by Schreier-transversal
 rewriting with coset state tracked along the word.
+
+``BraidSystem`` is the ``Covering`` of the lollipop configuration complex
+over its quotient whose letters are the basis elements; the three oracles
+are that covering's projection and lifting.
 """
 from __future__ import annotations
 
@@ -24,21 +28,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .complexes import Cell, CubeComplex, QuotientComplex, act, build_dconf, build_quotient
-from .covering import (
-    EdgePath,
-    concat,
-    empty_path,
-    express_loop,
-    generator_loop,
-    lift_path,
-    project_path,
-    repeat_path,
-    reverse_path,
-    tree_parents,
-)
+from .complexes import Cell, act, build_dconf, build_quotient
+from .covering import Covering, EdgePath
 from .errors import InvalidParameterError, StructuralError
-from .graphs import make_lollipop
+from .graphs import make_lollipop, union_find
 from .morse import GradientField, build_field, edge_data, type_tuple
 from .perms import Perm, cyclic_canonical
 from .words import FreeWord
@@ -73,18 +66,10 @@ class GeneratorId:
         return core if self.space == SPACE_FM else f"[{core}]"
 
 
-def _is_selected_tuple(cell: Cell, b: int) -> bool:
-    """Selection rule on a critical edge: the first b-1 coordinates are the
-    minimal vertices 0..b-2 but the b-th coordinate is not the loop edge."""
-    return all(cell[i] == i for i in range(b - 1)) and cell[b - 1] != "a"
-
-
-def _selected_sigma(sigma: Perm, b: int) -> bool:
-    return all(sigma(i) == i for i in range(1, b)) and sigma(b) != b
-
-
-class BraidSystem:
-    """Everything attached to one particle count m on the lollipop."""
+class BraidSystem(Covering):
+    """Everything attached to one particle count m on the lollipop: the
+    covering of its configuration complex, whose letters are the basis
+    elements of both free groups."""
 
     def __init__(self, m: int):
         if m < 2:
@@ -92,56 +77,56 @@ class BraidSystem:
         self.m = m
         self.graph = make_lollipop(m)
         self.loop_name = self.graph.loop_edge.name
-        self.fm: CubeComplex = build_dconf(self.graph, m)
-        self.quotient: QuotientComplex = build_quotient(self.fm, m)
-        self.field_fm: GradientField = build_field(self.fm)
-        self.field_q: GradientField = build_field(self.quotient)
-        self.c1 = Perm.cycle(1, m)
+        fm = build_dconf(self.graph, m)
+        quotient = build_quotient(fm, m)
+        self.field_fm: GradientField = build_field(fm)
+        self.field_q: GradientField = build_field(quotient)
 
         self.selected_fm = self._selected_fm()
         self.selected_q = self._selected_q()
-        self.tree_fm = maximal_tree(self.field_fm, self.selected_fm)
-        self.tree_q = maximal_tree(self.field_q, self.selected_q)
-        self.parents_fm = tree_parents(self.fm, self.tree_fm, self.fm.base)
-        self.parents_q = tree_parents(self.quotient, self.tree_q, self.quotient.base)
-
-        self.basis_fm: list[GeneratorId] = []
-        self._gen_of_cell: dict[Cell, GeneratorId] = {}
-        for cell in self.field_fm.critical(1):
-            if cell in self.selected_fm:
-                continue
-            sigma, b = edge_data(cell, self.graph, m)
-            gen = GeneratorId(SPACE_FM, sigma, b)
-            self.basis_fm.append(gen)
-            self._gen_of_cell[cell] = gen
-        self.basis_fm.sort(key=lambda g: (g.type_b, g.sigma.images))
-
-        self.basis_q: list[GeneratorId] = []
-        self._gen_of_orbit: dict[Cell, GeneratorId] = {}
-        self._orbit_of_gen: dict[GeneratorId, Cell] = {}
+        letter_fm = {
+            cell: GeneratorId(SPACE_FM, *edge_data(cell, self.graph, m))
+            for cell in self.field_fm.critical(1)
+            if cell not in self.selected_fm
+        }
+        letter_q = {}
         for rep in self.field_q.critical(1):
-            if rep in self.selected_q:
-                continue
-            sigma, b = edge_data(rep, self.graph, m)
-            canonical, _ = cyclic_canonical(sigma)
-            gen = GeneratorId(SPACE_QUOTIENT, canonical, b)
-            self.basis_q.append(gen)
-            self._gen_of_orbit[rep] = gen
-            self._orbit_of_gen[gen] = rep
-        self.basis_q.sort(key=lambda g: (g.type_b, g.sigma.images))
+            if rep not in self.selected_q:
+                sigma, b = edge_data(rep, self.graph, m)
+                letter_q[rep] = GeneratorId(SPACE_QUOTIENT, cyclic_canonical(sigma)[0], b)
+        super().__init__(
+            fm,
+            quotient,
+            maximal_tree(self.field_fm, self.selected_fm),
+            maximal_tree(self.field_q, self.selected_q),
+            letter_fm,
+            letter_q,
+        )
+        by_type = lambda g: (g.type_b, g.sigma.images)
+        self.basis_fm: list[GeneratorId] = sorted(letter_fm.values(), key=by_type)
+        self.basis_q: list[GeneratorId] = sorted(letter_q.values(), key=by_type)
 
-        self._loop_cache: dict[tuple[str, GeneratorId], EdgePath] = {}
         self._iota_cache: dict[GeneratorId, FreeWord] = {}
         self._iota_oracle_cache: dict[GeneratorId, FreeWord] = {}
         self._rs_table: dict[tuple[int, GeneratorId], FreeWord] = {}
 
     # -- selection -----------------------------------------------------------
 
+    @staticmethod
+    def _is_selected_tuple(cell: Cell, b: int) -> bool:
+        """Selection rule on a critical edge: the first b-1 coordinates are the
+        minimal vertices 0..b-2 but the b-th coordinate is not the loop edge."""
+        return all(cell[i] == i for i in range(b - 1)) and cell[b - 1] != "a"
+
+    @staticmethod
+    def _selected_sigma(sigma: Perm, b: int) -> bool:
+        return all(sigma(i) == i for i in range(1, b)) and sigma(b) != b
+
     def _selected_fm(self) -> frozenset[Cell]:
         out = set()
         for cell in self.field_fm.critical(1):
             _, b = edge_data(cell, self.graph, self.m)
-            if b <= self.m - 1 and _is_selected_tuple(cell, b):
+            if b <= self.m - 1 and self._is_selected_tuple(cell, b):
                 out.add(cell)
         return frozenset(out)
 
@@ -152,7 +137,7 @@ class BraidSystem:
             if b < 2 or b > self.m - 1:
                 continue
             canonical, _ = cyclic_canonical(sigma)
-            if _is_selected_tuple(act(canonical, type_tuple(b, self.m)), b):
+            if self._is_selected_tuple(act(canonical, type_tuple(b, self.m)), b):
                 out.add(rep)
         return frozenset(out)
 
@@ -167,51 +152,17 @@ class BraidSystem:
     def orbit_of_gen(self, gen: GeneratorId) -> Cell:
         return self.quotient.project(gen.cell())
 
-    def gen_of_fm_cell(self, cell: Cell) -> GeneratorId:
-        return self._gen_of_cell[cell]
-
-    def gen_of_orbit(self, orbit: Cell) -> GeneratorId:
-        return self._gen_of_orbit[orbit]
-
     def loop(self, gen: GeneratorId) -> EdgePath:
-        key = (gen.space, gen)
-        if key not in self._loop_cache:
-            if gen.space == SPACE_FM:
-                path = generator_loop(self.fm, self.parents_fm, self.fm.base, gen.cell())
-            else:
-                path = generator_loop(
-                    self.quotient, self.parents_q, self.quotient.base, self.orbit_of_gen(gen)
-                )
-            self._loop_cache[key] = path
-        return self._loop_cache[key]
-
-    def express_fm(self, path: EdgePath) -> FreeWord:
-        return express_loop(path, self.tree_fm, lambda e: self._gen_of_cell[e])
-
-    def express_q(self, path: EdgePath) -> FreeWord:
-        return express_loop(path, self.tree_q, lambda e: self._gen_of_orbit[e])
-
-    def realize_q(self, word: FreeWord) -> EdgePath:
-        """A based quotient loop reading the given word of basis letters."""
-        path = empty_path(self.quotient.base)
-        for gen, sign in word:
-            piece = self.loop(gen)
-            if sign < 0:
-                piece = reverse_path(piece)
-            path = concat(self.quotient, path, piece)
-        return path
+        """The based loop of a basis element, in the space it belongs to."""
+        return self.loop_fm(gen) if gen.space == SPACE_FM else self.loop_q(gen)
 
     # -- iota -------------------------------------------------------------
-
-    def _type1_letter(self, sigma: Perm) -> tuple[GeneratorId, int]:
-        canonical, _ = cyclic_canonical(sigma)
-        return GeneratorId(SPACE_QUOTIENT, canonical, 1), 1
 
     def _bracket(self, sigma: Perm, b: int) -> Optional[GeneratorId]:
         """Quotient letter for the orbit of act(sigma, O_b); None when the
         orbit is selected (its loop lies in the maximal tree)."""
         canonical, _ = cyclic_canonical(sigma)
-        if b >= 2 and _selected_sigma(canonical, b) and b <= self.m - 1:
+        if b >= 2 and self._selected_sigma(canonical, b) and b <= self.m - 1:
             return None
         return GeneratorId(SPACE_QUOTIENT, canonical, b)
 
@@ -249,8 +200,7 @@ class BraidSystem:
     def iota_oracle(self, gen: GeneratorId) -> FreeWord:
         """Project the basis loop cell-wise and read it off downstairs."""
         if gen not in self._iota_oracle_cache:
-            projected = project_path(self.quotient, self.loop(gen))
-            self._iota_oracle_cache[gen] = self.express_q(projected)
+            self._iota_oracle_cache[gen] = self.iota_by_projection(gen)
         return self._iota_oracle_cache[gen]
 
     def iota_word(self, word: FreeWord) -> FreeWord:
@@ -304,22 +254,9 @@ class BraidSystem:
     def theta_word(self, word: FreeWord) -> int:
         return word.evaluate_additive(self.theta_closed_form) % self.m
 
-    def deck_exponent(self, vertex: Cell) -> int:
-        """t in Z_m with vertex == act(c1^-t, base).
-
-        The deck group is identified with Z_m through the inverse rotation:
-        that is the identification under which the canonical type-1
-        generator measures +1, matching the closed form's normalization.
-        """
-        for t in range(self.m):
-            if act(self.c1 ** (-t % self.m), self.fm.base) == vertex:
-                return t
-        raise StructuralError(f"{vertex!r} is not in the base orbit")
-
     def theta_oracle(self, word: FreeWord) -> int:
         """Lift the word's loop upstairs; return the deck rotation reached."""
-        lifted = lift_path(self.quotient, self.realize_q(word), self.fm.base)
-        return self.deck_exponent(lifted.end)
+        return self.theta_by_lift(word)
 
     # -- Schreier rewriting ---------------------------------------------------
 
@@ -333,17 +270,8 @@ class BraidSystem:
         key = (t, gen)
         if key not in self._rs_table:
             t2 = (t + self.theta_closed_form(gen)) % self.m
-            zloop = self.loop(self.z)
-            qpath = concat(
-                self.quotient,
-                repeat_path(self.quotient, zloop, t),
-                self.loop(gen),
-                repeat_path(self.quotient, reverse_path(zloop), t2),
-            )
-            lifted = lift_path(self.quotient, qpath, self.fm.base)
-            if lifted.end != self.fm.base:
-                raise StructuralError("transversal-conjugated generator did not lift closed")
-            self._rs_table[key] = self.express_fm(lifted)
+            z = FreeWord.gen(self.z)
+            self._rs_table[key] = self.rewrite_by_lift(z ** t * FreeWord.gen(gen) * z ** -t2)
         return self._rs_table[key]
 
     def rs_rewrite(self, word: FreeWord) -> Optional[FreeWord]:
@@ -374,20 +302,9 @@ def maximal_tree(field: GradientField, selected: frozenset[Cell]) -> frozenset[C
         raise StructuralError(
             f"candidate tree has {len(edges)} edges on {len(vertices)} vertices"
         )
-    parent: dict[Cell, Cell] = {v: v for v in vertices}
-
-    def find(x: Cell) -> Cell:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edges:
-        src, tgt = cx.edge_endpoints(e)
-        ru, rv = find(src), find(tgt)
-        if ru == rv:
-            raise StructuralError(f"candidate tree has a cycle through {e!r}")
-        parent[ru] = rv
+    _, closing = union_find(vertices, {e: cx.edge_endpoints(e) for e in edges})
+    if closing:
+        raise StructuralError(f"candidate tree has a cycle through {closing[0]!r}")
     return frozenset(edges)
 
 
@@ -395,41 +312,3 @@ def maximal_tree(field: GradientField, selected: frozenset[Cell]) -> frozenset[C
 def get_system(m: int) -> BraidSystem:
     return BraidSystem(m)
 
-
-# -- module-level operation wrappers ---------------------------------------
-
-
-def selected_edges(space: str, m: int) -> frozenset[Cell]:
-    return get_system(m).selected(space)
-
-
-def pi1_basis(space: str, m: int) -> list[GeneratorId]:
-    return get_system(m).basis(space)
-
-
-def iota_closed_form(gen: GeneratorId) -> FreeWord:
-    return get_system(gen.m).iota_closed_form(gen)
-
-
-def iota_oracle(gen: GeneratorId) -> FreeWord:
-    return get_system(gen.m).iota_oracle(gen)
-
-
-def p1_closed_form(gen: GeneratorId) -> int:
-    return get_system(gen.m).p1_closed_form(gen)
-
-
-def p1_oracle(gen: GeneratorId) -> int:
-    return get_system(gen.m).p1_oracle(gen)
-
-
-def theta_closed_form(gen: GeneratorId) -> int:
-    return get_system(gen.m).theta_closed_form(gen)
-
-
-def theta_oracle(word: FreeWord, m: int) -> int:
-    return get_system(m).theta_oracle(word)
-
-
-def rs_rewrite(word: FreeWord, m: int) -> Optional[FreeWord]:
-    return get_system(m).rs_rewrite(word)

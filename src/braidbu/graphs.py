@@ -16,13 +16,38 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Hashable, Iterable, Mapping, Optional, Union
 
 from .errors import InvalidParameterError
 
 ORD_INF = math.inf
 
 Coord = Union[int, str]  # a graph cell: vertex ordinal or edge name
+
+
+def union_find(vertices: Iterable, edges: Mapping[Hashable, tuple]) -> tuple[dict, list]:
+    """Components of a graph given by its edges' endpoint pairs.
+
+    Returns the root of every vertex's component, and the edges, in order,
+    whose endpoints were already joined by earlier edges (the edges that
+    close a cycle).
+    """
+    parent = {v: v for v in vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    closing = []
+    for e, (u, v) in edges.items():
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            closing.append(e)
+        else:
+            parent[ru] = rv
+    return {v: find(v) for v in parent}, closing
 
 
 @dataclass(frozen=True)
@@ -63,19 +88,9 @@ class Graph:
             raise InvalidParameterError("at most one non-tree edge is supported")
         if len(tree) != self.num_vertices - 1:
             raise InvalidParameterError("tree edges must number V-1")
-        parent = list(range(self.num_vertices))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in tree:
-            ru, rv = find(e.lo), find(e.hi)
-            if ru == rv:
-                raise InvalidParameterError("tree edges contain a cycle")
-            parent[ru] = rv
+        _, closing = union_find(range(self.num_vertices), {e: (e.lo, e.hi) for e in tree})
+        if closing:
+            raise InvalidParameterError("tree edges contain a cycle")
         # V-1 acyclic edges on V vertices are automatically spanning.
 
     # -- lookups ---------------------------------------------------------

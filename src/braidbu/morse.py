@@ -11,11 +11,12 @@ the permutation sorting their vertex tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
 from .complexes import Cell, CubeComplex, QuotientComplex, cell_dim
 from .errors import InvalidParameterError, StructuralError
-from .graphs import Graph, lollipop_size
+from .graphs import Graph, lollipop_size, union_find
 from .perms import Perm, cyclic_canonical, sorting_permutation
 
 KIND_CRITICAL = "critical"
@@ -193,6 +194,7 @@ def type_tuple(b: int, m: int) -> Cell:
     return tuple(range(b - 1)) + ("a",) + tuple(range(m, 2 * m - b))
 
 
+@lru_cache(maxsize=None)
 def type_coordinate_sets(m: int) -> dict[frozenset, int]:
     return {frozenset(type_tuple(b, m)): b for b in range(1, m + 1)}
 
@@ -253,28 +255,17 @@ def forest(field: GradientField) -> list[ForestTree]:
     """
     cx = field.complex
     quotient = isinstance(cx, QuotientComplex)
-    parent: dict[Cell, Cell] = {v: v for v in cx.cells_by_dim[0]}
-
-    def find(x: Cell) -> Cell:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in field.forest_edges:
-        src, tgt = cx.edge_endpoints(e)
-        ru, rv = find(src), find(tgt)
-        if ru == rv:
-            raise StructuralError(f"forest contains a cycle through {e!r}")
-        parent[ru] = rv
+    ends = {e: cx.edge_endpoints(e) for e in field.forest_edges}
+    root_of, closing = union_find(cx.cells_by_dim[0], ends)
+    if closing:
+        raise StructuralError(f"forest contains a cycle through {closing[0]!r}")
 
     groups: dict[Cell, list[Cell]] = {}
     for v in cx.cells_by_dim[0]:
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(root_of[v], []).append(v)
     edges_by_root: dict[Cell, list[Cell]] = {}
-    for e in field.forest_edges:
-        src, _ = cx.edge_endpoints(e)
-        edges_by_root.setdefault(find(src), []).append(e)
+    for e, (src, _) in ends.items():
+        edges_by_root.setdefault(root_of[src], []).append(e)
 
     trees = []
     for root, vertices in groups.items():

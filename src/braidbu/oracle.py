@@ -3,7 +3,9 @@ and the property suite wiring every closed form to its independent oracle."""
 from __future__ import annotations
 
 import math
+import os
 import random
+import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -408,6 +410,9 @@ def run_suite(level: str = "quick") -> Report:
         try:
             report.checks.extend(run())
         except Exception as exc:  # a crashed group is a failed check
-            report.checks.append((group_id, False, f"exception: {exc!r}"))
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
+            detail = f"exception {type(exc).__name__} at {where}: {exc!r}"
+            report.checks.append((group_id, False, detail))
     report.checks.sort(key=lambda v: v[0])
     return report

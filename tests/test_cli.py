@@ -9,6 +9,8 @@ import braidbu.decide as dec
 import braidbu.fundgroup as fundgroup
 import braidbu.morse as morse
 from braidbu.cli import main
+from braidbu.errors import StructuralError
+from braidbu.graphs import emit_graph_text, make_lollipop
 from braidbu.oracle import run_suite
 
 
@@ -161,6 +163,8 @@ BAD_INPUTS = {
     "theta-zero-order": ("decide", "--target", "wedge", "--m", "0", "--k", "1", "--theta", "1"),
     "class-length": ("decide", "--target", "circle", "--n", "2", "--class", "1,2"),
     "graph-not-integer": ("graph", "check", "--graph", "{graph}", "--m", "2"),
+    "check-zero-m": ("graph", "check", "--graph", "{lollipop}", "--m", "0"),
+    "check-negative-m": ("graph", "check", "--graph", "{lollipop}", "--m", "-3"),
 }
 
 
@@ -173,9 +177,15 @@ class TestBadInput:
         path.write_text("V abc\n")
         return str(path)
 
+    @pytest.fixture
+    def lollipop(self, tmp_path):
+        path = tmp_path / "lollipop.txt"
+        path.write_text(emit_graph_text(make_lollipop(2)))
+        return str(path)
+
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-    def test_exit_code_and_message(self, case, bad_graph, capsys):
-        argv = [arg.format(graph=bad_graph) for arg in BAD_INPUTS[case]]
+    def test_exit_code_and_message(self, case, bad_graph, lollipop, capsys):
+        argv = [arg.format(graph=bad_graph, lollipop=lollipop) for arg in BAD_INPUTS[case]]
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 2
@@ -199,6 +209,19 @@ class TestBadInput:
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
+class TestInternalError:
+    def test_structural_error_exits_3_on_one_line(self, capsys, monkeypatch):
+        def broken_decide_wedge(k, m, action):
+            raise StructuralError("wedge witness failed verification")
+
+        monkeypatch.setattr(dec, "decide_wedge", broken_decide_wedge)
+        code = main(["decide", "--target", "wedge", "--k", "1", "--m", "2"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "internal error: wedge witness failed verification\n"
+        assert "Traceback" not in err
+
+
 class TestSuite:
     def test_quick_suite_passes(self, capsys):
         code, out = run(capsys, "suite", "--level", "quick")
@@ -210,11 +233,13 @@ class TestSuite:
         _, second = run(capsys, "--format", "records", "suite", "--level", "quick")
         assert first == second
 
-    def test_env_overrides_level(self, capsys, monkeypatch):
-        monkeypatch.setenv("BU_SUITE_LEVEL", "quick")
+    def test_full_suite_passes(self, capsys):
         code, out = run(capsys, "--format", "records", "suite", "--level", "full")
         assert code == 0
-        assert "level\tquick" in out
+        assert "level\tfull" in out.splitlines()
+        checks = [line for line in out.splitlines() if line.startswith("check.")]
+        assert len(checks) == 61
+        assert all(line.endswith("\tpass") for line in checks)
 
     def test_broken_blocked_rule_fails_shift_checks(self, monkeypatch):
         real = morse.is_blocked

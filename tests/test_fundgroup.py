@@ -5,15 +5,7 @@ import pytest
 
 from braidbu.covering import concat, express_loop, make_path as make_edge_path
 from braidbu.errors import StructuralError
-from braidbu.fundgroup import (
-    GeneratorId,
-    get_system,
-    maximal_tree,
-    pi1_basis,
-    rs_rewrite,
-    selected_edges,
-    theta_oracle,
-)
+from braidbu.fundgroup import GeneratorId, get_system, maximal_tree
 from braidbu.oracle import chi_oracle
 from braidbu.perms import Perm
 from braidbu.words import FreeWord
@@ -39,23 +31,23 @@ def fm_gen(images, b):
 
 class TestSelection:
     def test_m2_selected(self, sys2):
-        assert selected_edges("fm", 2) == frozenset({(2, "a")})
-        assert selected_edges("quotient", 2) == frozenset()
+        assert sys2.selected("fm") == frozenset({(2, "a")})
+        assert sys2.selected("quotient") == frozenset()
 
     def test_m3_counts(self, sys3):
         by_type = {}
-        for cell in selected_edges("fm", 3):
+        for cell in sys3.selected("fm"):
             from braidbu.morse import edge_type
 
             by_type[edge_type(cell, 3)] = by_type.get(edge_type(cell, 3), 0) + 1
         assert by_type == {1: 4, 2: 1}
-        assert len(selected_edges("fm", 3)) == math.factorial(3) - 1
-        assert selected_edges("quotient", 3) == frozenset({(0, 3, "a")})
+        assert len(sys3.selected("fm")) == math.factorial(3) - 1
+        assert sys3.selected("quotient") == frozenset({(0, 3, "a")})
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_totals(self, m):
-        assert len(selected_edges("fm", m)) == math.factorial(m) - 1
-        assert len(selected_edges("quotient", m)) == math.factorial(m - 1) - 1
+        assert len(get_system(m).selected("fm")) == math.factorial(m) - 1
+        assert len(get_system(m).selected("quotient")) == math.factorial(m - 1) - 1
 
 
 class TestMaximalTrees:
@@ -74,11 +66,11 @@ class TestMaximalTrees:
 
 class TestBases:
     def test_m2_fm_basis(self, sys2):
-        cells = {g.cell() for g in pi1_basis("fm", 2)}
+        cells = {g.cell() for g in sys2.basis("fm")}
         assert cells == {("a", 2), (0, "a"), ("a", 0)}
 
     def test_m2_quotient_basis(self, sys2):
-        names = [g.name() for g in pi1_basis("quotient", 2)]
+        names = [g.name() for g in sys2.basis("quotient")]
         assert names == ["[O1]", "[O2]"]
 
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -190,7 +182,7 @@ class TestTheta:
     def test_closed_form_equals_oracle(self, m):
         system = get_system(m)
         for gen in system.basis_q:
-            assert system.theta_closed_form(gen) == theta_oracle(FreeWord.gen(gen), m)
+            assert system.theta_closed_form(gen) == system.theta_oracle(FreeWord.gen(gen))
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_oracle_is_a_homomorphism(self, m):
@@ -235,13 +227,13 @@ class TestCorollaryIdentities:
 class TestRewriting:
     def test_square_of_z(self, sys2):
         z = FreeWord.gen(sys2.z)
-        assert rs_rewrite(z * z, 2) == FreeWord.gen(fm_gen((1, 2), 1))
+        assert sys2.rs_rewrite(z * z) == FreeWord.gen(fm_gen((1, 2), 1))
 
     def test_not_in_subgroup(self, sys2):
-        assert rs_rewrite(FreeWord.gen(sys2.z), 2) is None
+        assert sys2.rs_rewrite(FreeWord.gen(sys2.z)) is None
 
     def test_empty_word(self, sys2):
-        assert rs_rewrite(FreeWord(), 2) == FreeWord()
+        assert sys2.rs_rewrite(FreeWord()) == FreeWord()
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_inverts_iota_on_basis(self, m):

@@ -1,5 +1,6 @@
 import pytest
 
+import braidbu.oracle as oracle
 from braidbu.complexes import build_dconf, build_quotient
 from braidbu.errors import InvalidParameterError
 from braidbu.graphs import make_lollipop, make_path
@@ -50,6 +51,17 @@ class TestSuite:
         assert ids == sorted(ids)
         assert any(cid.startswith("census.m3") for cid in ids)
         assert not any(cid.startswith("census.m4") for cid in ids)
+
+    def test_crashed_group_names_type_and_frame(self, monkeypatch):
+        def exploding_circle_check(n):
+            raise RuntimeError(f"no circle for n={n}")
+
+        monkeypatch.setattr(oracle, "_check_circle", exploding_circle_check)
+        detail = {cid: (ok, text) for cid, ok, text in run_suite("quick").checks}
+        ok, text = detail["circle.n2"]
+        assert not ok
+        assert "RuntimeError" in text
+        assert "test_oracle.py:" in text and "in exploding_circle_check" in text
 
     def test_unknown_level_rejected(self):
         with pytest.raises(InvalidParameterError):
