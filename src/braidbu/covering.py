@@ -103,28 +103,6 @@ def tree_parents(cx, tree_edges: frozenset[Cell], base: Cell) -> dict[Cell, Opti
     return parents
 
 
-def bfs_spanning_tree(cx, base: Cell) -> frozenset[Cell]:
-    """A deterministic spanning tree of the full 1-skeleton."""
-    adjacency: dict[Cell, list[tuple[Cell, int, Cell]]] = {v: [] for v in cx.cells_by_dim[0]}
-    for e in cx.cells_by_dim.get(1, ()):
-        src, tgt = cx.edge_endpoints(e)
-        adjacency[src].append((e, 1, tgt))
-        adjacency[tgt].append((e, -1, src))
-    for v in adjacency:
-        adjacency[v].sort(key=lambda item: (cx.sort_key(item[0]), item[1]))
-    seen = {base}
-    tree: set[Cell] = set()
-    queue = deque([base])
-    while queue:
-        u = queue.popleft()
-        for edge, _sign, v in adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                tree.add(edge)
-                queue.append(v)
-    return frozenset(tree)
-
-
 def tree_path_to(cx, parents: Parents, v: Cell) -> EdgePath:
     """The unique tree path from the base to v."""
     steps: list[Step] = []
@@ -201,30 +179,6 @@ def lift_path(q: QuotientComplex, qpath: EdgePath, start: Cell) -> EdgePath:
         steps.append((member, sign))
         cur = tgt if sign == 1 else src
     return EdgePath(start, tuple(steps), cur)
-
-
-def boundary_loop(cx, cell2: Cell) -> EdgePath:
-    """The 4-step boundary loop of a 2-cell, based at its all-low corner."""
-    positions = [r for r, c in enumerate(cell2) if isinstance(c, str)]
-    if len(positions) != 2:
-        raise InvalidParameterError(f"not a 2-cell: {cell2!r}")
-    r1, r2 = positions
-    g = cx.graph
-    e1, e2 = g.edge_by_name[cell2[r1]], g.edge_by_name[cell2[r2]]
-
-    def put(r, value, base):
-        return base[:r] + (value,) + base[r + 1:]
-
-    corner_ll = put(r1, e1.lo, put(r2, e2.lo, cell2))
-    along_e1_low = put(r2, e2.lo, cell2)   # e1 free, e2 at lo
-    along_e1_high = put(r2, e2.hi, cell2)  # e1 free, e2 at hi
-    along_e2_low = put(r1, e1.lo, cell2)   # e2 free, e1 at lo
-    along_e2_high = put(r1, e1.hi, cell2)  # e2 free, e1 at hi
-    return make_path(
-        cx,
-        corner_ll,
-        [(along_e1_low, 1), (along_e2_high, 1), (along_e1_high, -1), (along_e2_low, -1)],
-    )
 
 
 # -- the covering --------------------------------------------------------------

@@ -20,19 +20,11 @@ from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
 from .complexes import Cell, build_dconf, build_quotient, components
-from .covering import (
-    Covering,
-    EdgePath,
-    bfs_spanning_tree,
-    boundary_loop,
-    concat,
-    project_path,
-    reverse_path,
-    tree_path_to,
-)
+from .covering import Covering
 from .errors import InvalidParameterError, PreconditionError, StructuralError
-from .fundgroup import GeneratorId, get_system
-from .graphs import Graph, is_sufficiently_subdivided
+from .fundgroup import GeneratorId, get_system, maximal_tree
+from .graphs import Graph, is_sufficiently_subdivided, union_find
+from .morse import build_field
 from .perms import Perm
 from .words import FreeWord, cyclically_reduced
 
@@ -147,6 +139,7 @@ def kernel_basis(y_basis: Sequence[FreeWord], n: int) -> list[FreeWord]:
 # -- presentation cleanup for auxiliary targets -------------------------------
 
 
+# No caller left in the package; kept because perfbench/tracing.py wraps it by name.
 def eliminate_to_free_basis(
     letters: Sequence[object], relators: Sequence[FreeWord]
 ) -> tuple[list[object], dict[object, FreeWord]]:
@@ -197,10 +190,11 @@ def eliminate_to_free_basis(
 class TreeTargetSystem(Covering):
     """Covering calculus on the configuration complex of a tree target.
 
-    Spanning trees are breadth-first, and the letters are the raw non-tree
-    edges, which satisfy the square relations of the complex; Tietze
-    elimination turns them into a free basis on each level, making reduced
-    words canonical.
+    Built like ``BraidSystem``: a Farley-Sabalka gradient field on each side,
+    the forest plus the critical edges that close no cycle with it as the
+    maximal tree, and the other critical edges as letters.  Without critical
+    cells of dimension two or more, the letters are a free basis on each
+    level, so reduced words are canonical.
     """
 
     def __init__(self, graph: Graph, n: int):
@@ -214,34 +208,23 @@ class TreeTargetSystem(Covering):
         self.n = n
         fm = build_dconf(graph, n)
         if components(fm) != 1:
-            raise StructuralError("configuration complex of the tree is disconnected")
+            raise PreconditionError(f"configuration complex of the tree is disconnected for n={n}")
         quotient = build_quotient(fm, n)
-        tree_fm = bfs_spanning_tree(fm, fm.base)
-        tree_q = bfs_spanning_tree(quotient, quotient.base)
-        fm_letters = [e for e in fm.cells_by_dim.get(1, ()) if e not in tree_fm]
-        q_letters = [e for e in quotient.cells_by_dim.get(1, ()) if e not in tree_q]
-        super().__init__(
-            fm, quotient, tree_fm, tree_q, {e: e for e in fm_letters}, {e: e for e in q_letters}
-        )
-
-        fm_relators = [
-            self.express_fm(boundary_based_loop(fm, self.parents_fm, c))
-            for c in fm.cells_by_dim.get(2, ())
-        ]
-        q_relators = [
-            self.express_q(based_projected_boundary(quotient, self.parents_q, c))
-            for c in quotient.cells_by_dim.get(2, ())
-        ]
-        self.fm_basis, self.fm_elim = eliminate_to_free_basis(fm_letters, fm_relators)
-        self.q_basis, self.q_elim = eliminate_to_free_basis(q_letters, q_relators)
+        trees, letters = [], []
+        for cx in (fm, quotient):
+            field = build_field(cx)
+            if any(field.critical(d) for d in range(2, cx.top_dim + 1)):
+                raise PreconditionError(
+                    f"braid group of the tree has no free basis for n={n}: critical cells of dimension >= 2"
+                )
+            critical = field.critical(1)
+            ends = {e: cx.edge_endpoints(e) for e in field.forest_edges + critical}
+            closing = set(union_find(cx.cells_by_dim[0], ends)[1])
+            trees.append(maximal_tree(field, frozenset(e for e in critical if e not in closing)))
+            letters.append({e: e for e in critical if e in closing})
+        super().__init__(fm, quotient, *trees, *letters)
         self._theta_cache: dict[Cell, int] = {}
         self._iota_cache: dict[Cell, FreeWord] = {}
-
-    def canon_fm(self, word: FreeWord) -> FreeWord:
-        return word.substitute(self.fm_elim)
-
-    def canon_q(self, word: FreeWord) -> FreeWord:
-        return word.substitute(self.q_elim)
 
     # -- the three maps -------------------------------------------------------
 
@@ -256,7 +239,7 @@ class TreeTargetSystem(Covering):
     def iota_word(self, word: FreeWord) -> FreeWord:
         cache = self._iota_cache
         for letter in word.support() - cache.keys():
-            cache[letter] = self.canon_q(self.iota_by_projection(letter))
+            cache[letter] = self.iota_by_projection(letter)
         return FreeWord.product(cache[l] if sign == 1 else cache[l].inverse() for l, sign in word)
 
     def p1_word(self, word: FreeWord) -> int:
@@ -266,12 +249,12 @@ class TreeTargetSystem(Covering):
         """Preimage under the covering injection, or None when none exists."""
         if self.theta_word(word) != 0:
             return None
-        return self.canon_fm(self.rewrite_by_lift(word))
+        return self.rewrite_by_lift(word)
 
     def unit_word(self) -> FreeWord:
         """A quotient word with theta value 1, by running gcds of letter values."""
         g, word = self.n, FreeWord()
-        for letter in self.q_basis:
+        for letter in self.letter_q:
             t = self.theta_letter(letter)
             if t == 0:
                 continue
@@ -296,20 +279,6 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
         old_x, x = x, old_x - q * x
         old_y, y = y, old_y - q * y
     return old_r, old_x, old_y
-
-
-def boundary_based_loop(cx, parents, cell2: Cell) -> EdgePath:
-    """Boundary of a 2-cell conjugated to the base point through the tree."""
-    loop = boundary_loop(cx, cell2)
-    to_corner = tree_path_to(cx, parents, loop.start)
-    return concat(cx, to_corner, loop, reverse_path(to_corner))
-
-
-def based_projected_boundary(q, parents, rep2: Cell) -> EdgePath:
-    """Projected boundary of an orbit 2-cell, based in the quotient."""
-    loop = project_path(q, boundary_loop(q.fm, rep2))
-    to_corner = tree_path_to(q, parents, loop.start)
-    return concat(q, to_corner, loop, reverse_path(to_corner))
 
 
 # -- diagram verification -----------------------------------------------------
@@ -390,10 +359,6 @@ def tree_system(graph: Graph, n: int) -> TreeTargetSystem:
 def e_letter(i: int, j: int) -> str:
     """Basis letter e_(i,j) = y1^(i-1) y_(j+1) y1^(1-i) of the kernel."""
     return f"e({i},{j})"
-
-
-def circle_class_letters(n: int, m: int) -> list[str]:
-    return ["e1"] + [e_letter(i, j) for j in range(1, m + 1) for i in range(1, n + 1)]
 
 
 def decide_circle(cls: Sequence[int], n: int, m: int) -> BUVerdict:

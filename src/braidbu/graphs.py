@@ -4,7 +4,9 @@ Vertices are the integers 0..V-1 and double as their own ordinals.  Every
 edge is oriented from its smaller-ordinal endpoint ``lo`` to its larger one
 ``hi``.  Tree edges carry pairwise distinct finite ordinals; at most one
 extra (non-tree) edge is allowed and it carries the ordinal infinity, so the
-ordinals restrict to linear orders on vertices and on edges.
+ordinals restrict to linear orders on vertices and on edges.  The gradient
+field orders vertices differently: ``Graph.tree_order`` roots the spanning
+tree at the smallest leaf and numbers it depth-first.
 
 The central construction is the "lollipop": a cycle on m+1 vertices with a
 path of m-1 extra vertices attached, which is the m-fold subdivided form of
@@ -60,6 +62,23 @@ class Edge:
 
 
 @dataclass(frozen=True)
+class TreeOrder:
+    """The spanning tree rooted at the graph's smallest leaf, numbered depth-first.
+
+    ``number[v]`` is v's place in a depth-first walk over tree edges that
+    visits neighbours by increasing vertex; the root gets 0.  ``parent[v]`` is
+    the far end of e(v), the tree edge from v toward the root, and
+    ``up_edge[v]`` names e(v); both are None at the root.  ``child_end`` maps
+    each tree edge's name to its endpoint away from the root.
+    """
+
+    number: tuple[int, ...]
+    parent: tuple[Optional[int], ...]
+    up_edge: tuple[Optional[str], ...]
+    child_end: Mapping[str, int]
+
+
+@dataclass(frozen=True)
 class Graph:
     num_vertices: int
     edges: tuple[Edge, ...]
@@ -100,10 +119,6 @@ class Graph:
         return {e.name: e for e in self.edges}
 
     @cached_property
-    def tree_edge_between(self) -> dict[tuple[int, int], Edge]:
-        return {(e.lo, e.hi): e for e in self.edges if e.in_tree}
-
-    @cached_property
     def loop_edge(self) -> Optional[Edge]:
         """The unique non-tree edge, if present."""
         extras = [e for e in self.edges if not e.in_tree]
@@ -129,6 +144,25 @@ class Graph:
             adj[e.hi].append((e.lo, e.name))
         return tuple(tuple(sorted(a)) for a in adj)
 
+    @cached_property
+    def tree_order(self) -> TreeOrder:
+        """Computed once per graph; a graph without a leaf has none."""
+        leaves = [v for v in range(self.num_vertices) if self.degrees[v] == 1]
+        if not leaves:
+            raise InvalidParameterError("the gradient field needs a graph with a leaf to root at")
+        size = self.num_vertices
+        number, parent, up_edge = [0] * size, [None] * size, [None] * size
+        child_end = {}
+        stack, count = [leaves[0]], 0
+        while stack:
+            u = stack.pop()
+            number[u], count = count, count + 1
+            for v, name in reversed(self.adjacency[u]):
+                if self.edge_by_name[name].in_tree and v != parent[u]:
+                    parent[v], up_edge[v], child_end[name] = u, name, v
+                    stack.append(v)
+        return TreeOrder(tuple(number), tuple(parent), tuple(up_edge), child_end)
+
     @property
     def euler_characteristic(self) -> int:
         return self.num_vertices - len(self.edges)
@@ -143,9 +177,6 @@ class Graph:
             return frozenset((coord,))
         e = self.edge_by_name[coord]
         return frozenset((e.lo, e.hi))
-
-    def coord_ordinal(self, coord: Coord) -> float:
-        return coord if isinstance(coord, int) else self.edge_by_name[coord].ordinal
 
     def coord_key(self, coord: Coord) -> tuple[float, int]:
         """Sort key on graph cells: by ordinal, vertices before edges on ties."""
@@ -314,17 +345,3 @@ def parse_graph_text(text: str) -> Graph:
         raise InvalidParameterError("missing V line")
     return Graph(num_vertices, tuple(edges))
 
-
-def lollipop_size(graph: Graph) -> Optional[int]:
-    """Return m when the graph has the exact lollipop shape, else None."""
-    if graph.num_vertices < 4 or graph.num_vertices % 2 != 0:
-        return None
-    m = graph.num_vertices // 2
-    loop = graph.loop_edge
-    if loop is None or (loop.lo, loop.hi) != (m - 1, 2 * m - 1):
-        return None
-    for i in range(1, 2 * m):
-        e = graph.tree_edge_between.get((i - 1, i))
-        if e is None or e.ordinal != i:
-            return None
-    return m

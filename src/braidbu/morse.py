@@ -1,12 +1,22 @@
-"""Discrete gradient field on the lollipop configuration complex.
+"""Farley-Sabalka discrete gradient field on a configuration complex.
 
-Every cell is classified as critical, redundant, or collapsible by the
-blocked-vertex rule, which relies on the lollipop's ordinal structure (the
-tree edge of ordinal i joins vertices i-1 and i).  Redundant cells pair with
-the collapsible cell one dimension up obtained by growing the pivot vertex
-into its tree edge; the pairing is an involution.  The 0-cells together with
-the collapsible 1-cells form a maximal forest whose trees are labelled by
-the permutation sorting their vertex tuples.
+Farley and Sabalka ("Discrete Morse theory and graph braid groups", AGT 5,
+2005) order cells through a spanning tree rooted at a leaf and numbered
+depth-first (``Graph.tree_order``).  e(v) is the tree edge from v toward the
+root; a tree edge e has ends i(e), away from the root, and t(e).  In a cell,
+a vertex v is blocked when it is the root or t(e(v)) lies in another
+coordinate's closure.  A tree edge e respects the order unless some vertex
+coordinate u is a child of t(e) with t(e) < u < i(e); a non-tree edge never
+does.  A cell is redundant when its smallest unblocked vertex v lies below
+i(e) for every order-respecting edge e, and pairs with v grown into e(v).
+It is collapsible when its smallest order-respecting edge e has i(e) below
+every unblocked vertex, and pairs with e shrunk to i(e).  Every other cell
+is critical; building a field checks that the pairing is an involution.
+
+On the lollipop the numbering is the identity and every tree edge respects
+the order; there the 0-cells and the collapsible 1-cells form a maximal
+forest whose trees are labelled by the permutation sorting their vertex
+tuples (``forest``).
 """
 from __future__ import annotations
 
@@ -16,7 +26,7 @@ from typing import Optional, Union
 
 from .complexes import Cell, CubeComplex, QuotientComplex, cell_dim
 from .errors import InvalidParameterError, StructuralError
-from .graphs import Graph, lollipop_size, union_find
+from .graphs import Graph, union_find
 from .perms import Perm, cyclic_canonical, sorting_permutation
 
 KIND_CRITICAL = "critical"
@@ -34,66 +44,49 @@ class CellClass:
 def is_blocked(cell: Cell, r: int, graph: Graph) -> bool:
     """Whether the vertex coordinate at 0-based position r is blocked.
 
-    Vertex 0 is always blocked; vertex v > 0 is blocked when v-1 lies in the
-    closure of some other coordinate.
+    The root is always blocked; any other vertex v is blocked when the far
+    end of e(v) lies in the closure of some other coordinate.
     """
-    v = cell[r]
-    if v == 0:
+    far = graph.tree_order.parent[cell[r]]
+    if far is None:
         return True
     return any(
-        v - 1 in graph.closure(other)
+        far in graph.closure(other)
         for s, other in enumerate(cell)
         if s != r
     )
 
 
-def _require_lollipop(graph: Graph) -> int:
-    m = lollipop_size(graph)
-    if m is None:
-        raise InvalidParameterError("the gradient field is defined only on lollipop graphs")
-    return m
-
-
 def classify_cell(c: Cell, cx: CubeComplex) -> CellClass:
-    """Classify one cell of the lollipop configuration complex."""
+    """Classify one cell of a configuration complex by the Farley-Sabalka rule."""
     graph = cx.graph
-    _require_lollipop(graph)
+    order = graph.tree_order
     if not cx.has(c):
         raise InvalidParameterError(f"cell not in complex: {c!r}")
-    loop_name = graph.loop_edge.name
+    number, parent = order.number, order.parent
+    vertices = [coord for coord in c if isinstance(coord, int)]
+    # (number, position) of the smallest unblocked vertex and of the
+    # order-respecting edge whose far-from-root end is smallest.
+    unblocked = respecting = None
+    for r, coord in enumerate(c):
+        if isinstance(coord, int):
+            if (unblocked is None or number[coord] < unblocked[0]) and not is_blocked(c, r, graph):
+                unblocked = (number[coord], r)
+            continue
+        child = order.child_end.get(coord)  # None on a non-tree edge: it never respects the order
+        if child is None or (respecting is not None and number[child] > respecting[0]):
+            continue
+        if not any(parent[u] == parent[child] and number[u] < number[child] for u in vertices):
+            respecting = (number[child], r)
 
-    unblocked = sorted(
-        (coord, r)
-        for r, coord in enumerate(c)
-        if isinstance(coord, int) and not is_blocked(c, r, graph)
-    )
-    edge_ordinals = sorted(
-        (graph.edge_by_name[coord].ordinal, r)
-        for r, coord in enumerate(c)
-        if isinstance(coord, str)
-    )
-    min_edge_ord = edge_ordinals[0][0] if edge_ordinals else None
-
-    if unblocked:
-        v, r = unblocked[0]
-        if min_edge_ord is None or min_edge_ord > v:
-            grown = graph.tree_edge_between[(v - 1, v)]
-            pair = c[:r] + (grown.name,) + c[r + 1:]
-            return CellClass(KIND_REDUNDANT, pair, (r + 1, grown.name))
-
-    min_unblocked = unblocked[0][0] if unblocked else None
-    for ordinal, r in edge_ordinals:
-        if ordinal == float("inf"):
-            continue  # the loop edge never collapses
-        if min_unblocked is not None and min_unblocked < ordinal:
-            break
-        vertex = int(ordinal)
-        pair = c[:r] + (vertex,) + c[r + 1:]
-        return CellClass(KIND_COLLAPSIBLE, pair, (r + 1, vertex))
-
-    edge_names = [coord for coord in c if isinstance(coord, str)]
-    if unblocked or any(name != loop_name for name in edge_names):
-        raise StructuralError(f"classification fell through on {c!r}")
+    if unblocked is not None and (respecting is None or unblocked < respecting):
+        r = unblocked[1]
+        grown = order.up_edge[c[r]]
+        return CellClass(KIND_REDUNDANT, c[:r] + (grown,) + c[r + 1:], (r + 1, grown))
+    if respecting is not None and (unblocked is None or respecting < unblocked):
+        r = respecting[1]
+        vertex = order.child_end[c[r]]
+        return CellClass(KIND_COLLAPSIBLE, c[:r] + (vertex,) + c[r + 1:], (r + 1, vertex))
     return CellClass(KIND_CRITICAL)
 
 

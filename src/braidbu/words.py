@@ -91,12 +91,10 @@ class FreeWord:
     def conjugate(self, by: "FreeWord") -> "FreeWord":
         return by * self * by.inverse()
 
-    def exponent_sum(self, letter: Letter) -> int:
-        return sum(s for l, s in self.letters if l == letter)
-
     def support(self) -> set:
         return {l for l, _ in self.letters}
 
+    # Only decide.eliminate_to_free_basis calls it; perfbench/tracing.py wraps it by name.
     def substitute(self, mapping: Mapping[Letter, "FreeWord"]) -> "FreeWord":
         """Replace every mapped letter by its image word; others stay put."""
         pieces: list[Syllable] = []
@@ -130,6 +128,7 @@ def _conjugator_length(letters: tuple[Syllable, ...]) -> int:
     return i
 
 
+# Only decide.eliminate_to_free_basis calls it, which stays for perfbench/tracing.py.
 def cyclically_reduced(word: FreeWord) -> FreeWord:
     """Strip cancelling first/last syllables until the word is cyclically reduced."""
     i, n = _conjugator_length(word.letters), len(word.letters)

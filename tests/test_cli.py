@@ -10,7 +10,7 @@ import braidbu.fundgroup as fundgroup
 import braidbu.morse as morse
 from braidbu.cli import main
 from braidbu.errors import StructuralError
-from braidbu.graphs import emit_graph_text, make_lollipop
+from braidbu.graphs import emit_graph_text, make_lollipop, make_star
 from braidbu.oracle import run_suite
 
 
@@ -165,7 +165,14 @@ BAD_INPUTS = {
     "graph-not-integer": ("graph", "check", "--graph", "{graph}", "--m", "2"),
     "check-zero-m": ("graph", "check", "--graph", "{lollipop}", "--m", "0"),
     "check-negative-m": ("graph", "check", "--graph", "{lollipop}", "--m", "-3"),
+    "tree-disconnected": ("decide", "--target", "tree", "--graph", "{claw}", "--n", "3"),
+    "tree-not-free": ("decide", "--target", "tree", "--graph", "{two_essential}", "--n", "4"),
 }
+
+# Essential vertices 0 and 3; four particles can swap around both at once.
+TWO_ESSENTIAL_TREE = "V 9\n" + "".join(
+    f"E e{i} {u} {v}\n" for i, (u, v) in enumerate([(0, 1), (1, 2), (2, 3), (0, 4), (0, 5), (3, 6), (3, 7), (7, 8)], 1)
+)
 
 
 class TestBadInput:
@@ -183,20 +190,39 @@ class TestBadInput:
         path.write_text(emit_graph_text(make_lollipop(2)))
         return str(path)
 
+    @pytest.fixture
+    def claw(self, tmp_path):
+        path = tmp_path / "claw.txt"
+        path.write_text(emit_graph_text(make_star(3, 1)))
+        return str(path)
+
+    @pytest.fixture
+    def two_essential(self, tmp_path):
+        path = tmp_path / "two_essential.txt"
+        path.write_text(TWO_ESSENTIAL_TREE)
+        return str(path)
+
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-    def test_exit_code_and_message(self, case, bad_graph, lollipop, capsys):
-        argv = [arg.format(graph=bad_graph, lollipop=lollipop) for arg in BAD_INPUTS[case]]
+    def test_exit_code_and_message(self, case, bad_graph, lollipop, claw, two_essential, capsys):
+        argv = [
+            arg.format(graph=bad_graph, lollipop=lollipop, claw=claw, two_essential=two_essential)
+            for arg in BAD_INPUTS[case]
+        ]
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    def test_messages_name_the_fault(self, bad_graph, capsys):
+    def test_messages_name_the_fault(self, bad_graph, claw, two_essential, capsys):
         main(list(BAD_INPUTS["class-length"]))
         assert "n=2" in capsys.readouterr().err
         main([arg.format(graph=bad_graph) for arg in BAD_INPUTS["graph-not-integer"]])
         assert "line 1" in capsys.readouterr().err
+        main([arg.format(claw=claw) for arg in BAD_INPUTS["tree-disconnected"]])
+        assert "disconnected" in capsys.readouterr().err
+        main([arg.format(two_essential=two_essential) for arg in BAD_INPUTS["tree-not-free"]])
+        assert "no free basis" in capsys.readouterr().err
 
     def test_fresh_process(self):
         src = Path(__file__).resolve().parent.parent / "src"

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 import braidbu.decide as dec
 from braidbu.errors import InvalidParameterError, StructuralError
 from braidbu.fundgroup import GeneratorId, get_system
-from braidbu.graphs import make_path, make_star
+from braidbu.graphs import make_path, make_star, parse_graph_text
+from braidbu.morse import build_field
+from braidbu.oracle import chi_oracle
 from braidbu.perms import Perm
 from braidbu.words import FreeWord
 
@@ -80,7 +82,59 @@ class TestInterval:
         assert verdict.holds and verdict.witness is None
 
 
+# A tree with two essential vertices, 0 and 8.
+TWO_ESSENTIAL = parse_graph_text(
+    "V 12\n"
+    + "".join(
+        f"E e{i} {u} {v}\n"
+        for i, (u, v) in enumerate(
+            [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (8, 11)], 1
+        )
+    )
+)
+
+# Free-basis ranks (upstairs, quotient) of star(legs, length) at n particles;
+# Tietze elimination over every square of the complex found the same ranks.
+STAR_RANKS = {
+    (3, 2, 2): (1, 1),
+    (4, 3, 2): (5, 3),
+    (5, 2, 2): (11, 6),
+    (3, 2, 3): (13, 5),
+    (4, 2, 3): (61, 21),
+    (3, 3, 3): (13, 5),
+    (5, 2, 3): (151, 51),
+}
+
+
 class TestTree:
+    @pytest.mark.parametrize("legs, length, n", sorted(STAR_RANKS))
+    def test_star_free_bases(self, legs, length, n):
+        system = dec.tree_system(make_star(legs, length), n)
+        ranks = []
+        for cx, letters, critical0 in (
+            (system.fm, system.letter_fm, math.factorial(n)),
+            (system.quotient, system.letter_q, math.factorial(n - 1)),
+        ):
+            field = build_field(cx)
+            assert len(field.critical(0)) == critical0
+            assert not any(field.critical(d) for d in range(2, cx.top_dim + 1))
+            assert len(letters) == 1 - chi_oracle(cx)
+            ranks.append(len(letters))
+        assert tuple(ranks) == STAR_RANKS[legs, length, n]
+
+    @pytest.mark.parametrize(
+        "graph, n, theta",
+        [(make_star(3, 3), 3, (1, 2)), (make_star(4, 3), 3, (2,)), (TWO_ESSENTIAL, 3, (1, 0, 2))],
+        ids=["star(3,3)", "star(4,3)", "two-essential"],
+    )
+    def test_verified_witness(self, graph, n, theta):
+        action = dec.ActionData(n, len(theta), theta)
+        verdict = dec.decide_tree(graph, n, action)
+        assert not verdict.holds
+        system = dec.tree_system(graph, n)
+        alpha = dec.GroupHom({kappa: 0 for kappa in verdict.witness.phi.images})
+        assert dec.verify_diagram(verdict.witness.phi, verdict.witness.psi, alpha, action, system)
+
     def test_star_fails_with_verified_witness(self):
         action = dec.ActionData(2, 1, (1,))
         verdict = dec.decide_tree(make_star(3, 2), 2, action)

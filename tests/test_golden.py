@@ -1,8 +1,9 @@
 """Byte-for-byte CLI outputs that pin the covering calculus.
 
 Each file under ``tests/golden/`` holds the ``--format records`` output of
-one command.  The tree witnesses are words in raw non-tree edges, so they
-change whenever spanning trees, loop realisation or lifting change.
+one command.  The tree witnesses are words in the unselected critical edges
+of the Farley-Sabalka field, so they change whenever that field, the
+selection of critical edges, loop realisation or lifting change.
 """
 from pathlib import Path
 

@@ -5,7 +5,7 @@ import pytest
 from braidbu.complexes import act, build_dconf, build_quotient
 from braidbu.errors import InvalidParameterError, StructuralError
 from braidbu.fundgroup import get_system
-from braidbu.graphs import make_lollipop, make_path
+from braidbu.graphs import make_cycle, make_lollipop, make_path
 from braidbu.morse import (
     associated_permutation,
     build_field,
@@ -62,10 +62,25 @@ class TestClassification:
         with pytest.raises(InvalidParameterError):
             classify_cell((0, 0), sys2.fm)
 
-    def test_non_lollipop_rejected(self):
-        cx = build_dconf(make_path(3), 2)
+    def test_leafless_graph_rejected(self):
+        cx = build_dconf(make_cycle(4), 2)
         with pytest.raises(InvalidParameterError):
-            classify_cell((0, 2), cx)
+            classify_cell(cx.base, cx)
+
+    def test_path_census(self):
+        # Two particles on a 3-vertex path: two contractible components.
+        field = build_field(build_dconf(make_path(3), 2))
+        assert field.census() == {
+            (0, "critical"): 2,
+            (0, "redundant"): 4,
+            (1, "collapsible"): 4,
+        }
+        assert [field.kind(c) for c in ((0, 1), (1, 0), (2, 0))] == ["critical", "critical", "redundant"]
+
+    def test_path_m3_criticals_are_one_per_component(self):
+        field = build_field(build_dconf(make_path(5), 3))
+        critical = {key: count for key, count in field.census().items() if key[1] == "critical"}
+        assert critical == {(0, "critical"): math.factorial(3)}
 
     def test_full_census_m2(self, sys2):
         census = sys2.field_fm.census()
