@@ -39,7 +39,7 @@ class _CellComplex:
     _cell_set: frozenset[Cell]
 
     def sort_key(self, cell: Cell):
-        return tuple(self.graph.coord_key(c) for c in cell)
+        return tuple(map(self.graph.coord_keys.__getitem__, cell))
 
     def has(self, cell: Cell) -> bool:
         return cell in self._cell_set
@@ -97,7 +97,7 @@ def build_dconf(graph: Graph, m: int) -> CubeComplex:
     coords: list[Coord] = list(range(graph.num_vertices)) + [
         e.name for e in sorted(graph.edges, key=lambda e: e.ordinal)
     ]
-    closures = {c: graph.closure(c) for c in coords}
+    closures = graph.closures
     found: list[Cell] = []
 
     def extend(prefix: list[Coord], used: frozenset[int]) -> None:
@@ -114,10 +114,11 @@ def build_dconf(graph: Graph, m: int) -> CubeComplex:
 
     extend([], frozenset())
     by_dim: dict[int, list[Cell]] = {}
+    keys = graph.coord_keys
     for cell in found:
         by_dim.setdefault(cell_dim(cell), []).append(cell)
     cells_by_dim = {
-        d: tuple(sorted(cells, key=lambda c: tuple(graph.coord_key(x) for x in c)))
+        d: tuple(sorted(cells, key=lambda c: tuple(map(keys.__getitem__, c))))
         for d, cells in sorted(by_dim.items())
     }
     if 0 not in cells_by_dim:
@@ -128,8 +129,12 @@ def build_dconf(graph: Graph, m: int) -> CubeComplex:
 class QuotientComplex(_CellComplex):
     """Quotient of a configuration complex by the cyclic rotation action.
 
-    Cells are orbits, identified by the orbit member whose first coordinate
-    is smallest in the cell ordering.
+    Cells are orbits, identified by the orbit member that comes first in the
+    cell ordering.  The rotation act(c1, -) moves every coordinate one place
+    left, so an orbit is the m rotations of a cell; ``fm`` lists each
+    dimension in sort order and an orbit stays in one dimension, so the first
+    cell of an orbit met in that order is its representative.
+    ``members_of[rep]`` lists the orbit as rep rotated left by 0..m-1 places.
     """
 
     def __init__(self, fm: CubeComplex, m: int):
@@ -138,31 +143,24 @@ class QuotientComplex(_CellComplex):
         self.fm = fm
         self.graph = fm.graph
         self.m = m
-        c1 = Perm.cycle(1, m)
         rep_of: dict[Cell, Cell] = {}
         members_of: dict[Cell, tuple[Cell, ...]] = {}
-        for cell in fm.all_cells():
-            if cell in rep_of:
-                continue
-            orbit = [cell]
-            cur = act(c1, cell)
-            while cur != cell:
-                orbit.append(cur)
-                cur = act(c1, cur)
-            if len(orbit) != m:
-                raise StructuralError(f"rotation orbit of {cell!r} has size {len(orbit)}")
-            rep = min(orbit, key=fm.sort_key)
-            t0 = orbit.index(rep)
-            members = tuple(orbit[(t0 + t) % m] for t in range(m))
-            for member in orbit:
-                rep_of[member] = rep
-            members_of[rep] = members
+        cells_by_dim: dict[int, list[Cell]] = {}
+        for d, cells in fm.cells_by_dim.items():
+            reps = cells_by_dim[d] = []
+            for cell in cells:
+                if cell in rep_of:
+                    continue
+                members = tuple(cell[t:] + cell[:t] for t in range(m))
+                if len(set(members)) != m:
+                    raise StructuralError(f"rotation orbit of {cell!r} has size {len(set(members))}")
+                for member in members:
+                    rep_of[member] = cell
+                members_of[cell] = members
+                reps.append(cell)
         self.rep_of_cell = rep_of
         self.members_of = members_of
-        self.cells_by_dim = {
-            d: tuple(sorted({rep_of[c] for c in cells}, key=fm.sort_key))
-            for d, cells in fm.cells_by_dim.items()
-        }
+        self.cells_by_dim = {d: tuple(reps) for d, reps in cells_by_dim.items()}
         self._cell_set = frozenset(members_of)
         self.base: Cell = rep_of[fm.base]
 

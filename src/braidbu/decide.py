@@ -209,15 +209,16 @@ class TreeTargetSystem(Covering):
         fm = build_dconf(graph, n)
         if components(fm) != 1:
             raise PreconditionError(f"configuration complex of the tree is disconnected for n={n}")
+        field_fm = build_field(fm)
+        if any(field_fm.critical(d) for d in range(2, fm.top_dim + 1)):
+            # The quotient's critical cells are the orbits of these, so one test serves both.
+            raise PreconditionError(
+                f"braid group of the tree has no free basis for n={n}: critical cells of dimension >= 2"
+            )
         quotient = build_quotient(fm, n)
         trees, letters = [], []
-        for cx in (fm, quotient):
-            field = build_field(cx)
-            if any(field.critical(d) for d in range(2, cx.top_dim + 1)):
-                raise PreconditionError(
-                    f"braid group of the tree has no free basis for n={n}: critical cells of dimension >= 2"
-                )
-            critical = field.critical(1)
+        for field in (field_fm, build_field(quotient, field_fm)):
+            cx, critical = field.complex, field.critical(1)
             ends = {e: cx.edge_endpoints(e) for e in field.forest_edges + critical}
             closing = set(union_find(cx.cells_by_dim[0], ends)[1])
             trees.append(maximal_tree(field, frozenset(e for e in critical if e not in closing)))

@@ -80,7 +80,7 @@ class BraidSystem(Covering):
         fm = build_dconf(self.graph, m)
         quotient = build_quotient(fm, m)
         self.field_fm: GradientField = build_field(fm)
-        self.field_q: GradientField = build_field(quotient)
+        self.field_q: GradientField = build_field(quotient, self.field_fm)
 
         self.selected_fm = self._selected_fm()
         self.selected_q = self._selected_q()

@@ -171,18 +171,19 @@ class Graph:
     def is_tree(self) -> bool:
         return len(self.edges) == self.num_vertices - 1
 
-    def closure(self, coord: Coord) -> frozenset[int]:
-        """Vertex set of the closed cell named by ``coord``."""
-        if isinstance(coord, int):
-            return frozenset((coord,))
-        e = self.edge_by_name[coord]
-        return frozenset((e.lo, e.hi))
+    @cached_property
+    def closures(self) -> dict[Coord, frozenset[int]]:
+        """Vertex set of the closed cell named by each graph cell."""
+        out: dict[Coord, frozenset[int]] = {v: frozenset((v,)) for v in range(self.num_vertices)}
+        out.update((e.name, frozenset((e.lo, e.hi))) for e in self.edges)
+        return out
 
-    def coord_key(self, coord: Coord) -> tuple[float, int]:
-        """Sort key on graph cells: by ordinal, vertices before edges on ties."""
-        if isinstance(coord, int):
-            return (coord, 0)
-        return (self.edge_by_name[coord].ordinal, 1)
+    @cached_property
+    def coord_keys(self) -> dict[Coord, tuple[float, int]]:
+        """Sort key of each graph cell: by ordinal, vertices before edges on ties."""
+        out: dict[Coord, tuple[float, int]] = {v: (v, 0) for v in range(self.num_vertices)}
+        out.update((e.name, (e.ordinal, 1)) for e in self.edges)
+        return out
 
 
 # -- constructors ---------------------------------------------------------

@@ -12,11 +12,13 @@ i(e) for every order-respecting edge e, and pairs with v grown into e(v).
 It is collapsible when its smallest order-respecting edge e has i(e) below
 every unblocked vertex, and pairs with e shrunk to i(e).  Every other cell
 is critical; building a field checks that the pairing is an involution.
+The rule commutes with permuting coordinates, so the field of a cyclic
+quotient is read off the upstairs field, one orbit representative at a time.
 
-On the lollipop the numbering is the identity and every tree edge respects
-the order; there the 0-cells and the collapsible 1-cells form a maximal
-forest whose trees are labelled by the permutation sorting their vertex
-tuples (``forest``).
+The 0-cells and the collapsible 1-cells form a maximal forest whose trees are
+labelled by the permutation sorting their coordinates' places in the
+numbering (``forest``).  On the lollipop the numbering is the identity and
+every tree edge respects the order.
 """
 from __future__ import annotations
 
@@ -50,11 +52,8 @@ def is_blocked(cell: Cell, r: int, graph: Graph) -> bool:
     far = graph.tree_order.parent[cell[r]]
     if far is None:
         return True
-    return any(
-        far in graph.closure(other)
-        for s, other in enumerate(cell)
-        if s != r
-    )
+    closures = graph.closures
+    return any(far in closures[other] for s, other in enumerate(cell) if s != r)
 
 
 def classify_cell(c: Cell, cx: CubeComplex) -> CellClass:
@@ -147,28 +146,37 @@ def _check_involution(cx, classes: dict[Cell, CellClass]) -> None:
                 raise StructuralError(f"pairing is not an involution at {c!r}")
 
 
-def build_field(cx: Union[CubeComplex, QuotientComplex]) -> GradientField:
-    """Classify every cell; quotient fields are induced on orbit representatives.
+def build_field(
+    cx: Union[CubeComplex, QuotientComplex], upstairs: Optional[GradientField] = None
+) -> GradientField:
+    """Classify every cell; a quotient field is induced from the upstairs field.
 
-    For a quotient complex the representative's class is used, and every
-    orbit member is checked to classify compatibly (the field is equivariant
-    under coordinate permutations).
+    On a configuration complex every cell goes through ``classify_cell``.  On
+    a quotient the orbit takes its representative's class in ``upstairs``,
+    the field of ``cx.fm``, which is built here when not given; no cell is
+    classified again.  The field is equivariant under coordinate
+    permutations, so every orbit member must have the representative's kind
+    and a partner in the orbit of the representative's partner; otherwise
+    this raises ``StructuralError``.  Both fields are checked to pair as an
+    involution.
     """
     if isinstance(cx, QuotientComplex):
-        base = cx.fm
+        if upstairs is None:
+            upstairs = build_field(cx.fm)
+        elif upstairs.complex is not cx.fm:
+            raise InvalidParameterError("upstairs field is not on the quotient's complex")
+        up, project = upstairs.classes, cx.rep_of_cell
         classes: dict[Cell, CellClass] = {}
         for rep in cx.all_cells():
-            rep_class = classify_cell(rep, base)
+            rep_class = up[rep]
+            pair = None if rep_class.kind == KIND_CRITICAL else project[rep_class.pair]
             for member in cx.members_of[rep]:
-                member_class = classify_cell(member, base)
+                member_class = up[member]
                 if member_class.kind != rep_class.kind:
                     raise StructuralError(f"orbit of {rep!r} classifies inconsistently")
-                if rep_class.kind != KIND_CRITICAL and cx.project(member_class.pair) != cx.project(rep_class.pair):
+                if pair is not None and project.get(member_class.pair) != pair:
                     raise StructuralError(f"orbit of {rep!r} pairs inconsistently")
-            if rep_class.kind == KIND_CRITICAL:
-                classes[rep] = rep_class
-            else:
-                classes[rep] = CellClass(rep_class.kind, cx.project(rep_class.pair), rep_class.pivot)
+            classes[rep] = rep_class if pair is None else CellClass(rep_class.kind, pair, rep_class.pivot)
         _check_involution(cx, classes)
         return GradientField(cx, classes)
 
@@ -232,8 +240,8 @@ class ForestTree:
     edges: frozenset[Cell]
 
 
-def _vertex_label(cell: Cell, quotient: bool) -> Perm:
-    sigma = associated_permutation(cell)
+def _vertex_label(cell: Cell, number: tuple[int, ...], quotient: bool) -> Perm:
+    sigma = sorting_permutation(tuple(number[v] for v in cell))
     if not quotient:
         return sigma
     canonical, _ = cyclic_canonical(sigma)
@@ -243,11 +251,14 @@ def _vertex_label(cell: Cell, quotient: bool) -> Perm:
 def forest(field: GradientField) -> list[ForestTree]:
     """Connected components of (0-cells plus forest 1-cells), with labels.
 
-    Every tree's vertices share one sorting permutation (one coset of it, in
-    the quotient); a mismatch is a structural failure of the field.
+    A 0-cell is labelled by the permutation sorting its coordinates' places
+    in ``Graph.tree_order`` (on the lollipop, the coordinates themselves).
+    Every tree's vertices share one label (one coset of it, in the quotient);
+    a mismatch is a structural failure of the field.
     """
     cx = field.complex
     quotient = isinstance(cx, QuotientComplex)
+    number = cx.graph.tree_order.number
     ends = {e: cx.edge_endpoints(e) for e in field.forest_edges}
     root_of, closing = union_find(cx.cells_by_dim[0], ends)
     if closing:
@@ -262,7 +273,7 @@ def forest(field: GradientField) -> list[ForestTree]:
 
     trees = []
     for root, vertices in groups.items():
-        labels = {_vertex_label(v, quotient) for v in vertices}
+        labels = {_vertex_label(v, number, quotient) for v in vertices}
         if len(labels) != 1:
             raise StructuralError("one forest tree carries several sorting permutations")
         trees.append(

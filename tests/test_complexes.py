@@ -110,6 +110,18 @@ class TestQuotient:
             assert len(set(members)) == m
             assert q.project(rep) == rep
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_representatives(self, m):
+        cx = build_dconf(make_lollipop(m), m)
+        q = build_quotient(cx, m)
+        c1 = Perm.cycle(1, m)
+        for rep, members in q.members_of.items():
+            assert members == tuple(act(c1 ** t, rep) for t in range(m))
+            assert rep == min(members, key=cx.sort_key)
+        for d, reps in q.cells_by_dim.items():
+            assert list(reps) == sorted(reps, key=cx.sort_key)
+            assert set(reps) == {q.project(c) for c in cx.cells_by_dim[d]}
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_quotient_chi(self, m):
         cx = build_dconf(make_lollipop(m), m)

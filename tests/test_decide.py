@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import braidbu.decide as dec
-from braidbu.errors import InvalidParameterError, StructuralError
+from braidbu.errors import InvalidParameterError, PreconditionError, StructuralError
 from braidbu.fundgroup import GeneratorId, get_system
 from braidbu.graphs import make_path, make_star, parse_graph_text
 from braidbu.morse import build_field
@@ -121,6 +121,19 @@ class TestTree:
             assert len(letters) == 1 - chi_oracle(cx)
             ranks.append(len(letters))
         assert tuple(ranks) == STAR_RANKS[legs, length, n]
+
+    def test_non_free_tree_refused_before_quotient(self, monkeypatch):
+        quotients = []
+        original = dec.build_quotient
+
+        def recording(fm, n):
+            quotients.append(n)
+            return original(fm, n)
+
+        monkeypatch.setattr(dec, "build_quotient", recording)
+        with pytest.raises(PreconditionError, match="no free basis"):
+            dec.TreeTargetSystem(TWO_ESSENTIAL, 4)
+        assert quotients == []
 
     @pytest.mark.parametrize(
         "graph, n, theta",

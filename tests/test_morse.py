@@ -2,11 +2,16 @@ import math
 
 import pytest
 
+import braidbu.morse as morse
 from braidbu.complexes import act, build_dconf, build_quotient
 from braidbu.errors import InvalidParameterError, StructuralError
-from braidbu.fundgroup import get_system
-from braidbu.graphs import make_cycle, make_lollipop, make_path
+from braidbu.fundgroup import BraidSystem, get_system
+from braidbu.graphs import make_cycle, make_lollipop, make_path, make_star
 from braidbu.morse import (
+    KIND_CRITICAL,
+    KIND_REDUNDANT,
+    CellClass,
+    GradientField,
     associated_permutation,
     build_field,
     classify_cell,
@@ -178,6 +183,10 @@ class TestAssociatedPermutation:
                 assert associated_permutation(act(sigma, v)) == sigma
 
 
+# (legs, leg length, particles) of the seven star targets the tree decisions are checked on.
+STAR_TARGETS = ((3, 2, 2), (4, 3, 2), (5, 2, 2), (3, 2, 3), (4, 2, 3), (3, 3, 3), (5, 2, 3))
+
+
 class TestForest:
     def test_two_trees_m2(self, sys2):
         trees = forest(sys2.field_fm)
@@ -199,6 +208,18 @@ class TestForest:
             src, tgt = system.fm.edge_endpoints(e)
             assert associated_permutation(src) == associated_permutation(tgt)
 
+    @pytest.mark.parametrize("legs, length, n", [(3, 2, 2), (4, 3, 3), (3, 3, 3)])
+    def test_star_forests(self, legs, length, n):
+        # Labels come from the depth-first numbering, not the raw vertex ids.
+        fm = build_dconf(make_star(legs, length), n)
+        field = build_field(fm)
+        trees = forest(field)
+        assert len(trees) == math.factorial(n)
+        assert len({t.label for t in trees}) == len(trees)
+        qtrees = forest(build_field(build_quotient(fm, n), field))
+        assert len(qtrees) == math.factorial(n - 1)
+        assert len({t.label for t in qtrees}) == len(qtrees)
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_forest_partitions_vertices(self, m):
         system = get_system(m)
@@ -215,6 +236,67 @@ class TestQuotientField:
         for rep in q.all_cells():
             kinds = {classify_cell(member, system.fm).kind for member in q.members_of[rep]}
             assert kinds == {system.field_q.kind(rep)}
+
+    @pytest.mark.parametrize(
+        "graph, m",
+        [(make_lollipop(m), m) for m in (2, 3, 4)]
+        + [(make_star(legs, length), n) for legs, length, n in STAR_TARGETS],
+        ids=[f"lollipop-m{m}" for m in (2, 3, 4)] + [f"star({l},{k})-n{n}" for l, k, n in STAR_TARGETS],
+    )
+    def test_derived_classes_match_representatives(self, graph, m):
+        fm = build_dconf(graph, m)
+        q = build_quotient(fm, m)
+        field = build_field(q, build_field(fm))
+        for rep in q.all_cells():
+            own = classify_cell(rep, fm)
+            if own.kind != KIND_CRITICAL:
+                own = CellClass(own.kind, q.project(own.pair), own.pivot)
+            assert field.classes[rep] == own
+
+    @staticmethod
+    def _altered(change):
+        """A quotient of the m=2 lollipop complex and its upstairs field,
+        altered by ``change`` on the second member of a redundant orbit."""
+        fm = build_dconf(make_lollipop(2), 2)
+        q = build_quotient(fm, 2)
+        field = build_field(fm)
+        rep = next(c for c in q.all_cells() if field.kind(c) == KIND_REDUNDANT)
+        member = q.members_of[rep][1]
+        classes = dict(field.classes)
+        classes[member] = change(q, classes[member])
+        return q, GradientField(fm, classes)
+
+    def test_member_of_another_kind_is_refused(self):
+        q, altered = self._altered(lambda q, cls: CellClass(KIND_CRITICAL))
+        with pytest.raises(StructuralError, match="classifies inconsistently"):
+            build_field(q, altered)
+
+    def test_member_paired_into_another_orbit_is_refused(self):
+        def repair(q, cls):
+            other = next(c for c in q.cells_by_dim[1] if c != q.project(cls.pair))
+            return CellClass(cls.kind, other, cls.pivot)
+
+        q, altered = self._altered(repair)
+        with pytest.raises(StructuralError, match="pairs inconsistently"):
+            build_field(q, altered)
+
+    def test_field_of_another_complex_is_refused(self):
+        fm = build_dconf(make_lollipop(2), 2)
+        other = build_field(build_dconf(make_lollipop(2), 2))
+        with pytest.raises(InvalidParameterError):
+            build_field(build_quotient(fm, 2), other)
+
+    def test_braid_system_classifies_each_cell_once(self, monkeypatch):
+        calls = []
+        original = morse.classify_cell
+
+        def counting(cell, cx):
+            calls.append(cell)
+            return original(cell, cx)
+
+        monkeypatch.setattr(morse, "classify_cell", counting)
+        system = BraidSystem(3)
+        assert len(calls) == len(set(calls)) == sum(len(c) for c in system.fm.cells_by_dim.values())
 
     def test_build_field_on_fresh_quotient(self):
         cx = build_dconf(make_lollipop(2), 2)
