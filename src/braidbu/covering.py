@@ -3,14 +3,21 @@
 ``Covering`` holds the two sides of the m-to-1 covering F -> F/Z_m: the
 configuration complex ``fm``, its quotient, a spanning tree and parent
 pointers on each side, and on each side a letter map naming the based loop
-of every non-tree 1-cell.  Three maps of the paper are read off it:
+of every non-tree 1-cell.  The upstairs cells over the quotient base are the
+m sheets, numbered by deck exponent.  One lazily filled table answers every
+question about lifting: ``lift_letter(sheet, letter)`` lifts the letter's
+quotient loop from that sheet, closes the lift through the upstairs tree
+paths from the base and back, and returns its upstairs word with the sheet
+it ends on.  The maps of the paper are read off it:
 
-* ``iota_by_projection`` -- push an upstairs loop down cell-wise and express
-  it against the quotient tree (the injection iota);
-* ``theta_by_lift`` -- lift a quotient loop from the base and read the deck
-  rotation its end reached (the classifying map theta onto Z_m);
-* ``rewrite_by_lift`` -- lift a quotient loop that closes upstairs and
-  express it against the upstairs tree (restriction along the covering).
+* ``theta_letter`` / ``theta_word`` -- the end sheet of a lift, walked letter
+  by letter from sheet 0 (the classifying map theta onto Z_m);
+* ``rewrite`` -- the product of the letters' lifts along the running sheet,
+  or None when the walk ends off sheet 0 (restriction along the covering);
+* ``iota_word`` -- each upstairs letter mapped through one per-letter cache
+  filled by the hook ``iota_letter``, by default ``iota_by_projection``:
+  push the letter's loop down cell-wise and express it against the quotient
+  tree (the injection iota).
 
 The module functions below work on any complex through its 1-skeleton:
 vertices are 0-cells, edges are 1-cells with a (source, target) orientation.
@@ -213,11 +220,14 @@ class Covering:
         self._edge_q = {letter: edge for edge, letter in letter_q.items()}
         self._loops_fm: dict[object, EdgePath] = {}
         self._loops_q: dict[object, EdgePath] = {}
+        self._lifts: dict[tuple[int, object], tuple[FreeWord, int]] = {}
+        self._iota: dict[object, FreeWord] = {}
         n = fm.m
         self.c1 = Perm.cycle(1, n)
         # The deck group is identified with Z_n through the inverse rotation:
         # under it the canonical type-1 lollipop generator measures +1.
-        self._deck = {act(self.c1 ** (-t % n), fm.base): t for t in range(n)}
+        self._sheets = [act(self.c1 ** (-t % n), fm.base) for t in range(n)]
+        self._deck = {cell: t for t, cell in enumerate(self._sheets)}
 
     # -- loops and their words ----------------------------------------------
 
@@ -242,14 +252,6 @@ class Covering:
     def express_q(self, path: EdgePath) -> FreeWord:
         return express_loop(path, self.tree_q, self.letter_q.__getitem__)
 
-    def realize_q(self, word: FreeWord) -> EdgePath:
-        """A based quotient loop reading the word: its letters' loops in order."""
-        steps: list[Step] = []
-        for letter, sign in word:
-            loop = self.loop_q(letter)
-            steps.extend(loop.steps if sign == 1 else reverse_path(loop).steps)
-        return EdgePath(self.quotient.base, tuple(steps), self.quotient.base)
-
     # -- the maps of the covering ---------------------------------------------
 
     def deck_exponent(self, vertex: Cell) -> int:
@@ -259,18 +261,62 @@ class Covering:
         except KeyError:
             raise StructuralError(f"{vertex!r} is not in the base orbit") from None
 
+    def lift_letter(self, sheet: int, letter) -> tuple[FreeWord, int]:
+        """Lift the letter's quotient loop from the given sheet; the upstairs
+        word of the lift closed through the tree paths, and its end sheet."""
+        key = (sheet, letter)
+        if key not in self._lifts:
+            start = self._sheets[sheet]
+            lifted = lift_path(self.quotient, self.loop_q(letter), start)
+            closed = concat(
+                self.fm,
+                tree_path_to(self.fm, self.parents_fm, start),
+                lifted,
+                reverse_path(tree_path_to(self.fm, self.parents_fm, lifted.end)),
+            )
+            self._lifts[key] = (self.express_fm(closed), self.deck_exponent(lifted.end))
+        return self._lifts[key]
+
+    def theta_letter(self, letter) -> int:
+        """The sheet on which the letter's lift from sheet 0 ends."""
+        return self.lift_letter(0, letter)[1]
+
     def theta_by_lift(self, word: FreeWord) -> int:
-        """Lift the word's quotient loop from the base; the deck rotation reached."""
-        lifted = lift_path(self.quotient, self.realize_q(word), self.fm.base)
-        return self.deck_exponent(lifted.end)
+        """Walk the word's letters across the sheets from sheet 0; the sheet
+        reached.  A syllable g^-1 steps back by theta(g)."""
+        sheet, n = 0, self.fm.m
+        for letter, sign in word:
+            if sign == 1:
+                sheet = self.lift_letter(sheet, letter)[1]
+            else:
+                sheet = (sheet - self.theta_letter(letter)) % n
+        return sheet
+
+    theta_word = theta_by_lift
+
+    def rewrite(self, word: FreeWord) -> Optional[FreeWord]:
+        """The upstairs word over a quotient word: the product of its letters'
+        lifts along the running sheet, or None when the walk ends off sheet 0
+        (the word lies outside the covering subgroup).  A syllable g^-1 at
+        sheet t is the reversed lift of g from sheet t - theta(g)."""
+        sheet, n, pieces = 0, self.fm.m, []
+        for letter, sign in word:
+            if sign == 1:
+                piece, sheet = self.lift_letter(sheet, letter)
+            else:
+                sheet = (sheet - self.theta_letter(letter)) % n
+                piece = self.lift_letter(sheet, letter)[0].inverse()
+            pieces.append(piece)
+        return FreeWord.product(pieces) if sheet == 0 else None
 
     def iota_by_projection(self, letter) -> FreeWord:
         """Push the upstairs letter's loop down cell-wise; its quotient word."""
         return self.express_q(project_path(self.quotient, self.loop_fm(letter)))
 
-    def rewrite_by_lift(self, word: FreeWord) -> FreeWord:
-        """The upstairs word of a quotient word whose lift from the base closes."""
-        lifted = lift_path(self.quotient, self.realize_q(word), self.fm.base)
-        if lifted.end != self.fm.base:
-            raise StructuralError("the lift of the word does not close")
-        return self.express_fm(lifted)
+    iota_letter = iota_by_projection  # the per-letter hook iota_word caches
+
+    def iota_word(self, word: FreeWord) -> FreeWord:
+        cache = self._iota
+        for letter in word.support() - cache.keys():
+            cache[letter] = self.iota_letter(letter)
+        return FreeWord.product(cache[l] if sign == 1 else cache[l].inverse() for l, sign in word)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
-from .complexes import Cell, build_dconf, build_quotient, components
+from .complexes import build_dconf, build_quotient, components
 from .covering import Covering
 from .errors import InvalidParameterError, PreconditionError, StructuralError
 from .fundgroup import GeneratorId, get_system, maximal_tree
@@ -188,13 +188,15 @@ def eliminate_to_free_basis(
 
 
 class TreeTargetSystem(Covering):
-    """Covering calculus on the configuration complex of a tree target.
+    """The covering of a tree target's configuration complex.
 
     Built like ``BraidSystem``: a Farley-Sabalka gradient field on each side,
     the forest plus the critical edges that close no cycle with it as the
     maximal tree, and the other critical edges as letters.  Without critical
     cells of dimension two or more, the letters are a free basis on each
-    level, so reduced words are canonical.
+    level, so reduced words are canonical.  Every map comes from
+    ``Covering``: theta and ``rewrite`` walk per-sheet letter lifts, and
+    ``iota_word`` projects each upstairs letter's loop.
     """
 
     def __init__(self, graph: Graph, n: int):
@@ -224,33 +226,9 @@ class TreeTargetSystem(Covering):
             trees.append(maximal_tree(field, frozenset(e for e in critical if e not in closing)))
             letters.append({e: e for e in critical if e in closing})
         super().__init__(fm, quotient, *trees, *letters)
-        self._theta_cache: dict[Cell, int] = {}
-        self._iota_cache: dict[Cell, FreeWord] = {}
-
-    # -- the three maps -------------------------------------------------------
-
-    def theta_letter(self, letter: Cell) -> int:
-        if letter not in self._theta_cache:
-            self._theta_cache[letter] = self.theta_by_lift(FreeWord.gen(letter))
-        return self._theta_cache[letter]
-
-    def theta_word(self, word: FreeWord) -> int:
-        return word.evaluate_additive(self.theta_letter) % self.n
-
-    def iota_word(self, word: FreeWord) -> FreeWord:
-        cache = self._iota_cache
-        for letter in word.support() - cache.keys():
-            cache[letter] = self.iota_by_projection(letter)
-        return FreeWord.product(cache[l] if sign == 1 else cache[l].inverse() for l, sign in word)
 
     def p1_word(self, word: FreeWord) -> int:
         return 0  # the target is a tree: its fundamental group is trivial
-
-    def rewrite(self, word: FreeWord) -> Optional[FreeWord]:
-        """Preimage under the covering injection, or None when none exists."""
-        if self.theta_word(word) != 0:
-            return None
-        return self.rewrite_by_lift(word)
 
     def unit_word(self) -> FreeWord:
         """A quotient word with theta value 1, by running gcds of letter values."""
@@ -385,40 +363,19 @@ def decide_circle(cls: Sequence[int], n: int, m: int) -> BUVerdict:
     return BUVerdict(False, Witness(GroupHom(phi_images), GroupHom(psi_images)))
 
 
-def circle_solver(cls: Sequence[int], n: int, m: int, window: Optional[range] = None) -> bool:
-    """Brute-force feasibility of the circle diagram: search integer values
-    d = psi(y1) with d = 1 mod n and k_j with psi(y_(j+1)) = n*k_j, build the
-    induced class through the diagram, and compare.  True when the property
-    fails (a solution exists)."""
+def circle_solver(cls: Sequence[int], n: int, m: int) -> bool:
+    """Brute-force feasibility of the circle diagram.  Its unknowns are
+    d = psi(y1) with d = 1 mod n and, for each block j, k_j with
+    psi(y_(j+1)) = n*k_j.  Through the diagram phi(e1) = psi(y1^n)/n = d and
+    phi(e_(i,j)) = ((i-1)d + n*k_j - (i-1)d)/n = k_j, so each unknown fixes
+    its own part of the class and is searched on its own, over the range of
+    the class's entries.  True when the property fails (a solution exists)."""
     if len(cls) != n * m + 1:
         raise InvalidParameterError(f"class tuple must have length {n * m + 1}")
-    if window is None:
-        lo, hi = min(cls), max(cls)
-        window = range(lo, hi + 1)
-
-    def induced(d: int, ks: tuple[int, ...]) -> tuple[int, ...]:
-        # phi(e1) = psi(y1^n)/n = d; phi(e_(i,j)) = (i-1)d + n*k_j - (i-1)d over n.
-        out = [d]
-        for j in range(m):
-            out.extend([ks[j]] * n)
-        return tuple(out)
-
-    def k_tuples(depth: int):
-        if depth == 0:
-            yield ()
-            return
-        for rest in k_tuples(depth - 1):
-            for k in window:
-                yield rest + (k,)
-
-    target = tuple(cls)
-    for d in window:
-        if d % n != 1 % n:
-            continue
-        for ks in k_tuples(m):
-            if induced(d, ks) == target:
-                return True
-    return False
+    window = range(min(cls), max(cls) + 1)
+    blocks = [tuple(cls[1 + j * n: 1 + (j + 1) * n]) for j in range(m)]
+    d_found = any(d % n == 1 % n and d == cls[0] for d in window)
+    return d_found and all(any(block == (k,) * n for k in window) for block in blocks)
 
 
 def decide_wedge(k: int, m: int, action: ActionData) -> BUVerdict:

@@ -13,14 +13,16 @@ geometric oracles:
   fundamental group (infinite cyclic on the loop edge ``a``).  Oracle: trace
   the first coordinate of the basis loop and count signed ``a`` crossings.
 * ``theta`` -- the classifying map of the covering onto the deck group Z_m.
-  Oracle: lift the loop upstairs and measure the deck rotation reached.
-
-``rs_rewrite`` inverts ``iota`` on its image by Schreier-transversal
-rewriting with coset state tracked along the word.
+  Oracle: lift the word letter by letter across the sheets and read the
+  deck rotation reached.
 
 ``BraidSystem`` is the ``Covering`` of the lollipop configuration complex
 over its quotient whose letters are the basis elements; the three oracles
-are that covering's projection and lifting.
+are that covering's projection and lifting.  ``rs_rewrite`` inverts ``iota``
+on its image with the covering's one rewriting: each quotient letter is
+lifted from the sheet the word has reached so far, and the lifts multiply.
+The closed-form theta decides whether a word has a preimage, and the lift
+must agree with it.
 """
 from __future__ import annotations
 
@@ -106,9 +108,7 @@ class BraidSystem(Covering):
         self.basis_fm: list[GeneratorId] = sorted(letter_fm.values(), key=by_type)
         self.basis_q: list[GeneratorId] = sorted(letter_q.values(), key=by_type)
 
-        self._iota_cache: dict[GeneratorId, FreeWord] = {}
         self._iota_oracle_cache: dict[GeneratorId, FreeWord] = {}
-        self._rs_table: dict[tuple[int, GeneratorId], FreeWord] = {}
 
     # -- selection -----------------------------------------------------------
 
@@ -203,11 +203,9 @@ class BraidSystem(Covering):
             self._iota_oracle_cache[gen] = self.iota_by_projection(gen)
         return self._iota_oracle_cache[gen]
 
-    def iota_word(self, word: FreeWord) -> FreeWord:
-        cache = self._iota_cache
-        for gen in word.support() - cache.keys():
-            cache[gen] = self.iota_closed_form(gen)
-        return FreeWord.product(cache[gen] if sign == 1 else cache[gen].inverse() for gen, sign in word)
+    iota_letter = iota_closed_form
+    # Bound in this class body: perfbench/tracing.py wraps it in BraidSystem.__dict__.
+    iota_word = Covering.iota_word
 
     # -- p1 ---------------------------------------------------------------
 
@@ -254,43 +252,25 @@ class BraidSystem(Covering):
     def theta_word(self, word: FreeWord) -> int:
         return word.evaluate_additive(self.theta_closed_form) % self.m
 
-    def theta_oracle(self, word: FreeWord) -> int:
-        """Lift the word's loop upstairs; return the deck rotation reached."""
-        return self.theta_by_lift(word)
+    # Bound in this class body: perfbench/tracing.py wraps it in BraidSystem.__dict__.
+    theta_oracle = Covering.theta_by_lift
 
-    # -- Schreier rewriting ---------------------------------------------------
+    # -- rewriting -------------------------------------------------------------
 
     @property
     def z(self) -> GeneratorId:
-        """The canonical type-1 quotient generator, transversal ingredient."""
+        """The canonical type-1 quotient generator (theta value 1)."""
         return GeneratorId(SPACE_QUOTIENT, Perm.identity(self.m), 1)
-
-    def _transversal_piece(self, t: int, gen: GeneratorId) -> FreeWord:
-        """Upstairs expression of z^t * gen * z^-t' with t' = t + theta(gen)."""
-        key = (t, gen)
-        if key not in self._rs_table:
-            t2 = (t + self.theta_closed_form(gen)) % self.m
-            z = FreeWord.gen(self.z)
-            self._rs_table[key] = self.rewrite_by_lift(z ** t * FreeWord.gen(gen) * z ** -t2)
-        return self._rs_table[key]
 
     def rs_rewrite(self, word: FreeWord) -> Optional[FreeWord]:
         """Rewrite a quotient word as an upstairs word, or None when the
-        word lies outside the index-m subgroup (nonzero theta)."""
-        if self.theta_word(word) % self.m != 0:
+        word lies outside the index-m subgroup (nonzero closed-form theta)."""
+        if self.theta_word(word) != 0:
             return None
-        pieces = []
-        t = 0
-        for gen, sign in word:
-            if sign == 1:
-                pieces.append(self._transversal_piece(t, gen))
-                t = (t + self.theta_closed_form(gen)) % self.m
-            else:
-                t = (t - self.theta_closed_form(gen)) % self.m
-                pieces.append(self._transversal_piece(t, gen).inverse())
-        if t != 0:
-            raise StructuralError("coset state did not return to the identity")
-        return FreeWord.product(pieces)
+        upstairs = self.rewrite(word)
+        if upstairs is None:
+            raise StructuralError("the lift of the word does not close although its closed-form theta is 0")
+        return upstairs
 
 
 def maximal_tree(field: GradientField, selected: frozenset[Cell]) -> frozenset[Cell]:

@@ -2,6 +2,7 @@
 and the property suite wiring every closed form to its independent oracle."""
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -265,19 +266,9 @@ def _check_theta_relations(m: int) -> list[Verdict]:
 
 
 def _check_circle(n: int) -> list[Verdict]:
-    window = range(-5, 6)
     bad = 0
     total = 0
-
-    def tuples(depth: int):
-        if depth == 0:
-            yield ()
-            return
-        for rest in tuples(depth - 1):
-            for v in window:
-                yield rest + (v,)
-
-    for cls in tuples(n + 1):
+    for cls in itertools.product(range(-5, 6), repeat=n + 1):
         total += 1
         closed = not dec.decide_circle(cls, n, 1).holds
         brute = dec.circle_solver(cls, n, 1)

@@ -166,6 +166,15 @@ class TestTree:
         verdict = dec.decide_tree(make_star(3, 2), 3, action)
         assert not verdict.holds and verdict.witness is not None
 
+    @pytest.mark.parametrize("legs, length, n", [(3, 2, 3), (4, 3, 2)])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_rewrite_inverts_iota(self, legs, length, n, data):
+        system = dec.tree_system(make_star(legs, length), n)
+        syllables = st.tuples(st.sampled_from(list(system.letter_fm.values())), st.sampled_from([1, -1]))
+        w = FreeWord.of(data.draw(st.lists(syllables, max_size=8)))
+        assert system.rewrite(system.iota_word(w)) == w
+
     def test_path_rejected(self):
         with pytest.raises(InvalidParameterError):
             dec.decide_tree(make_path(5), 2, dec.ActionData(2, 1, (1,)))
@@ -204,6 +213,17 @@ class TestCircle:
     def test_solver_agreement_window(self):
         for cls in product(range(-2, 3), repeat=3):
             assert dec.decide_circle(cls, 2, 1).holds == (not dec.circle_solver(cls, 2, 1))
+
+    @pytest.mark.parametrize(
+        "n, m, window", [(2, 2, range(-2, 3)), (2, 3, range(-1, 2)), (3, 2, range(-1, 2))]
+    )
+    def test_solver_agreement_multi_block(self, n, m, window):
+        failing = 0
+        for cls in product(window, repeat=n * m + 1):
+            fails = not dec.decide_circle(cls, n, m).holds
+            assert fails == dec.circle_solver(cls, n, m)
+            failing += fails
+        assert failing > 0
 
     def test_rank2_blocks(self):
         # n=2, m=2: tuples (p, p1, p1, p2, p2)

@@ -2,6 +2,7 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidbu.covering import concat, express_loop, make_path as make_edge_path
 from braidbu.errors import StructuralError
@@ -27,6 +28,11 @@ def quotient_gen(m, images, b):
 
 def fm_gen(images, b):
     return GeneratorId("fm", Perm(images), b)
+
+
+def words_over(letters, max_size=10):
+    syllables = st.tuples(st.sampled_from(letters), st.sampled_from([1, -1]))
+    return st.lists(syllables, max_size=max_size).map(FreeWord.of)
 
 
 class TestSelection:
@@ -245,3 +251,32 @@ class TestRewriting:
         g1, g2, g3 = sys3.basis_fm[0], sys3.basis_fm[5], sys3.basis_fm[9]
         w = FreeWord.gen(g1) * FreeWord.gen(g2, -1) * FreeWord.gen(g3)
         assert sys3.rs_rewrite(sys3.iota_word(w)) == w
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_inverts_iota_on_random_words(self, data):
+        system = get_system(data.draw(st.integers(2, 4)))
+        w = data.draw(words_over(system.basis_fm))
+        assert system.rs_rewrite(system.iota_word(w)) == w
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_no_preimage_exactly_off_the_subgroup(self, data):
+        system = get_system(data.draw(st.integers(2, 4)))
+        w = data.draw(words_over(system.basis_q))
+        upstairs = system.rs_rewrite(w)
+        assert (upstairs is None) == (system.theta_word(w) != 0)
+        assert (system.rewrite(w) is None) == (upstairs is None)
+        if upstairs is not None:
+            assert system.iota_word(upstairs) == w
+
+    def test_letter_lifts_end_on_the_shifted_sheet(self, sys3):
+        for letter in sys3.basis_q:
+            for sheet in range(3):
+                _word, end = sys3.lift_letter(sheet, letter)
+                assert end == (sheet + sys3.theta_letter(letter)) % 3
+
+    def test_lift_disagreeing_with_closed_form_raises(self, sys2, monkeypatch):
+        monkeypatch.setattr(sys2, "theta_closed_form", lambda gen: 0)
+        with pytest.raises(StructuralError):
+            sys2.rs_rewrite(FreeWord.gen(sys2.z))
