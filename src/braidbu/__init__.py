@@ -40,7 +40,6 @@ from .graphs import (
     parse_graph_text,
 )
 from .morse import (
-    CellClass,
     GradientField,
     associated_permutation,
     build_field,

@@ -108,25 +108,20 @@ class BraidSystem(Covering):
         self.basis_fm: list[GeneratorId] = sorted(letter_fm.values(), key=by_type)
         self.basis_q: list[GeneratorId] = sorted(letter_q.values(), key=by_type)
 
-        self._iota_oracle_cache: dict[GeneratorId, FreeWord] = {}
-
     # -- selection -----------------------------------------------------------
 
     @staticmethod
-    def _is_selected_tuple(cell: Cell, b: int) -> bool:
-        """Selection rule on a critical edge: the first b-1 coordinates are the
-        minimal vertices 0..b-2 but the b-th coordinate is not the loop edge."""
-        return all(cell[i] == i for i in range(b - 1)) and cell[b - 1] != "a"
-
-    @staticmethod
     def _selected_sigma(sigma: Perm, b: int) -> bool:
+        """Selection rule on the critical edge act(sigma, O_b): sigma fixes
+        1..b-1 but moves b, so the edge's first b-1 coordinates are the
+        minimal vertices 0..b-2 and its b-th is not the loop edge."""
         return all(sigma(i) == i for i in range(1, b)) and sigma(b) != b
 
     def _selected_fm(self) -> frozenset[Cell]:
         out = set()
         for cell in self.field_fm.critical(1):
-            _, b = edge_data(cell, self.graph, self.m)
-            if b <= self.m - 1 and self._is_selected_tuple(cell, b):
+            sigma, b = edge_data(cell, self.graph, self.m)
+            if b <= self.m - 1 and self._selected_sigma(sigma, b):
                 out.add(cell)
         return frozenset(out)
 
@@ -134,10 +129,7 @@ class BraidSystem(Covering):
         out = set()
         for rep in self.field_q.critical(1):
             sigma, b = edge_data(rep, self.graph, self.m)
-            if b < 2 or b > self.m - 1:
-                continue
-            canonical, _ = cyclic_canonical(sigma)
-            if self._is_selected_tuple(act(canonical, type_tuple(b, self.m)), b):
+            if 2 <= b <= self.m - 1 and self._selected_sigma(cyclic_canonical(sigma)[0], b):
                 out.add(rep)
         return frozenset(out)
 
@@ -197,14 +189,9 @@ class BraidSystem(Covering):
         suffix = type1_run(lambda i: sigma * cb_inv * c1 ** (-(i - 1)), count)
         return FreeWord.product((prefix.inverse(), middle, suffix))
 
-    def iota_oracle(self, gen: GeneratorId) -> FreeWord:
-        """Project the basis loop cell-wise and read it off downstairs."""
-        if gen not in self._iota_oracle_cache:
-            self._iota_oracle_cache[gen] = self.iota_by_projection(gen)
-        return self._iota_oracle_cache[gen]
-
     iota_letter = iota_closed_form
-    # Bound in this class body: perfbench/tracing.py wraps it in BraidSystem.__dict__.
+    # Bound in this class body: perfbench/tracing.py wraps them in BraidSystem.__dict__.
+    iota_oracle = Covering.iota_by_projection
     iota_word = Covering.iota_word
 
     # -- p1 ---------------------------------------------------------------

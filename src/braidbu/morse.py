@@ -11,9 +11,13 @@ does.  A cell is redundant when its smallest unblocked vertex v lies below
 i(e) for every order-respecting edge e, and pairs with v grown into e(v).
 It is collapsible when its smallest order-respecting edge e has i(e) below
 every unblocked vertex, and pairs with e shrunk to i(e).  Every other cell
-is critical; building a field checks that the pairing is an involution.
-The rule commutes with permuting coordinates, so the field of a cyclic
-quotient is read off the upstairs field, one orbit representative at a time.
+is critical.  The field is stored as this matching (Forman, "Morse theory
+for cell complexes", Adv. Math. 134, 1998): each cell maps to its partner,
+or to None when critical, and a cell's kind is read off its partner's
+dimension.  Building a field checks that the matching is an involution on
+cells one dimension apart.  The rule commutes with permuting coordinates,
+so the matching of a cyclic quotient is read off the upstairs one, one
+orbit representative at a time.
 
 The 0-cells and the collapsible 1-cells form a maximal forest whose trees are
 labelled by the permutation sorting their coordinates' places in the
@@ -36,13 +40,6 @@ KIND_REDUNDANT = "redundant"
 KIND_COLLAPSIBLE = "collapsible"
 
 
-@dataclass(frozen=True)
-class CellClass:
-    kind: str
-    pair: Optional[Cell] = None  # partner cell for the non-critical kinds
-    pivot: Optional[tuple[int, object]] = None  # (1-based coordinate index, graph cell)
-
-
 def is_blocked(cell: Cell, r: int, graph: Graph) -> bool:
     """Whether the vertex coordinate at 0-based position r is blocked.
 
@@ -56,8 +53,9 @@ def is_blocked(cell: Cell, r: int, graph: Graph) -> bool:
     return any(far in closures[other] for s, other in enumerate(cell) if s != r)
 
 
-def classify_cell(c: Cell, cx: CubeComplex) -> CellClass:
-    """Classify one cell of a configuration complex by the Farley-Sabalka rule."""
+def classify_cell(c: Cell, cx: CubeComplex) -> Optional[Cell]:
+    """The partner of one cell of a configuration complex under the
+    Farley-Sabalka matching; None when the cell is critical."""
     graph = cx.graph
     order = graph.tree_order
     if not cx.has(c):
@@ -80,85 +78,68 @@ def classify_cell(c: Cell, cx: CubeComplex) -> CellClass:
 
     if unblocked is not None and (respecting is None or unblocked < respecting):
         r = unblocked[1]
-        grown = order.up_edge[c[r]]
-        return CellClass(KIND_REDUNDANT, c[:r] + (grown,) + c[r + 1:], (r + 1, grown))
+        return c[:r] + (order.up_edge[c[r]],) + c[r + 1:]
     if respecting is not None and (unblocked is None or respecting < unblocked):
         r = respecting[1]
-        vertex = order.child_end[c[r]]
-        return CellClass(KIND_COLLAPSIBLE, c[:r] + (vertex,) + c[r + 1:], (r + 1, vertex))
-    return CellClass(KIND_CRITICAL)
+        return c[:r] + (order.child_end[c[r]],) + c[r + 1:]
+    return None
 
 
 class GradientField:
-    """Total classification of a complex, with the derived maximal forest."""
+    """A discrete gradient field as its matching: ``classes`` maps every cell
+    to its partner, or to None when the cell is critical."""
 
-    def __init__(self, cx: Union[CubeComplex, QuotientComplex], classes: dict[Cell, CellClass]):
+    def __init__(self, cx: Union[CubeComplex, QuotientComplex], classes: dict[Cell, Optional[Cell]]):
         self.complex = cx
         self.classes = classes
 
     def kind(self, cell: Cell) -> str:
-        return self.classes[cell].kind
-
-    def pair(self, cell: Cell) -> Optional[Cell]:
-        return self.classes[cell].pair
+        partner = self.classes[cell]
+        if partner is None:
+            return KIND_CRITICAL
+        return KIND_REDUNDANT if cell_dim(partner) > cell_dim(cell) else KIND_COLLAPSIBLE
 
     def critical(self, dim: Optional[int] = None) -> list[Cell]:
         dims = sorted(self.complex.cells_by_dim) if dim is None else [dim]
-        return [
-            c
-            for d in dims
-            for c in self.complex.cells_by_dim.get(d, ())
-            if self.classes[c].kind == KIND_CRITICAL
-        ]
+        return [c for d in dims for c in self.complex.cells_by_dim.get(d, ()) if self.classes[c] is None]
 
     @property
     def forest_edges(self) -> list[Cell]:
-        """The 1-cells paired with 0-cells; together with all 0-cells they span."""
-        return [
-            c
-            for c in self.complex.cells_by_dim.get(1, ())
-            if self.classes[c].kind == KIND_COLLAPSIBLE
-        ]
+        """The 1-cells matched with 0-cells; together with all 0-cells they span."""
+        classes = self.classes
+        return [classes[v] for v in self.complex.cells_by_dim.get(0, ()) if classes[v] is not None]
 
     def census(self) -> dict[tuple[int, str], int]:
         out: dict[tuple[int, str], int] = {}
         for d, cells in self.complex.cells_by_dim.items():
             for c in cells:
-                key = (d, self.classes[c].kind)
+                key = (d, self.kind(c))
                 out[key] = out.get(key, 0) + 1
         return out
 
 
-def _check_involution(cx, classes: dict[Cell, CellClass]) -> None:
-    for c, cls in classes.items():
-        if cls.kind == KIND_REDUNDANT:
-            partner = classes.get(cls.pair)
-            if (
-                partner is None
-                or partner.kind != KIND_COLLAPSIBLE
-                or partner.pair != c
-                or cell_dim(cls.pair) != cell_dim(c) + 1
-            ):
-                raise StructuralError(f"pairing is not an involution at {c!r}")
-        elif cls.kind == KIND_COLLAPSIBLE:
-            partner = classes.get(cls.pair)
-            if partner is None or partner.kind != KIND_REDUNDANT or partner.pair != c:
-                raise StructuralError(f"pairing is not an involution at {c!r}")
+def _check_involution(classes: dict[Cell, Optional[Cell]]) -> None:
+    for c, partner in classes.items():
+        if partner is not None and (
+            classes.get(partner) != c or abs(cell_dim(partner) - cell_dim(c)) != 1
+        ):
+            raise StructuralError(f"matching is not an involution at {c!r}")
 
 
 def build_field(
     cx: Union[CubeComplex, QuotientComplex], upstairs: Optional[GradientField] = None
 ) -> GradientField:
-    """Classify every cell; a quotient field is induced from the upstairs field.
+    """Match every cell; a quotient's matching is induced from the upstairs one.
 
     On a configuration complex every cell goes through ``classify_cell``.  On
-    a quotient the orbit takes its representative's class in ``upstairs``,
-    the field of ``cx.fm``, which is built here when not given; no cell is
-    classified again.  The field is equivariant under coordinate
-    permutations, so every orbit member must have the representative's kind
-    and a partner in the orbit of the representative's partner; otherwise
-    this raises ``StructuralError``.  Both fields are checked to pair as an
-    involution.
+    a quotient the orbit takes the orbit of its representative's partner in
+    ``upstairs``, the field of ``cx.fm``, which is built here when not given;
+    no cell is classified again.  The matching is equivariant under
+    coordinate permutations, so every orbit member must be critical exactly
+    when the representative is, with a partner in the orbit of the
+    representative's partner; otherwise, or when a partner is not a cell of
+    ``cx.fm``, this raises ``StructuralError``.  Both matchings are checked
+    to be involutions.
     """
     if isinstance(cx, QuotientComplex):
         if upstairs is None:
@@ -166,22 +147,23 @@ def build_field(
         elif upstairs.complex is not cx.fm:
             raise InvalidParameterError("upstairs field is not on the quotient's complex")
         up, project = upstairs.classes, cx.rep_of_cell
-        classes: dict[Cell, CellClass] = {}
-        for rep in cx.all_cells():
-            rep_class = up[rep]
-            pair = None if rep_class.kind == KIND_CRITICAL else project[rep_class.pair]
-            for member in cx.members_of[rep]:
-                member_class = up[member]
-                if member_class.kind != rep_class.kind:
-                    raise StructuralError(f"orbit of {rep!r} classifies inconsistently")
-                if pair is not None and project.get(member_class.pair) != pair:
-                    raise StructuralError(f"orbit of {rep!r} pairs inconsistently")
-            classes[rep] = rep_class if pair is None else CellClass(rep_class.kind, pair, rep_class.pivot)
-        _check_involution(cx, classes)
-        return GradientField(cx, classes)
-
-    classes = {c: classify_cell(c, cx) for c in cx.all_cells()}
-    _check_involution(cx, classes)
+        classes: dict[Cell, Optional[Cell]] = {}
+        try:
+            for rep in cx.all_cells():
+                partner = up[rep]
+                pair = None if partner is None else project[partner]
+                for member in cx.members_of[rep]:
+                    partner = up[member]
+                    image = None if partner is None else project[partner]
+                    if image != pair:
+                        how = "classifies" if None in (image, pair) else "pairs"
+                        raise StructuralError(f"orbit of {rep!r} {how} inconsistently")
+                classes[rep] = pair
+        except KeyError as missing:
+            raise StructuralError(f"{missing.args[0]!r} is not a cell of the upstairs complex") from None
+    else:
+        classes = {c: classify_cell(c, cx) for c in cx.all_cells()}
+    _check_involution(classes)
     return GradientField(cx, classes)
 
 

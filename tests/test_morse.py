@@ -8,9 +8,7 @@ from braidbu.errors import InvalidParameterError, StructuralError
 from braidbu.fundgroup import BraidSystem, get_system
 from braidbu.graphs import make_cycle, make_lollipop, make_path, make_star
 from braidbu.morse import (
-    KIND_CRITICAL,
     KIND_REDUNDANT,
-    CellClass,
     GradientField,
     associated_permutation,
     build_field,
@@ -36,32 +34,26 @@ def sys3():
 
 class TestClassification:
     def test_blocked_vertices_make_criticals(self, sys2):
-        assert classify_cell((0, 1), sys2.fm).kind == "critical"
-        assert classify_cell((1, 0), sys2.fm).kind == "critical"
+        assert classify_cell((0, 1), sys2.fm) is None
+        assert classify_cell((1, 0), sys2.fm) is None
 
     def test_redundant_vertex(self, sys2):
-        cls = classify_cell((2, 0), sys2.fm)
-        assert cls.kind == "redundant"
-        assert cls.pair == ("a2", 0)
-        assert cls.pivot == (1, "a2")
+        assert classify_cell((2, 0), sys2.fm) == ("a2", 0)
+        assert sys2.field_fm.kind((2, 0)) == "redundant"
 
     def test_critical_edges(self, sys2):
-        assert classify_cell(("a", 0), sys2.fm).kind == "critical"
-        assert classify_cell(("a", 2), sys2.fm).kind == "critical"
+        assert classify_cell(("a", 0), sys2.fm) is None
+        assert classify_cell(("a", 2), sys2.fm) is None
 
     def test_collapsible_edge(self, sys2):
-        cls = classify_cell(("a2", 0), sys2.fm)
-        assert cls.kind == "collapsible"
-        assert cls.pair == (2, 0)
-        assert cls.pivot == (1, 2)
+        assert classify_cell(("a2", 0), sys2.fm) == (2, 0)
+        assert sys2.field_fm.kind(("a2", 0)) == "collapsible"
 
     def test_redundant_edge_pairs_up_to_square(self, sys2):
-        cls = classify_cell(("a3", 1), sys2.fm)
-        assert cls.kind == "redundant"
-        assert cls.pair == ("a3", "a1")
-        square = classify_cell(("a3", "a1"), sys2.fm)
-        assert square.kind == "collapsible"
-        assert square.pair == ("a3", 1)
+        assert classify_cell(("a3", 1), sys2.fm) == ("a3", "a1")
+        assert sys2.field_fm.kind(("a3", 1)) == "redundant"
+        assert classify_cell(("a3", "a1"), sys2.fm) == ("a3", 1)
+        assert sys2.field_fm.kind(("a3", "a1")) == "collapsible"
 
     def test_cell_not_in_complex(self, sys2):
         with pytest.raises(InvalidParameterError):
@@ -113,9 +105,7 @@ class TestClassification:
         for sigma in all_perms(2):
             for cell in sys2.fm.all_cells():
                 a, b = classify_cell(cell, sys2.fm), classify_cell(act(sigma, cell), sys2.fm)
-                assert a.kind == b.kind
-                if a.pair is not None:
-                    assert act(sigma, a.pair) == b.pair
+                assert (None if a is None else act(sigma, a)) == b
 
 
 class TestCriticalEdges:
@@ -228,13 +218,36 @@ class TestForest:
         assert len(all_vertices) == len(set(all_vertices)) == len(system.fm.cells_by_dim[0])
 
 
+class TestInvolution:
+    @staticmethod
+    def _field_with(monkeypatch, overrides):
+        """The field of the m=2 lollipop complex, with ``classify_cell``
+        answering ``overrides[cell]`` for the cells listed there."""
+        original = morse.classify_cell
+        monkeypatch.setattr(
+            morse, "classify_cell", lambda c, cx: overrides[c] if c in overrides else original(c, cx)
+        )
+        return build_field(build_dconf(make_lollipop(2), 2))
+
+    def test_partner_that_does_not_pair_back_is_refused(self, monkeypatch):
+        # ("a2", 0) stays matched with (2, 0), not with the critical (0, 1).
+        with pytest.raises(StructuralError, match="not an involution"):
+            self._field_with(monkeypatch, {(0, 1): ("a2", 0)})
+
+    def test_partner_of_the_same_dimension_is_refused(self, monkeypatch):
+        # The two critical 0-cells matched with each other pair back.
+        with pytest.raises(StructuralError, match="not an involution"):
+            self._field_with(monkeypatch, {(0, 1): (1, 0), (1, 0): (0, 1)})
+
+
 class TestQuotientField:
     @pytest.mark.parametrize("m", [2, 3])
     def test_orbit_classification_matches_members(self, m):
         system = get_system(m)
         q = system.quotient
+        fresh = GradientField(system.fm, {c: classify_cell(c, system.fm) for c in system.fm.all_cells()})
         for rep in q.all_cells():
-            kinds = {classify_cell(member, system.fm).kind for member in q.members_of[rep]}
+            kinds = {fresh.kind(member) for member in q.members_of[rep]}
             assert kinds == {system.field_q.kind(rep)}
 
     @pytest.mark.parametrize(
@@ -248,10 +261,8 @@ class TestQuotientField:
         q = build_quotient(fm, m)
         field = build_field(q, build_field(fm))
         for rep in q.all_cells():
-            own = classify_cell(rep, fm)
-            if own.kind != KIND_CRITICAL:
-                own = CellClass(own.kind, q.project(own.pair), own.pivot)
-            assert field.classes[rep] == own
+            partner = classify_cell(rep, fm)
+            assert field.classes[rep] == (None if partner is None else q.project(partner))
 
     @staticmethod
     def _altered(change):
@@ -267,17 +278,21 @@ class TestQuotientField:
         return q, GradientField(fm, classes)
 
     def test_member_of_another_kind_is_refused(self):
-        q, altered = self._altered(lambda q, cls: CellClass(KIND_CRITICAL))
+        q, altered = self._altered(lambda q, partner: None)
         with pytest.raises(StructuralError, match="classifies inconsistently"):
             build_field(q, altered)
 
     def test_member_paired_into_another_orbit_is_refused(self):
-        def repair(q, cls):
-            other = next(c for c in q.cells_by_dim[1] if c != q.project(cls.pair))
-            return CellClass(cls.kind, other, cls.pivot)
+        def repair(q, partner):
+            return next(c for c in q.cells_by_dim[1] if c != q.project(partner))
 
         q, altered = self._altered(repair)
         with pytest.raises(StructuralError, match="pairs inconsistently"):
+            build_field(q, altered)
+
+    def test_member_paired_outside_the_complex_is_refused(self):
+        q, altered = self._altered(lambda q, partner: (0, 0))
+        with pytest.raises(StructuralError, match="not a cell"):
             build_field(q, altered)
 
     def test_field_of_another_complex_is_refused(self):
