@@ -9,7 +9,8 @@ quotient complex keeps one canonical representative per orbit.
 """
 from __future__ import annotations
 
-from typing import Iterator, Union
+from math import comb, factorial
+from typing import Iterator, Optional, Union
 
 from .errors import InvalidParameterError, PreconditionError, StructuralError
 from .graphs import Coord, Graph, is_sufficiently_subdivided, union_find
@@ -19,7 +20,7 @@ Cell = tuple[Coord, ...]
 
 
 def cell_dim(cell: Cell) -> int:
-    return sum(1 for c in cell if isinstance(c, str))
+    return list(map(type, cell)).count(str)
 
 
 def act(sigma: Perm, cell: Cell) -> Cell:
@@ -81,49 +82,140 @@ class CubeComplex(_CellComplex):
 
     def edge_endpoints(self, cell: Cell) -> tuple[Cell, Cell]:
         """(source, target) of a 1-cell, following the graph edge orientation."""
-        if cell_dim(cell) != 1:
-            raise InvalidParameterError(f"not a 1-cell: {cell!r}")
-        r = next(i for i, c in enumerate(cell) if isinstance(c, str))
-        e = self.graph.edge_by_name[cell[r]]
-        return (cell[:r] + (e.lo,) + cell[r + 1:], cell[:r] + (e.hi,) + cell[r + 1:])
+        r = -1
+        for i, c in enumerate(cell):
+            if c.__class__ is str:
+                if r >= 0:
+                    break  # a second edge coordinate
+                r = i
+        else:
+            if r >= 0:
+                e = self.graph.edge_by_name[cell[r]]
+                return (cell[:r] + (e.lo,) + cell[r + 1:], cell[:r] + (e.hi,) + cell[r + 1:])
+        raise InvalidParameterError(f"not a 1-cell: {cell!r}")
 
 
 def build_dconf(graph: Graph, m: int) -> CubeComplex:
-    """Enumerate all m-tuples of graph cells with pairwise disjoint closures."""
+    """Enumerate all m-tuples of graph cells with pairwise disjoint closures.
+
+    The depth-first walk tries graph cells in ``coord_keys`` order.  Those
+    keys are distinct, so cells come out in lexicographic key order, which is
+    ``sort_key`` order within each dimension.  A prefix carries the union of
+    its closures as a bit mask of vertices, and its count of edge
+    coordinates, so a finished cell goes straight into its dimension.
+    """
     if m < 1:
         raise InvalidParameterError(f"need m >= 1, got {m}")
     if not is_sufficiently_subdivided(graph, m):
         raise PreconditionError(f"graph is not sufficiently subdivided for m={m}")
-    coords: list[Coord] = list(range(graph.num_vertices)) + [
-        e.name for e in sorted(graph.edges, key=lambda e: e.ordinal)
-    ]
-    closures = graph.closures
-    found: list[Cell] = []
-
-    def extend(prefix: list[Coord], used: frozenset[int]) -> None:
-        if len(prefix) == m:
-            found.append(tuple(prefix))
-            return
-        for c in coords:
-            cl = closures[c]
-            if used & cl:
-                continue
-            prefix.append(c)
-            extend(prefix, used | cl)
-            prefix.pop()
-
-    extend([], frozenset())
-    by_dim: dict[int, list[Cell]] = {}
     keys = graph.coord_keys
-    for cell in found:
-        by_dim.setdefault(cell_dim(cell), []).append(cell)
-    cells_by_dim = {
-        d: tuple(sorted(cells, key=lambda c: tuple(map(keys.__getitem__, c))))
-        for d, cells in sorted(by_dim.items())
-    }
+    closures = graph.closures
+    steps = [
+        (c, sum(1 << v for v in closures[c]), c.__class__ is str)
+        for c in sorted(keys, key=keys.__getitem__)
+    ]
+    by_dim: list[list[Cell]] = [[] for _ in range(m + 1)]
+
+    def extend(prefix: Cell, used: int, dim: int) -> None:
+        if len(prefix) == m - 1:
+            for c, mask, is_edge in steps:
+                if not used & mask:
+                    by_dim[dim + is_edge].append(prefix + (c,))
+            return
+        for c, mask, is_edge in steps:
+            if not used & mask:
+                extend(prefix + (c,), used | mask, dim + is_edge)
+
+    extend((), 0, 0)
+    cells_by_dim = {d: tuple(cells) for d, cells in enumerate(by_dim) if cells}
     if 0 not in cells_by_dim:
         raise PreconditionError(f"no room for {m} particles on this graph")
     return CubeComplex(graph, m, cells_by_dim)
+
+
+def count_cells(graph: Graph, m: int) -> int:
+    """Number of cells of the m-particle complex, without enumerating it.
+
+    A cell puts j edges forming a matching and m - j of the V - 2j vertices
+    those edges leave free into m ordered places, so the count is
+    sum_j M_j * C(V - 2j, m - j) * m!, M_j the number of j-edge matchings.
+    """
+    if m < 1:
+        raise InvalidParameterError(f"need m >= 1, got {m}")
+    size = graph.num_vertices
+    total = sum(
+        count * comb(size - 2 * j, m - j)
+        for j, count in enumerate(_matching_counts(graph, m))
+        if 2 * j <= size
+    )
+    return total * factorial(m)
+
+
+def _matching_counts(graph: Graph, top: int) -> list[int]:
+    """[M_0, ..., M_top]: the numbers of j-edge matchings of the graph.
+
+    Matchings of the spanning tree are counted leaves first; those through
+    the non-tree edge {u, w}, if there is one, are those of the tree without
+    u and w, with the edge added.
+    """
+    counts = _tree_matchings(graph, top, ())
+    loop = graph.loop_edge
+    if loop is not None and top > 0:
+        through = _tree_matchings(graph, top - 1, (loop.lo, loop.hi))
+        counts = [counts[0]] + [a + b for a, b in zip(counts[1:], through)]
+    return counts
+
+
+def _tree_matchings(graph: Graph, top: int, deleted: tuple[int, ...]) -> list[int]:
+    """Matching counts up to ``top`` edges of the spanning tree with ``deleted`` removed.
+
+    Each vertex v gets two truncated generating polynomials over the matchings
+    of the subtree below it: ``free[v]`` counts those leaving v unmatched and
+    ``taken[v]`` those matching v to a child.
+    """
+
+    def mul(p: list[int], q: list[int]) -> list[int]:
+        out = [0] * (top + 1)
+        for i, a in enumerate(p):
+            if a:
+                for j in range(top + 1 - i):
+                    out[i + j] += a * q[j]
+        return out
+
+    size = graph.num_vertices
+    adjacency: list[list[int]] = [[] for _ in range(size)]
+    for e in graph.edges:
+        if e.in_tree and e.lo not in deleted and e.hi not in deleted:
+            adjacency[e.lo].append(e.hi)
+            adjacency[e.hi].append(e.lo)
+    one = [1] + [0] * top
+    total = one
+    parent: dict[int, Optional[int]] = {}
+    for root in range(size):
+        if root in parent or root in deleted:
+            continue
+        parent[root] = None
+        order, stack = [], [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for u in adjacency[v]:
+                if u not in parent:
+                    parent[u] = v
+                    stack.append(u)
+        free: dict[int, list[int]] = {}
+        taken: dict[int, list[int]] = {}
+        for v in reversed(order):
+            f, t = one, [0] * (top + 1)
+            for c in adjacency[v]:
+                if c == parent[v]:
+                    continue
+                either = [a + b for a, b in zip(free[c], taken[c])]
+                via_c = [0] + mul(f, free[c])[:top]  # the edge v-c joins, both ends were free
+                f, t = mul(f, either), [a + b for a, b in zip(mul(t, either), via_c)]
+            free[v], taken[v] = f, t
+        total = mul(total, [a + b for a, b in zip(free[root], taken[root])])
+    return total
 
 
 class QuotientComplex(_CellComplex):

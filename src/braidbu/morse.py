@@ -50,7 +50,12 @@ def is_blocked(cell: Cell, r: int, graph: Graph) -> bool:
     if far is None:
         return True
     closures = graph.closures
-    return any(far in closures[other] for s, other in enumerate(cell) if s != r)
+    # cell[r]'s own closure is {cell[r]}, which never holds its parent, so
+    # the scan need not skip position r.
+    for coord in cell:
+        if far in closures[coord]:
+            return True
+    return False
 
 
 def classify_cell(c: Cell, cx: CubeComplex) -> Optional[Cell]:
@@ -60,28 +65,32 @@ def classify_cell(c: Cell, cx: CubeComplex) -> Optional[Cell]:
     order = graph.tree_order
     if not cx.has(c):
         raise InvalidParameterError(f"cell not in complex: {c!r}")
-    number, parent = order.number, order.parent
-    vertices = [coord for coord in c if isinstance(coord, int)]
+    number, parent, child_end = order.number, order.parent, order.child_end
+    vertices = [coord for coord in c if coord.__class__ is int]
     # (number, position) of the smallest unblocked vertex and of the
     # order-respecting edge whose far-from-root end is smallest.
     unblocked = respecting = None
     for r, coord in enumerate(c):
-        if isinstance(coord, int):
+        if coord.__class__ is int:
             if (unblocked is None or number[coord] < unblocked[0]) and not is_blocked(c, r, graph):
                 unblocked = (number[coord], r)
             continue
-        child = order.child_end.get(coord)  # None on a non-tree edge: it never respects the order
+        child = child_end.get(coord)  # None on a non-tree edge: it never respects the order
         if child is None or (respecting is not None and number[child] > respecting[0]):
             continue
-        if not any(parent[u] == parent[child] and number[u] < number[child] for u in vertices):
-            respecting = (number[child], r)
+        top, place = parent[child], number[child]
+        for u in vertices:
+            if parent[u] == top and number[u] < place:
+                break
+        else:
+            respecting = (place, r)
 
     if unblocked is not None and (respecting is None or unblocked < respecting):
         r = unblocked[1]
         return c[:r] + (order.up_edge[c[r]],) + c[r + 1:]
     if respecting is not None and (unblocked is None or respecting < unblocked):
         r = respecting[1]
-        return c[:r] + (order.child_end[c[r]],) + c[r + 1:]
+        return c[:r] + (child_end[c[r]],) + c[r + 1:]
     return None
 
 
@@ -94,10 +103,7 @@ class GradientField:
         self.classes = classes
 
     def kind(self, cell: Cell) -> str:
-        partner = self.classes[cell]
-        if partner is None:
-            return KIND_CRITICAL
-        return KIND_REDUNDANT if cell_dim(partner) > cell_dim(cell) else KIND_COLLAPSIBLE
+        return _kind(self.classes[cell], cell_dim(cell))
 
     def critical(self, dim: Optional[int] = None) -> list[Cell]:
         dims = sorted(self.complex.cells_by_dim) if dim is None else [dim]
@@ -111,19 +117,31 @@ class GradientField:
 
     def census(self) -> dict[tuple[int, str], int]:
         out: dict[tuple[int, str], int] = {}
+        classes = self.classes
         for d, cells in self.complex.cells_by_dim.items():
             for c in cells:
-                key = (d, self.kind(c))
+                key = (d, _kind(classes[c], d))
                 out[key] = out.get(key, 0) + 1
         return out
 
 
-def _check_involution(classes: dict[Cell, Optional[Cell]]) -> None:
-    for c, partner in classes.items():
-        if partner is not None and (
-            classes.get(partner) != c or abs(cell_dim(partner) - cell_dim(c)) != 1
-        ):
-            raise StructuralError(f"matching is not an involution at {c!r}")
+def _kind(partner: Optional[Cell], d: int) -> str:
+    """The kind of a d-cell matched with ``partner``."""
+    if partner is None:
+        return KIND_CRITICAL
+    return KIND_REDUNDANT if cell_dim(partner) > d else KIND_COLLAPSIBLE
+
+
+def _check_involution(
+    cx: Union[CubeComplex, QuotientComplex], classes: dict[Cell, Optional[Cell]]
+) -> None:
+    for d, cells in cx.cells_by_dim.items():
+        for c in cells:
+            partner = classes[c]
+            if partner is not None and (
+                classes.get(partner) != c or abs(cell_dim(partner) - d) != 1
+            ):
+                raise StructuralError(f"matching is not an involution at {c!r}")
 
 
 def build_field(
@@ -163,7 +181,7 @@ def build_field(
             raise StructuralError(f"{missing.args[0]!r} is not a cell of the upstairs complex") from None
     else:
         classes = {c: classify_cell(c, cx) for c in cx.all_cells()}
-    _check_involution(classes)
+    _check_involution(cx, classes)
     return GradientField(cx, classes)
 
 

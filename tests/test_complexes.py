@@ -7,13 +7,23 @@ from braidbu.complexes import (
     act,
     build_dconf,
     build_quotient,
+    cell_dim,
     chi_by_component,
     components,
+    count_cells,
 )
-from braidbu.errors import PreconditionError
+from braidbu.errors import InvalidParameterError, PreconditionError
 from braidbu.graphs import make_cycle, make_lollipop, make_path, make_star
 from braidbu.oracle import chi_oracle
 from braidbu.perms import Perm, all_perms
+
+
+# (legs, leg length, particles) of the star targets the tree benchmarks use.
+STAR_TARGETS = ((3, 2, 2), (4, 3, 2), (5, 2, 2), (3, 2, 3), (4, 2, 3), (3, 3, 3), (5, 2, 3))
+TARGETS = [(make_lollipop(m), m) for m in (2, 3, 4)] + [
+    (make_star(legs, length), n) for legs, length, n in STAR_TARGETS
+]
+TARGET_IDS = [f"lollipop-m{m}" for m in (2, 3, 4)] + [f"star({l},{k})-n{n}" for l, k, n in STAR_TARGETS]
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +63,37 @@ class TestBuild:
 
     def test_base_cell(self, f3):
         assert f3.base == (0, 1, 2)
+
+    @pytest.mark.parametrize("graph, m", TARGETS, ids=TARGET_IDS)
+    def test_cells_come_out_in_sort_order(self, graph, m):
+        cx = build_dconf(graph, m)
+        for d, cells in cx.cells_by_dim.items():
+            keys = list(map(cx.sort_key, cells))
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            assert all(cell_dim(c) == d for c in cells)
+
+    def test_edge_endpoints_refuse_other_dimensions(self, f2):
+        for cell in (f2.cells_by_dim[0][0], f2.cells_by_dim[2][0]):
+            with pytest.raises(InvalidParameterError, match="not a 1-cell"):
+                f2.edge_endpoints(cell)
+
+
+class TestCount:
+    @pytest.mark.parametrize(
+        "graph, m, expected",
+        [(make_lollipop(m), m, n) for m, n in ((2, 30), (3, 444), (4, 8952))]
+        + [(make_star(4, 3), 3, 9108), (make_star(5, 2), 3, 4650)]
+        + [(make_path(6), 3, 378), (make_cycle(7), 3, 924)],
+        ids=[
+            "lollipop-m2", "lollipop-m3", "lollipop-m4", "star(4,3)-n3", "star(5,2)-n3", "path6-m3", "cycle7-m3"
+        ],
+    )
+    def test_count_equals_enumeration(self, graph, m, expected):
+        cx = build_dconf(graph, m)
+        assert count_cells(graph, m) == sum(len(cells) for cells in cx.cells_by_dim.values()) == expected
+
+    def test_m5_without_enumerating(self):
+        assert count_cells(make_lollipop(5), 5) == 234240
 
 
 class TestAction:

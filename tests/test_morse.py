@@ -55,6 +55,23 @@ class TestClassification:
         assert classify_cell(("a3", "a1"), sys2.fm) == ("a3", 1)
         assert sys2.field_fm.kind(("a3", "a1")) == "collapsible"
 
+    @pytest.mark.parametrize(
+        "graph, m", [(make_lollipop(3), 3), (make_star(4, 3), 3)], ids=["lollipop-m3", "star(4,3)-n3"]
+    )
+    def test_is_blocked_matches_its_definition(self, graph, m):
+        closures = graph.closures
+        checked = 0
+        for cell in build_dconf(graph, m).all_cells():
+            for r, coord in enumerate(cell):
+                if isinstance(coord, int):
+                    far = graph.tree_order.parent[coord]
+                    expected = far is None or any(
+                        far in closures[other] for s, other in enumerate(cell) if s != r
+                    )
+                    assert morse.is_blocked(cell, r, graph) == expected
+                    checked += 1
+        assert checked > 0
+
     def test_cell_not_in_complex(self, sys2):
         with pytest.raises(InvalidParameterError):
             classify_cell((0, 0), sys2.fm)
