@@ -10,7 +10,7 @@ from .complexes import (
     chi_by_component,
     components,
 )
-from .covering import EdgePath, express_loop
+from .covering import EdgePath, express_loop, maximal_tree
 from .decide import (
     ActionData,
     BUVerdict,
@@ -26,11 +26,10 @@ from .decide import (
     verify_diagram,
 )
 from .errors import InvalidParameterError, PreconditionError, StructuralError
-from .fundgroup import BraidSystem, GeneratorId, get_system, maximal_tree
+from .fundgroup import BraidSystem, GeneratorId, get_system
 from .graphs import (
     Edge,
     Graph,
-    check_free_action_divisibility,
     emit_graph_text,
     is_sufficiently_subdivided,
     make_cycle,

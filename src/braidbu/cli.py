@@ -25,7 +25,7 @@ from .graphs import (
     parse_graph_text,
 )
 from .morse import edge_data
-from .oracle import Report, chi_oracle, run_suite
+from .oracle import Report, chi_oracle, hom_table, run_suite
 from .words import FreeWord
 
 
@@ -104,15 +104,14 @@ def cmd_morse_critical(args) -> int:
     report.records.append(
         ("critical.dim2plus", str(sum(len(field.critical(d)) for d in range(2, top + 1))))
     )
+    edges = [(cell, *edge_data(cell, system.graph, args.m)) for cell in crit1]
     if args.by_type:
         by_type: dict[int, int] = {}
-        for cell in crit1:
-            _, b = edge_data(cell, system.graph, args.m)
+        for _, _, b in edges:
             by_type[b] = by_type.get(b, 0) + 1
         for b in sorted(by_type):
             report.records.append((f"critical.type{b}", str(by_type[b])))
-    for cell in crit1:
-        sigma, b = edge_data(cell, system.graph, args.m)
+    for cell, sigma, b in edges:
         report.records.append((f"edge.{cell}", f"type={b} sigma={sigma}"))
     sys.stdout.write(report.render(args.format))
     return 0
@@ -135,7 +134,7 @@ def cmd_pi1_basis(args) -> int:
     basis = system.basis(args.space)
     report.records.append(("rank", str(len(basis))))
     for gen in basis:
-        cell = gen.cell() if args.space == "fm" else system.orbit_of_gen(gen)
+        cell = gen.cell() if args.space == "fm" else system.quotient.project(gen.cell())
         report.records.append((f"generator.{gen.name()}", f"type={gen.type_b} cell={cell}"))
     sys.stdout.write(report.render(args.format))
     return 0
@@ -144,30 +143,14 @@ def cmd_pi1_basis(args) -> int:
 def cmd_pi1_map(args) -> int:
     system = get_system(args.m)
     report = Report(command=f"pi1 map --which {args.which} --m {args.m}")
-    fmt_word = lambda w: w.format(lambda g: g.name())
-    if args.which == "iota":
-        for gen in system.basis_fm:
-            closed = system.iota_closed_form(gen)
-            report.records.append((f"iota.{gen.name()}", fmt_word(closed)))
-            if args.oracle_check:
-                oracle = system.iota_oracle(gen)
-                report.checks.append(
-                    (f"iota.{gen.name()}", closed == oracle, fmt_word(oracle))
-                )
-    elif args.which == "p1":
-        for gen in system.basis_fm:
-            closed = system.p1_closed_form(gen)
-            report.records.append((f"p1.{gen.name()}", str(closed)))
-            if args.oracle_check:
-                oracle = system.p1_oracle(gen)
-                report.checks.append((f"p1.{gen.name()}", closed == oracle, str(oracle)))
-    else:
-        for gen in system.basis_q:
-            closed = system.theta_closed_form(gen)
-            report.records.append((f"theta.{gen.name()}", str(closed)))
-            if args.oracle_check:
-                oracle = system.theta_oracle(FreeWord.gen(gen))
-                report.checks.append((f"theta.{gen.name()}", closed == oracle, str(oracle)))
+    basis, closed_form, oracle = hom_table(system)[args.which]
+    fmt = lambda v: str(v) if isinstance(v, int) else v.format(lambda g: g.name())
+    for gen in basis:
+        closed = closed_form(gen)
+        report.records.append((f"{args.which}.{gen.name()}", fmt(closed)))
+        if args.oracle_check:
+            value = oracle(gen)
+            report.checks.append((f"{args.which}.{gen.name()}", closed == value, fmt(value)))
     return _print_report(report, args.format)
 
 

@@ -45,9 +45,6 @@ class _CellComplex:
     def has(self, cell: Cell) -> bool:
         return cell in self._cell_set
 
-    def dim(self, cell: Cell) -> int:
-        return cell_dim(cell)
-
     def all_cells(self) -> Iterator[Cell]:
         for d in sorted(self.cells_by_dim):
             yield from self.cells_by_dim[d]

@@ -1,11 +1,13 @@
 """The covering of a configuration complex over its cyclic quotient.
 
 ``Covering`` holds the two sides of the m-to-1 covering F -> F/Z_m: the
-configuration complex ``fm``, its quotient, a spanning tree and parent
-pointers on each side, and on each side a letter map naming the based loop
-of every non-tree 1-cell.  The upstairs cells over the quotient base are the
-m sheets, numbered by deck exponent.  One lazily filled table answers every
-question about lifting: ``lift_letter(sheet, letter)`` lifts the letter's
+configuration complex ``fm`` and its quotient, and on each side a letter map
+naming the based loop of every letter edge.  It is built from a gradient
+field and the letter map of each side, and builds each side's spanning tree
+from these two alone: the field's forest plus the critical edges that name
+no letter (``maximal_tree``), with parent pointers from the base.  The
+upstairs cells over the quotient base are the m sheets, numbered by deck
+exponent.  One lazily filled table answers every question about lifting: ``lift_letter(sheet, letter)`` lifts the letter's
 quotient loop from that sheet, closes the lift through the upstairs tree
 paths from the base and back, and returns its upstairs word with the sheet
 it ends on.  The maps of the paper are read off it:
@@ -28,8 +30,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
-from .complexes import Cell, CubeComplex, QuotientComplex, act
+from .complexes import Cell, QuotientComplex, act
 from .errors import InvalidParameterError, StructuralError
+from .graphs import union_find
+from .morse import GradientField
 from .perms import Perm
 from .words import FreeWord
 
@@ -83,6 +87,21 @@ def reverse_path(path: EdgePath) -> EdgePath:
 # -- spanning trees ----------------------------------------------------------
 
 Parents = Mapping[Cell, Optional[tuple[Cell, int, Cell]]]
+
+
+def maximal_tree(field: GradientField, selected: frozenset[Cell]) -> frozenset[Cell]:
+    """Forest edges plus the selected critical edges; checked to span."""
+    cx = field.complex
+    edges = list(field.forest_edges) + sorted(selected, key=cx.sort_key)
+    vertices = cx.cells_by_dim[0]
+    if len(edges) != len(vertices) - 1:
+        raise StructuralError(
+            f"candidate tree has {len(edges)} edges on {len(vertices)} vertices"
+        )
+    _, closing = union_find(vertices, {e: cx.edge_endpoints(e) for e in edges})
+    if closing:
+        raise StructuralError(f"candidate tree has a cycle through {closing[0]!r}")
+    return frozenset(edges)
 
 
 def tree_parents(cx, tree_edges: frozenset[Cell], base: Cell) -> dict[Cell, Optional[tuple[Cell, int, Cell]]]:
@@ -194,26 +213,29 @@ def lift_path(q: QuotientComplex, qpath: EdgePath, start: Cell) -> EdgePath:
 class Covering:
     """The covering fm -> quotient, with a spanning tree on each side.
 
-    ``letter_fm`` and ``letter_q`` map each non-tree 1-cell of their side to
-    the letter naming its based loop; words on either side are words in
-    these letters.
+    ``letter_fm`` and ``letter_q`` map critical 1-cells of their side's
+    gradient field to the letter naming their based loop; words on either
+    side are words in these letters.  The other critical 1-cells join the
+    field's forest in that side's spanning tree.
     """
 
     def __init__(
         self,
-        fm: CubeComplex,
-        quotient: QuotientComplex,
-        tree_fm: frozenset[Cell],
-        tree_q: frozenset[Cell],
+        field_fm: GradientField,
+        field_q: GradientField,
         letter_fm: Mapping[Cell, object],
         letter_q: Mapping[Cell, object],
     ):
-        self.fm = fm
-        self.quotient = quotient
-        self.tree_fm = tree_fm
-        self.tree_q = tree_q
-        self.parents_fm = tree_parents(fm, tree_fm, fm.base)
-        self.parents_q = tree_parents(quotient, tree_q, quotient.base)
+        # The fields are not kept: a tree target needs them only here, and
+        # every cached tree system would otherwise hold its matchings.
+        self.fm = fm = field_fm.complex
+        self.quotient = quotient = field_q.complex
+        self.tree_fm, self.tree_q = (
+            maximal_tree(field, frozenset(e for e in field.critical(1) if e not in letters))
+            for field, letters in ((field_fm, letter_fm), (field_q, letter_q))
+        )
+        self.parents_fm = tree_parents(fm, self.tree_fm, fm.base)
+        self.parents_q = tree_parents(quotient, self.tree_q, quotient.base)
         self.letter_fm = letter_fm
         self.letter_q = letter_q
         self._edge_fm = {letter: edge for edge, letter in letter_fm.items()}

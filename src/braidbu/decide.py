@@ -17,12 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .complexes import build_dconf, build_quotient, components
 from .covering import Covering
 from .errors import InvalidParameterError, PreconditionError, StructuralError
-from .fundgroup import GeneratorId, get_system, maximal_tree
+from .fundgroup import GeneratorId, get_system
 from .graphs import Graph, is_sufficiently_subdivided, union_find
 from .morse import build_field
 from .perms import Perm
@@ -63,9 +63,6 @@ class GroupHom:
     """A homomorphism given on a free basis; images are words or integers."""
 
     images: Mapping[object, Union[FreeWord, int]]
-
-    def __call__(self, letter):
-        return self.images[letter]
 
     def evaluate_word(self, word: FreeWord):
         values = list(self.images.values())
@@ -191,12 +188,12 @@ class TreeTargetSystem(Covering):
     """The covering of a tree target's configuration complex.
 
     Built like ``BraidSystem``: a Farley-Sabalka gradient field on each side,
-    the forest plus the critical edges that close no cycle with it as the
-    maximal tree, and the other critical edges as letters.  Without critical
-    cells of dimension two or more, the letters are a free basis on each
-    level, so reduced words are canonical.  Every map comes from
-    ``Covering``: theta and ``rewrite`` walk per-sheet letter lifts, and
-    ``iota_word`` projects each upstairs letter's loop.
+    and as letters the critical edges that close a cycle with the forest and
+    the critical edges before them; ``Covering`` puts the others in the
+    maximal tree.  Without critical cells of dimension two or more, the
+    letters are a free basis on each level, so reduced words are canonical.
+    Every map comes from ``Covering``: theta and ``rewrite`` walk per-sheet
+    letter lifts, and ``iota_word`` projects each upstairs letter's loop.
     """
 
     def __init__(self, graph: Graph, n: int):
@@ -217,15 +214,13 @@ class TreeTargetSystem(Covering):
             raise PreconditionError(
                 f"braid group of the tree has no free basis for n={n}: critical cells of dimension >= 2"
             )
-        quotient = build_quotient(fm, n)
-        trees, letters = [], []
-        for field in (field_fm, build_field(quotient, field_fm)):
-            cx, critical = field.complex, field.critical(1)
-            ends = {e: cx.edge_endpoints(e) for e in field.forest_edges + critical}
-            closing = set(union_find(cx.cells_by_dim[0], ends)[1])
-            trees.append(maximal_tree(field, frozenset(e for e in critical if e not in closing)))
-            letters.append({e: e for e in critical if e in closing})
-        super().__init__(fm, quotient, *trees, *letters)
+        field_q = build_field(build_quotient(fm, n), field_fm)
+        letters = []
+        for field in (field_fm, field_q):
+            cx = field.complex
+            ends = {e: cx.edge_endpoints(e) for e in field.forest_edges + field.critical(1)}
+            letters.append({e: e for e in union_find(cx.cells_by_dim[0], ends)[1]})
+        super().__init__(field_fm, field_q, *letters)
 
     def p1_word(self, word: FreeWord) -> int:
         return 0  # the target is a tree: its fundamental group is trivial
@@ -294,6 +289,30 @@ def verify_diagram(
     return VerifyResult(not failures, tuple(failures))
 
 
+def _verified_failure(
+    psi: GroupHom,
+    kernel_words: Sequence[FreeWord],
+    p1_value: int,
+    action: ActionData,
+    system,
+    rewrite: Callable[[FreeWord], Optional[FreeWord]],
+) -> BUVerdict:
+    """The failing verdict of a witness: phi lifts psi on each kernel word
+    through ``rewrite``, the first particle's image is p1_value on each, and
+    the diagram is verified before the witness is returned."""
+    phi_images = {}
+    for kappa in kernel_words:
+        image = rewrite(psi.evaluate_word(kappa))
+        if image is None:
+            raise StructuralError(f"psi({kappa}) does not lie in the covering subgroup")
+        phi_images[kappa] = image
+    phi = GroupHom(phi_images)
+    check = verify_diagram(phi, psi, GroupHom({kappa: p1_value for kappa in phi_images}), action, system)
+    if not check:
+        raise StructuralError(f"witness failed verification: {check.failures}")
+    return BUVerdict(False, Witness(phi, psi))
+
+
 # -- decisions ----------------------------------------------------------------
 
 
@@ -311,19 +330,8 @@ def decide_tree(graph: Graph, n: int, action: ActionData) -> BUVerdict:
     system = tree_system(graph, n)
     u = system.unit_word()
     psi = GroupHom({x_letter(i + 1): u ** action.theta[i] for i in range(action.r)})
-    ys = adapt_basis(action.theta, n)
-    phi_images = {}
-    for kappa in kernel_basis(ys, n):
-        image = system.rewrite(psi.evaluate_word(kappa))
-        if image is None:
-            raise StructuralError("kernel word failed to lift")
-        phi_images[kappa] = image
-    phi = GroupHom(phi_images)
-    alpha = GroupHom({kappa: 0 for kappa in phi_images})
-    check = verify_diagram(phi, psi, alpha, action, system)
-    if not check:
-        raise StructuralError(f"tree witness failed verification: {check.failures}")
-    return BUVerdict(False, Witness(phi, psi))
+    kernel_words = kernel_basis(adapt_basis(action.theta, n), n)
+    return _verified_failure(psi, kernel_words, 0, action, system, system.rewrite)
 
 
 @lru_cache(maxsize=None)
@@ -399,14 +407,5 @@ def decide_wedge(k: int, m: int, action: ActionData) -> BUVerdict:
     j = system.p1_word(zu)
     ell = k - j
     psi_g = (z_word ** t) * system.iota_word(FreeWord.gen(w1) ** ell)
-    kappa = FreeWord.gen(x_letter(1)) ** m
-    phi_image = system.rs_rewrite(psi_g ** m)
-    if phi_image is None:
-        raise StructuralError("psi(g)^m must lie in the covering subgroup")
-    phi = GroupHom({kappa: phi_image})
     psi = GroupHom({x_letter(1): psi_g})
-    alpha = GroupHom({kappa: k})
-    check = verify_diagram(phi, psi, alpha, action, system)
-    if not check:
-        raise StructuralError(f"wedge witness failed verification: {check.failures}")
-    return BUVerdict(False, Witness(phi, psi))
+    return _verified_failure(psi, (FreeWord.gen(x_letter(1)) ** m,), k, action, system, system.rs_rewrite)

@@ -2,7 +2,10 @@
 complex and its cyclic quotient, and the three structural homomorphisms.
 
 For m particles on the lollipop, both fundamental groups are free: critical
-1-cells that are not selected into the maximal tree give the basis.  Three
+1-cells that are not selected into the maximal tree give the basis.  The
+selection rule lives in ``BraidSystem._letter``: it names each critical edge
+of either level by its letter, or returns None when the edge is selected,
+and the closed-form iota reuses it to name quotient orbits.  Three
 homomorphisms are computed twice, from closed formulas and from independent
 geometric oracles:
 
@@ -32,9 +35,11 @@ from typing import Optional
 
 from .complexes import Cell, act, build_dconf, build_quotient
 from .covering import Covering, EdgePath
+# Bound here as well: perfbench/tracing.py patches it by looking up fundgroup.maximal_tree.
+from .covering import maximal_tree  # noqa: F401
 from .errors import InvalidParameterError, StructuralError
-from .graphs import make_lollipop, union_find
-from .morse import GradientField, build_field, edge_data, type_tuple
+from .graphs import make_lollipop
+from .morse import build_field, edge_data, type_tuple
 from .perms import Perm, cyclic_canonical
 from .words import FreeWord
 
@@ -79,31 +84,18 @@ class BraidSystem(Covering):
         self.m = m
         self.graph = make_lollipop(m)
         self.loop_name = self.graph.loop_edge.name
-        fm = build_dconf(self.graph, m)
-        quotient = build_quotient(fm, m)
-        self.field_fm: GradientField = build_field(fm)
-        self.field_q: GradientField = build_field(quotient, self.field_fm)
-
-        self.selected_fm = self._selected_fm()
-        self.selected_q = self._selected_q()
-        letter_fm = {
-            cell: GeneratorId(SPACE_FM, *edge_data(cell, self.graph, m))
-            for cell in self.field_fm.critical(1)
-            if cell not in self.selected_fm
-        }
-        letter_q = {}
-        for rep in self.field_q.critical(1):
-            if rep not in self.selected_q:
-                sigma, b = edge_data(rep, self.graph, m)
-                letter_q[rep] = GeneratorId(SPACE_QUOTIENT, cyclic_canonical(sigma)[0], b)
-        super().__init__(
-            fm,
-            quotient,
-            maximal_tree(self.field_fm, self.selected_fm),
-            maximal_tree(self.field_q, self.selected_q),
-            letter_fm,
-            letter_q,
-        )
+        field_fm = build_field(build_dconf(self.graph, m))
+        field_q = build_field(build_quotient(field_fm.complex, m), field_fm)
+        letter_fm, letter_q = {}, {}
+        for space, field, letters in ((SPACE_FM, field_fm, letter_fm), (SPACE_QUOTIENT, field_q, letter_q)):
+            for cell in field.critical(1):
+                letter = self._letter(space, *edge_data(cell, self.graph, m))
+                if letter is not None:
+                    letters[cell] = letter
+        super().__init__(field_fm, field_q, letter_fm, letter_q)
+        self.field_fm, self.field_q = field_fm, field_q
+        self.selected_fm = frozenset(e for e in field_fm.critical(1) if e not in letter_fm)
+        self.selected_q = frozenset(e for e in field_q.critical(1) if e not in letter_q)
         by_type = lambda g: (g.type_b, g.sigma.images)
         self.basis_fm: list[GeneratorId] = sorted(letter_fm.values(), key=by_type)
         self.basis_q: list[GeneratorId] = sorted(letter_q.values(), key=by_type)
@@ -111,27 +103,22 @@ class BraidSystem(Covering):
     # -- selection -----------------------------------------------------------
 
     @staticmethod
-    def _selected_sigma(sigma: Perm, b: int) -> bool:
-        """Selection rule on the critical edge act(sigma, O_b): sigma fixes
-        1..b-1 but moves b, so the edge's first b-1 coordinates are the
-        minimal vertices 0..b-2 and its b-th is not the loop edge."""
-        return all(sigma(i) == i for i in range(1, b)) and sigma(b) != b
+    def _letter(space: str, sigma: Perm, b: int) -> Optional[GeneratorId]:
+        """The letter of the critical edge act(sigma, O_b) of the space, or
+        None when the edge is selected into the maximal tree.
 
-    def _selected_fm(self) -> frozenset[Cell]:
-        out = set()
-        for cell in self.field_fm.critical(1):
-            sigma, b = edge_data(cell, self.graph, self.m)
-            if b <= self.m - 1 and self._selected_sigma(sigma, b):
-                out.add(cell)
-        return frozenset(out)
-
-    def _selected_q(self) -> frozenset[Cell]:
-        out = set()
-        for rep in self.field_q.critical(1):
-            sigma, b = edge_data(rep, self.graph, self.m)
-            if 2 <= b <= self.m - 1 and self._selected_sigma(cyclic_canonical(sigma)[0], b):
-                out.add(rep)
-        return frozenset(out)
+        A quotient edge is named by its orbit's canonical representative
+        (sigma(1) == 1).  The edge is selected when sigma fixes 1..b-1 but
+        moves b: its first b-1 coordinates are the minimal vertices 0..b-2
+        and its b-th is not the loop edge.  So no type-m edge is selected
+        (fixing 1..m-1 fixes m), nor a type-1 orbit (its representative
+        fixes 1).
+        """
+        if space == SPACE_QUOTIENT:
+            sigma = cyclic_canonical(sigma)[0]
+        if all(sigma(i) == i for i in range(1, b)) and sigma(b) != b:
+            return None
+        return GeneratorId(space, sigma, b)
 
     # -- bases and loops ------------------------------------------------------
 
@@ -141,22 +128,11 @@ class BraidSystem(Covering):
     def selected(self, space: str) -> frozenset[Cell]:
         return self.selected_fm if space == SPACE_FM else self.selected_q
 
-    def orbit_of_gen(self, gen: GeneratorId) -> Cell:
-        return self.quotient.project(gen.cell())
-
     def loop(self, gen: GeneratorId) -> EdgePath:
         """The based loop of a basis element, in the space it belongs to."""
         return self.loop_fm(gen) if gen.space == SPACE_FM else self.loop_q(gen)
 
     # -- iota -------------------------------------------------------------
-
-    def _bracket(self, sigma: Perm, b: int) -> Optional[GeneratorId]:
-        """Quotient letter for the orbit of act(sigma, O_b); None when the
-        orbit is selected (its loop lies in the maximal tree)."""
-        canonical, _ = cyclic_canonical(sigma)
-        if b >= 2 and self._selected_sigma(canonical, b) and b <= self.m - 1:
-            return None
-        return GeneratorId(SPACE_QUOTIENT, canonical, b)
 
     def iota_closed_form(self, gen: GeneratorId) -> FreeWord:
         """Image of an upstairs basis element in the quotient basis."""
@@ -166,7 +142,7 @@ class BraidSystem(Covering):
         c1 = self.c1
 
         def type1_run(tau_of_i, count) -> FreeWord:
-            letters = [self._bracket(tau_of_i(i), 1) for i in range(1, count + 1)]
+            letters = [self._letter(SPACE_QUOTIENT, tau_of_i(i), 1) for i in range(1, count + 1)]
             if None in letters:
                 raise StructuralError("type-1 orbit can never be selected")
             return FreeWord.product(FreeWord.gen(letter) for letter in letters)
@@ -176,13 +152,13 @@ class BraidSystem(Covering):
 
         s = sigma(1)
         if s == 1:
-            letter = self._bracket(sigma, b)
+            letter = self._letter(SPACE_QUOTIENT, sigma, b)
             if letter is None:
                 raise StructuralError("a canonical basis edge cannot be selected")
             return FreeWord.gen(letter)
 
         prefix = type1_run(lambda i: sigma * c1 ** (-(i - 1)), s - 1)
-        mid_letter = self._bracket(sigma, b)
+        mid_letter = self._letter(SPACE_QUOTIENT, sigma, b)
         middle = FreeWord() if mid_letter is None else FreeWord.gen(mid_letter)
         cb_inv = Perm.cycle(b, m).inverse()
         count = (s - 1) if s < b else (m - 1) if s == b else (s - 2)
@@ -258,21 +234,6 @@ class BraidSystem(Covering):
         if upstairs is None:
             raise StructuralError("the lift of the word does not close although its closed-form theta is 0")
         return upstairs
-
-
-def maximal_tree(field: GradientField, selected: frozenset[Cell]) -> frozenset[Cell]:
-    """Forest edges plus the selected critical edges; checked to span."""
-    cx = field.complex
-    edges = list(field.forest_edges) + sorted(selected, key=cx.sort_key)
-    vertices = cx.cells_by_dim[0]
-    if len(edges) != len(vertices) - 1:
-        raise StructuralError(
-            f"candidate tree has {len(edges)} edges on {len(vertices)} vertices"
-        )
-    _, closing = union_find(vertices, {e: cx.edge_endpoints(e) for e in edges})
-    if closing:
-        raise StructuralError(f"candidate tree has a cycle through {closing[0]!r}")
-    return frozenset(edges)
 
 
 @lru_cache(maxsize=None)

@@ -290,11 +290,6 @@ def is_sufficiently_subdivided(graph: Graph, m: int) -> bool:
     return girth(graph) >= m + 1
 
 
-def check_free_action_divisibility(chi: int, n: int) -> bool:
-    """A free order-n cyclic action forces n to divide the Euler characteristic."""
-    return chi % n == 0
-
-
 # -- line-based text format ------------------------------------------------
 
 

@@ -8,14 +8,14 @@ import os
 import random
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from . import decide as dec
 from .complexes import components
 from .errors import InvalidParameterError
 from .fundgroup import GeneratorId, get_system
 from .graphs import make_path, make_star
-from .morse import edge_data
+from .morse import GradientField, associated_permutation, edge_source, edge_target, edge_type
 from .perms import Perm, all_perms, cyclic_canonical
 from .words import FreeWord
 
@@ -29,149 +29,116 @@ def chi_oracle(cx) -> int:
     )
 
 
+class _Level(NamedTuple):
+    """One level of the lollipop covering, as the suite checks it."""
+
+    label: str
+    cx: Any
+    field: GradientField
+    tree: frozenset
+    selected: frozenset
+    basis: list
+    orbit: int  # cells per orbit: 1 upstairs, m in the quotient
+
+
+def _levels(m: int) -> tuple[_Level, _Level]:
+    system = get_system(m)
+    return (
+        _Level("fm", system.fm, system.field_fm, system.tree_fm, system.selected_fm, system.basis_fm, 1),
+        _Level("quotient", system.quotient, system.field_q, system.tree_q, system.selected_q, system.basis_q, m),
+    )
+
+
+def _count_types(cells: Iterable, m: int) -> dict[int, int]:
+    counts = {b: 0 for b in range(1, m + 1)}
+    for cell in cells:
+        counts[edge_type(cell, m)] += 1
+    return counts
+
+
 def morse_rank_check(m: int) -> list[Verdict]:
     """Critical counts against raw Euler characteristics, both spaces."""
-    system = get_system(m)
     out = []
-    for label, cx, fld in (
-        ("fm", system.fm, system.field_fm),
-        ("quotient", system.quotient, system.field_q),
-    ):
-        chi = chi_oracle(cx)
-        crit0, crit1 = len(fld.critical(0)), len(fld.critical(1))
-        out.append(
-            (
-                f"morserank.m{m}.{label}",
-                crit0 - crit1 == chi,
-                f"{crit0} - {crit1} vs chi {chi}",
-            )
-        )
-        rank = len(system.basis("fm" if label == "fm" else "quotient"))
-        out.append(
-            (f"rank.m{m}.{label}", rank == 1 - chi, f"rank {rank} vs 1 - chi {1 - chi}")
-        )
+    for level in _levels(m):
+        chi = chi_oracle(level.cx)
+        crit0, crit1 = len(level.field.critical(0)), len(level.field.critical(1))
+        out.append((f"morserank.m{m}.{level.label}", crit0 - crit1 == chi, f"{crit0} - {crit1} vs chi {chi}"))
+        rank = len(level.basis)
+        out.append((f"rank.m{m}.{level.label}", rank == 1 - chi, f"rank {rank} vs 1 - chi {1 - chi}"))
     return out
+
+
+def hom_table(system) -> dict[str, tuple[list[GeneratorId], Callable, Callable]]:
+    """(basis, closed form, oracle) of each structural map, on its basis."""
+    return {
+        "iota": (system.basis_fm, system.iota_closed_form, system.iota_oracle),
+        "p1": (system.basis_fm, system.p1_closed_form, system.p1_oracle),
+        "theta": (system.basis_q, system.theta_closed_form, lambda g: system.theta_oracle(FreeWord.gen(g))),
+    }
 
 
 # -- individual suite checks -------------------------------------------------
 
 
 def _check_census(m: int) -> list[Verdict]:
-    system = get_system(m)
     out = []
-    fact = math.factorial(m)
-    counts_fm = {b: 0 for b in range(1, m + 1)}
-    for cell in system.field_fm.critical(1):
-        counts_fm[edge_data(cell, system.graph, m)[1]] += 1
-    ok = (
-        len(system.field_fm.critical(0)) == fact
-        and all(counts_fm[b] == fact for b in counts_fm)
-        and all(
-            not any(True for _ in system.field_fm.critical(d))
-            for d in range(2, system.fm.top_dim + 1)
+    for level in _levels(m):
+        field, expect = level.field, math.factorial(m) // level.orbit
+        counts = _count_types(field.critical(1), m)
+        ok = (
+            len(field.critical(0)) == expect
+            and all(count == expect for count in counts.values())
+            and not any(field.critical(d) for d in range(2, level.cx.top_dim + 1))
         )
-    )
-    out.append((f"census.m{m}.fm", ok, f"crit0={len(system.field_fm.critical(0))} by_type={counts_fm}"))
-    counts_q = {b: 0 for b in range(1, m + 1)}
-    for rep in system.field_q.critical(1):
-        counts_q[edge_data(rep, system.graph, m)[1]] += 1
-    okq = (
-        len(system.field_q.critical(0)) == fact // m
-        and all(counts_q[b] == fact // m for b in counts_q)
-        and all(
-            not any(True for _ in system.field_q.critical(d))
-            for d in range(2, system.quotient.top_dim + 1)
-        )
-    )
-    out.append((f"census.m{m}.quotient", okq, f"crit0={len(system.field_q.critical(0))} by_type={counts_q}"))
+        out.append((f"census.m{m}.{level.label}", ok, f"crit0={len(field.critical(0))} by_type={counts}"))
     return out
 
 
 def _check_selection(m: int) -> list[Verdict]:
-    system = get_system(m)
     out = []
-    counts = {b: 0 for b in range(1, m + 1)}
-    for cell in system.selected_fm:
-        counts[edge_data(cell, system.graph, m)[1]] += 1
-    expect = {
-        b: math.factorial(m - b) * (m - b) if b < m else 0 for b in range(1, m + 1)
-    }
-    ok = counts == expect and sum(counts.values()) == math.factorial(m) - 1
-    out.append((f"selection.m{m}.fm", ok, f"{counts} vs {expect}"))
-    counts_q = {b: 0 for b in range(1, m + 1)}
-    for rep in system.selected_q:
-        counts_q[edge_data(rep, system.graph, m)[1]] += 1
-    expect_q = {
-        b: math.factorial(m - b) * (m - b) if 2 <= b <= m - 1 else 0
-        for b in range(1, m + 1)
-    }
-    okq = counts_q == expect_q and sum(counts_q.values()) == math.factorial(m - 1) - 1
-    out.append((f"selection.m{m}.quotient", okq, f"{counts_q} vs {expect_q}"))
+    for level in _levels(m):
+        counts = _count_types(level.selected, m)
+        # Quotient orbits are named by representatives fixing 1: none of type 1 is selected.
+        lowest = 1 if level.orbit == 1 else 2
+        expect = {b: math.factorial(m - b) * (m - b) if lowest <= b < m else 0 for b in range(1, m + 1)}
+        ok = counts == expect and sum(counts.values()) == math.factorial(m) // level.orbit - 1
+        out.append((f"selection.m{m}.{level.label}", ok, f"{counts} vs {expect}"))
     return out
 
 
 def _check_lemma47(m: int) -> list[Verdict]:
-    from .morse import associated_permutation, edge_source, edge_target, edge_type
-
-    system = get_system(m)
-    ok_fm = True
-    for cell in system.field_fm.critical(1):
-        b = edge_type(cell, m)
-        src = associated_permutation(edge_source(cell, system.graph))
-        tgt = associated_permutation(edge_target(cell, system.graph))
-        if tgt != src * Perm.cycle(b, m).inverse():
-            ok_fm = False
-            break
-    ok_q = True
-    for rep in system.field_q.critical(1):
-        b = edge_type(rep, m)
-        src = associated_permutation(edge_source(rep, system.graph))
-        tgt = associated_permutation(edge_target(rep, system.graph))
-        lhs, _ = cyclic_canonical(tgt)
-        rhs, _ = cyclic_canonical(src * Perm.cycle(b, m).inverse())
-        if lhs != rhs:
-            ok_q = False
-            break
-    return [
-        (f"lemma47.m{m}.fm", ok_fm, f"{m * math.factorial(m)} critical edges"),
-        (f"lemma47.m{m}.quotient", ok_q, f"{math.factorial(m)} orbit edges"),
-    ]
-
-
-def _check_trees(m: int) -> list[Verdict]:
-    system = get_system(m)
+    """Target permutation = source permutation * c_b^-1 on every critical
+    edge; in the quotient, up to the cyclic action."""
     out = []
-    for label, cx, tree in (
-        ("fm", system.fm, system.tree_fm),
-        ("quotient", system.quotient, system.tree_q),
-    ):
-        ok = len(tree) == len(cx.cells_by_dim[0]) - 1  # spanning checked at build
-        out.append((f"trees.m{m}.{label}", ok, f"{len(tree)} edges"))
+    for level in _levels(m):
+        normal = (lambda p: p) if level.orbit == 1 else (lambda p: cyclic_canonical(p)[0])
+        graph, ok = level.cx.graph, True
+        for cell in level.field.critical(1):
+            src = associated_permutation(edge_source(cell, graph))
+            tgt = associated_permutation(edge_target(cell, graph))
+            if normal(tgt) != normal(src * Perm.cycle(edge_type(cell, m), m).inverse()):
+                ok = False
+                break
+        noun = "critical edges" if level.orbit == 1 else "orbit edges"
+        out.append((f"lemma47.m{m}.{level.label}", ok, f"{m * math.factorial(m) // level.orbit} {noun}"))
     return out
 
 
-def _check_homs(m: int, include_iota_p1: bool) -> list[Verdict]:
-    system = get_system(m)
-    out = []
-    if include_iota_p1:
-        bad_iota = [
-            g.name()
-            for g in system.basis_fm
-            if system.iota_closed_form(g) != system.iota_oracle(g)
-        ]
-        out.append((f"iota.m{m}", not bad_iota, f"disagreements: {bad_iota}"))
-        bad_p1 = [
-            g.name()
-            for g in system.basis_fm
-            if system.p1_closed_form(g) != system.p1_oracle(g)
-        ]
-        out.append((f"p1.m{m}", not bad_p1, f"disagreements: {bad_p1}"))
-    bad_theta = [
-        g.name()
-        for g in system.basis_q
-        if system.theta_closed_form(g) != system.theta_oracle(FreeWord.gen(g))
+def _check_trees(m: int) -> list[Verdict]:
+    # Spanning and acyclicity are checked when the covering builds its trees.
+    return [
+        (f"trees.m{m}.{lv.label}", len(lv.tree) == len(lv.cx.cells_by_dim[0]) - 1, f"{len(lv.tree)} edges")
+        for lv in _levels(m)
     ]
-    out.append((f"theta.m{m}", not bad_theta, f"disagreements: {bad_theta}"))
+
+
+def _check_homs(m: int, include_iota_p1: bool) -> list[Verdict]:
+    table = hom_table(get_system(m))
+    out = []
+    for name in ("iota", "p1", "theta") if include_iota_p1 else ("theta",):
+        basis, closed_form, oracle = table[name]
+        bad = [g.name() for g in basis if closed_form(g) != oracle(g)]
+        out.append((f"{name}.m{m}", not bad, f"disagreements: {bad}"))
     return out
 
 

@@ -9,7 +9,6 @@ O(|k| * |w|); ``FreeWord.product(ws)`` is O(total length of ws), one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
 Letter = Hashable
@@ -61,8 +60,17 @@ class FreeWord:
 
     @staticmethod
     def product(words: Iterable["FreeWord"]) -> "FreeWord":
-        """The product of the words in order, reduced in a single pass."""
-        return FreeWord.of(chain.from_iterable(w.letters for w in words))
+        """The product of the words in order, in a single pass.  Each word is
+        reduced, so syllables cancel only where the next word joins on; the
+        rest of it is copied whole."""
+        out: list[Syllable] = []
+        for word in words:
+            letters, i = word.letters, 0
+            while out and i < len(letters) and out[-1][0] == letters[i][0] and out[-1][1] == -letters[i][1]:
+                out.pop()
+                i += 1
+            out.extend(letters[i:])
+        return FreeWord(tuple(out))
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         """Both operands are reduced, so only the join can cancel."""
@@ -87,9 +95,6 @@ class FreeWord:
         letters = self.letters
         i, n = _conjugator_length(letters), len(letters)
         return FreeWord(letters[:i] + letters[i : n - i] * k + letters[n - i :])
-
-    def conjugate(self, by: "FreeWord") -> "FreeWord":
-        return by * self * by.inverse()
 
     def support(self) -> set:
         return {l for l, _ in self.letters}

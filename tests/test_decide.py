@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import braidbu.decide as dec
 from braidbu.errors import InvalidParameterError, PreconditionError, StructuralError
-from braidbu.fundgroup import GeneratorId, get_system
+from braidbu.fundgroup import BraidSystem, GeneratorId, get_system
 from braidbu.graphs import make_path, make_star, parse_graph_text
 from braidbu.morse import build_field
 from braidbu.oracle import chi_oracle
@@ -309,6 +309,33 @@ class TestVerifyDiagram:
         )
         assert not result
         assert any("p1 face" in msg for msg in result.failures)
+
+
+class TestDecisionsRefuseBrokenWitnesses:
+    """A decision raises instead of returning a witness its diagram rejects.
+    Each test breaks one map on a fresh system, so the cached ones stay sound."""
+
+    def test_wedge_with_wrong_p1_names_the_p1_face(self, monkeypatch):
+        system = BraidSystem(2)
+        system.p1_word = lambda word: 0
+        monkeypatch.setattr(dec, "get_system", lambda m: system)
+        with pytest.raises(StructuralError, match="p1 face"):
+            dec.decide_wedge(3, 2, dec.ActionData(2, 1, (1,)))
+
+    def _broken_tree(self, monkeypatch, attr, replacement):
+        system = dec.TreeTargetSystem(make_star(3, 2), 2)
+        setattr(system, attr, replacement)
+        monkeypatch.setattr(dec, "tree_system", lambda graph, n: system)
+
+    def test_tree_with_trivial_iota_names_the_iota_face(self, monkeypatch):
+        self._broken_tree(monkeypatch, "iota_word", lambda word: FreeWord())
+        with pytest.raises(StructuralError, match="iota face"):
+            dec.decide_tree(make_star(3, 2), 2, dec.ActionData(2, 1, (1,)))
+
+    def test_tree_whose_rewrite_fails_raises(self, monkeypatch):
+        self._broken_tree(monkeypatch, "rewrite", lambda word: None)
+        with pytest.raises(StructuralError, match="covering subgroup"):
+            dec.decide_tree(make_star(3, 2), 2, dec.ActionData(2, 1, (1,)))
 
 
 class TestActionData:

@@ -4,9 +4,12 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidbu.covering import concat, express_loop, make_path as make_edge_path
+from braidbu.covering import concat, express_loop, make_path as make_edge_path, maximal_tree
+from braidbu.decide import tree_system
 from braidbu.errors import StructuralError
-from braidbu.fundgroup import GeneratorId, get_system, maximal_tree
+from braidbu.fundgroup import GeneratorId, get_system
+from braidbu.graphs import make_star
+from braidbu.morse import build_field
 from braidbu.oracle import chi_oracle
 from braidbu.perms import Perm
 from braidbu.words import FreeWord
@@ -68,6 +71,29 @@ class TestMaximalTrees:
     def test_bad_selection_caught(self, sys2):
         with pytest.raises(StructuralError):
             maximal_tree(sys2.field_fm, frozenset())  # too few edges to span
+
+
+COVERINGS = {
+    "lollipop-m2": lambda: get_system(2),
+    "lollipop-m3": lambda: get_system(3),
+    "lollipop-m4": lambda: get_system(4),
+    "star(3,2)-n2": lambda: tree_system(make_star(3, 2), 2),
+    "star(4,3)-n3": lambda: tree_system(make_star(4, 3), 3),
+}
+
+
+class TestCoveringContract:
+    @pytest.mark.parametrize("name", sorted(COVERINGS))
+    def test_letters_and_selected_edges_partition_critical_edges(self, name):
+        system = COVERINGS[name]()
+        field_fm = build_field(system.fm)
+        for field, tree, letters in (
+            (field_fm, system.tree_fm, system.letter_fm),
+            (build_field(system.quotient, field_fm), system.tree_q, system.letter_q),
+        ):
+            selected = tree - frozenset(field.forest_edges)
+            assert selected | set(letters) == set(field.critical(1))
+            assert not selected & set(letters)
 
 
 class TestBases:

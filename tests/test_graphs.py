@@ -3,7 +3,6 @@ import pytest
 from braidbu.errors import InvalidParameterError
 from braidbu.graphs import (
     Graph,
-    check_free_action_divisibility,
     emit_graph_text,
     girth,
     is_sufficiently_subdivided,
@@ -83,13 +82,6 @@ class TestSubdivision:
         assert girth(make_path(4)) == float("inf")
         assert girth(make_lollipop(3)) == 4
         assert girth(make_cycle(2)) == 2  # parallel edges
-
-
-class TestDivisibility:
-    def test_cases(self):
-        assert check_free_action_divisibility(-6, 3)
-        assert not check_free_action_divisibility(-4, 3)
-        assert all(check_free_action_divisibility(0, n) for n in range(2, 8))
 
 
 class TestTextFormat:
