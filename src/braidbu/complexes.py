@@ -18,6 +18,10 @@ from .perms import Perm
 
 Cell = tuple[Coord, ...]
 
+# build_dconf refuses larger complexes before enumerating them: lollipop m=5
+# (234 240 cells) fits, m=6 (7 490 160) would exhaust memory.
+MAX_CELLS = 1_000_000
+
 
 def cell_dim(cell: Cell) -> int:
     return list(map(type, cell)).count(str)
@@ -100,11 +104,15 @@ def build_dconf(graph: Graph, m: int) -> CubeComplex:
     ``sort_key`` order within each dimension.  A prefix carries the union of
     its closures as a bit mask of vertices, and its count of edge
     coordinates, so a finished cell goes straight into its dimension.
+    Complexes of more than ``MAX_CELLS`` cells are refused, counted first.
     """
     if m < 1:
         raise InvalidParameterError(f"need m >= 1, got {m}")
     if not is_sufficiently_subdivided(graph, m):
         raise PreconditionError(f"graph is not sufficiently subdivided for m={m}")
+    total = count_cells(graph, m)
+    if total > MAX_CELLS:
+        raise PreconditionError(f"the {m}-particle complex has {total} cells, more than the {MAX_CELLS} allowed")
     keys = graph.coord_keys
     closures = graph.closures
     steps = [

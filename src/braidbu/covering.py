@@ -1,21 +1,27 @@
 """The covering of a configuration complex over its cyclic quotient.
 
-``Covering`` holds the two sides of the m-to-1 covering F -> F/Z_m: the
-configuration complex ``fm`` and its quotient, and on each side a letter map
-naming the based loop of every letter edge.  It is built from a gradient
-field and the letter map of each side, and builds each side's spanning tree
-from these two alone: the field's forest plus the critical edges that name
-no letter (``maximal_tree``), with parent pointers from the base.  The
-upstairs cells over the quotient base are the m sheets, numbered by deck
-exponent.  One lazily filled table answers every question about lifting: ``lift_letter(sheet, letter)`` lifts the letter's
-quotient loop from that sheet, closes the lift through the upstairs tree
-paths from the base and back, and returns its upstairs word with the sheet
-it ends on.  The maps of the paper are read off it:
+A ``Level`` is one side of the m-to-1 covering F -> F/Z_m: a complex, the
+letter naming the based loop of each letter edge, and a spanning tree built
+from the gradient field and the letters alone -- the field's forest plus the
+critical edges that name no letter (``maximal_tree``) -- with parent
+pointers from the base.  It turns paths into loops and loops into words:
+``path_to`` is the tree path from the base, ``close`` makes any path a based
+loop through the tree, ``loop`` is the closed one-edge path of a letter,
+and ``express`` reads a loop's letters off in order.
 
-* ``theta_letter`` / ``theta_word`` -- the end sheet of a lift, walked letter
-  by letter from sheet 0 (the classifying map theta onto Z_m);
-* ``rewrite`` -- the product of the letters' lifts along the running sheet,
-  or None when the walk ends off sheet 0 (restriction along the covering);
+``Covering`` holds the two levels, ``up`` (the configuration complex) and
+``down`` (its quotient).  The upstairs cells over the quotient base are the
+m sheets, numbered by deck exponent.  One lazily filled table answers every
+question about lifting: ``lift_letter(sheet, letter)`` lifts the letter's
+quotient loop from that sheet, closes the lift upstairs, and returns its
+upstairs word with the sheet it ends on.  The maps of the paper are read
+off it:
+
+* ``theta_letter`` / ``theta_word`` -- the sheet on which ``_walk``, the one
+  walk of a word's letter lifts across the sheets from sheet 0, ends (the
+  classifying map theta onto Z_m);
+* ``rewrite`` -- the product of the same walk's lifts, or None when it ends
+  off sheet 0 (restriction along the covering);
 * ``iota_word`` -- each upstairs letter mapped through one per-letter cache
   filled by the hook ``iota_letter``, by default ``iota_by_projection``:
   push the letter's loop down cell-wise and express it against the quotient
@@ -45,9 +51,6 @@ class EdgePath:
     start: Cell
     steps: tuple[Step, ...]
     end: Cell
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
     def is_closed(self) -> bool:
         return self.start == self.end
@@ -85,8 +88,6 @@ def reverse_path(path: EdgePath) -> EdgePath:
 
 
 # -- spanning trees ----------------------------------------------------------
-
-Parents = Mapping[Cell, Optional[tuple[Cell, int, Cell]]]
 
 
 def maximal_tree(field: GradientField, selected: frozenset[Cell]) -> frozenset[Cell]:
@@ -127,28 +128,6 @@ def tree_parents(cx, tree_edges: frozenset[Cell], base: Cell) -> dict[Cell, Opti
     if len(parents) != len(cx.cells_by_dim[0]):
         raise StructuralError("tree does not span the 0-skeleton")
     return parents
-
-
-def tree_path_to(cx, parents: Parents, v: Cell) -> EdgePath:
-    """The unique tree path from the base to v."""
-    steps: list[Step] = []
-    cur = v
-    while parents[cur] is not None:
-        edge, sign, parent = parents[cur]
-        steps.append((edge, sign))
-        cur = parent
-    steps.reverse()
-    return make_path(cx, cur, steps)
-
-
-def generator_loop(cx, parents: Parents, base: Cell, edge: Cell) -> EdgePath:
-    """The based loop of a non-tree edge: tree to its source, edge, tree back."""
-    src, tgt = cx.edge_endpoints(edge)
-    to_src = tree_path_to(cx, parents, src)
-    to_tgt = tree_path_to(cx, parents, tgt)
-    if to_src.start != base or to_tgt.start != base:
-        raise StructuralError("tree paths do not start at the base")
-    return concat(cx, to_src, make_path(cx, src, [(edge, 1)]), reverse_path(to_tgt))
 
 
 # -- loop expression ---------------------------------------------------------
@@ -210,38 +189,68 @@ def lift_path(q: QuotientComplex, qpath: EdgePath, start: Cell) -> EdgePath:
 # -- the covering --------------------------------------------------------------
 
 
-class Covering:
-    """The covering fm -> quotient, with a spanning tree on each side.
+class Level:
+    """One side of the covering: a complex and its letters, with the spanning
+    tree and parent pointers that turn paths into loops and loops into words.
 
-    ``letter_fm`` and ``letter_q`` map critical 1-cells of their side's
-    gradient field to the letter naming their based loop; words on either
-    side are words in these letters.  The other critical 1-cells join the
-    field's forest in that side's spanning tree.
+    ``letters`` maps critical 1-cells of the field to the letter naming their
+    based loop; ``selected`` holds the other critical 1-cells, which join the
+    field's forest in ``tree``.
     """
 
-    def __init__(
-        self,
-        field_fm: GradientField,
-        field_q: GradientField,
-        letter_fm: Mapping[Cell, object],
-        letter_q: Mapping[Cell, object],
-    ):
-        # The fields are not kept: a tree target needs them only here, and
-        # every cached tree system would otherwise hold its matchings.
-        self.fm = fm = field_fm.complex
-        self.quotient = quotient = field_q.complex
-        self.tree_fm, self.tree_q = (
-            maximal_tree(field, frozenset(e for e in field.critical(1) if e not in letters))
-            for field, letters in ((field_fm, letter_fm), (field_q, letter_q))
-        )
-        self.parents_fm = tree_parents(fm, self.tree_fm, fm.base)
-        self.parents_q = tree_parents(quotient, self.tree_q, quotient.base)
-        self.letter_fm = letter_fm
-        self.letter_q = letter_q
-        self._edge_fm = {letter: edge for edge, letter in letter_fm.items()}
-        self._edge_q = {letter: edge for edge, letter in letter_q.items()}
-        self._loops_fm: dict[object, EdgePath] = {}
-        self._loops_q: dict[object, EdgePath] = {}
+    def __init__(self, field: GradientField, letters: Mapping[Cell, object]):
+        # The field is not kept: a tree target needs it only here, and every
+        # cached tree system would otherwise hold its matchings.
+        self.complex = cx = field.complex
+        self.letters = letters
+        self.selected = frozenset(e for e in field.critical(1) if e not in letters)
+        self.tree = maximal_tree(field, self.selected)
+        self.parents = tree_parents(cx, self.tree, cx.base)
+        self._edge = {letter: edge for edge, letter in letters.items()}
+        self._loops: dict[object, EdgePath] = {}
+
+    def path_to(self, v: Cell) -> EdgePath:
+        """The unique tree path from the base to v."""
+        steps: list[Step] = []
+        cur = v
+        while self.parents[cur] is not None:
+            edge, sign, cur = self.parents[cur]
+            steps.append((edge, sign))
+        steps.reverse()
+        return make_path(self.complex, cur, steps)
+
+    def close(self, path: EdgePath) -> EdgePath:
+        """The based loop through the path: the tree path to its start, the
+        path, and the tree path back from its end."""
+        to_start, to_end = self.path_to(path.start), self.path_to(path.end)
+        if to_start.start != self.complex.base or to_end.start != self.complex.base:
+            raise StructuralError("tree paths do not start at the base")
+        return concat(self.complex, to_start, path, reverse_path(to_end))
+
+    def loop(self, letter) -> EdgePath:
+        """The based loop that reads the single letter."""
+        if letter not in self._loops:
+            edge = self._edge[letter]
+            src, tgt = self.complex.edge_endpoints(edge)
+            self._loops[letter] = self.close(EdgePath(src, ((edge, 1),), tgt))
+        return self._loops[letter]
+
+    def express(self, path: EdgePath) -> FreeWord:
+        """The word of a closed path: its letter edges, read in order."""
+        return express_loop(path, self.tree, self.letters.__getitem__)
+
+
+class Covering:
+    """The covering ``up`` -> ``down`` of a configuration complex over its
+    quotient; words on either level are words in that level's letters.
+
+    ``fm`` and ``quotient`` name the two levels' complexes.
+    """
+
+    def __init__(self, up: Level, down: Level):
+        self.up, self.down = up, down
+        self.fm = fm = up.complex
+        self.quotient = down.complex
         self._lifts: dict[tuple[int, object], tuple[FreeWord, int]] = {}
         self._iota: dict[object, FreeWord] = {}
         n = fm.m
@@ -250,31 +259,6 @@ class Covering:
         # under it the canonical type-1 lollipop generator measures +1.
         self._sheets = [act(self.c1 ** (-t % n), fm.base) for t in range(n)]
         self._deck = {cell: t for t, cell in enumerate(self._sheets)}
-
-    # -- loops and their words ----------------------------------------------
-
-    def loop_fm(self, letter) -> EdgePath:
-        """The based upstairs loop that reads the single letter."""
-        if letter not in self._loops_fm:
-            edge = self._edge_fm[letter]
-            self._loops_fm[letter] = generator_loop(self.fm, self.parents_fm, self.fm.base, edge)
-        return self._loops_fm[letter]
-
-    def loop_q(self, letter) -> EdgePath:
-        """The based quotient loop that reads the single letter."""
-        if letter not in self._loops_q:
-            edge = self._edge_q[letter]
-            q = self.quotient
-            self._loops_q[letter] = generator_loop(q, self.parents_q, q.base, edge)
-        return self._loops_q[letter]
-
-    def express_fm(self, path: EdgePath) -> FreeWord:
-        return express_loop(path, self.tree_fm, self.letter_fm.__getitem__)
-
-    def express_q(self, path: EdgePath) -> FreeWord:
-        return express_loop(path, self.tree_q, self.letter_q.__getitem__)
-
-    # -- the maps of the covering ---------------------------------------------
 
     def deck_exponent(self, vertex: Cell) -> int:
         """t in Z_n with vertex == act(c1^-t, base)."""
@@ -288,39 +272,19 @@ class Covering:
         word of the lift closed through the tree paths, and its end sheet."""
         key = (sheet, letter)
         if key not in self._lifts:
-            start = self._sheets[sheet]
-            lifted = lift_path(self.quotient, self.loop_q(letter), start)
-            closed = concat(
-                self.fm,
-                tree_path_to(self.fm, self.parents_fm, start),
-                lifted,
-                reverse_path(tree_path_to(self.fm, self.parents_fm, lifted.end)),
-            )
-            self._lifts[key] = (self.express_fm(closed), self.deck_exponent(lifted.end))
+            lifted = lift_path(self.quotient, self.down.loop(letter), self._sheets[sheet])
+            self._lifts[key] = (self.up.express(self.up.close(lifted)), self.deck_exponent(lifted.end))
         return self._lifts[key]
 
     def theta_letter(self, letter) -> int:
         """The sheet on which the letter's lift from sheet 0 ends."""
         return self.lift_letter(0, letter)[1]
 
-    def theta_by_lift(self, word: FreeWord) -> int:
-        """Walk the word's letters across the sheets from sheet 0; the sheet
-        reached.  A syllable g^-1 steps back by theta(g)."""
-        sheet, n = 0, self.fm.m
-        for letter, sign in word:
-            if sign == 1:
-                sheet = self.lift_letter(sheet, letter)[1]
-            else:
-                sheet = (sheet - self.theta_letter(letter)) % n
-        return sheet
-
-    theta_word = theta_by_lift
-
-    def rewrite(self, word: FreeWord) -> Optional[FreeWord]:
-        """The upstairs word over a quotient word: the product of its letters'
-        lifts along the running sheet, or None when the walk ends off sheet 0
-        (the word lies outside the covering subgroup).  A syllable g^-1 at
-        sheet t is the reversed lift of g from sheet t - theta(g)."""
+    def _walk(self, word: FreeWord) -> tuple[list[FreeWord], int]:
+        """Walk the word's letters across the sheets from sheet 0: each
+        letter's lift from the running sheet, and the sheet reached.  A
+        syllable g^-1 at sheet t is the reversed lift of g from sheet
+        t - theta(g)."""
         sheet, n, pieces = 0, self.fm.m, []
         for letter, sign in word:
             if sign == 1:
@@ -329,11 +293,24 @@ class Covering:
                 sheet = (sheet - self.theta_letter(letter)) % n
                 piece = self.lift_letter(sheet, letter)[0].inverse()
             pieces.append(piece)
+        return pieces, sheet
+
+    def theta_by_lift(self, word: FreeWord) -> int:
+        """The sheet the word's walk from sheet 0 reaches."""
+        return self._walk(word)[1]
+
+    theta_word = theta_by_lift
+
+    def rewrite(self, word: FreeWord) -> Optional[FreeWord]:
+        """The upstairs word over a quotient word: the product of its walk's
+        lifts, or None when the walk ends off sheet 0 (the word lies outside
+        the covering subgroup)."""
+        pieces, sheet = self._walk(word)
         return FreeWord.product(pieces) if sheet == 0 else None
 
     def iota_by_projection(self, letter) -> FreeWord:
         """Push the upstairs letter's loop down cell-wise; its quotient word."""
-        return self.express_q(project_path(self.quotient, self.loop_fm(letter)))
+        return self.down.express(project_path(self.quotient, self.up.loop(letter)))
 
     iota_letter = iota_by_projection  # the per-letter hook iota_word caches
 

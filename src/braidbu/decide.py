@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .complexes import build_dconf, build_quotient, components
-from .covering import Covering
+from .covering import Covering, Level
 from .errors import InvalidParameterError, PreconditionError, StructuralError
 from .fundgroup import GeneratorId, get_system
 from .graphs import Graph, is_sufficiently_subdivided, union_find
@@ -187,13 +187,14 @@ def eliminate_to_free_basis(
 class TreeTargetSystem(Covering):
     """The covering of a tree target's configuration complex.
 
-    Built like ``BraidSystem``: a Farley-Sabalka gradient field on each side,
-    and as letters the critical edges that close a cycle with the forest and
-    the critical edges before them; ``Covering`` puts the others in the
-    maximal tree.  Without critical cells of dimension two or more, the
+    Built like ``BraidSystem``: one ``Level`` per side, from a Farley-Sabalka
+    gradient field and as letters the critical edges that close a cycle with
+    the forest and the critical edges before them; the level puts the others
+    in its maximal tree.  Without critical cells of dimension two or more, the
     letters are a free basis on each level, so reduced words are canonical.
-    Every map comes from ``Covering``: theta and ``rewrite`` walk per-sheet
-    letter lifts, and ``iota_word`` projects each upstairs letter's loop.
+    Every map comes from ``Covering``: theta and ``rewrite`` share its walk
+    of per-sheet letter lifts, and ``iota_word`` projects each upstairs
+    letter's loop.
     """
 
     def __init__(self, graph: Graph, n: int):
@@ -215,12 +216,16 @@ class TreeTargetSystem(Covering):
                 f"braid group of the tree has no free basis for n={n}: critical cells of dimension >= 2"
             )
         field_q = build_field(build_quotient(fm, n), field_fm)
-        letters = []
+        levels = []
         for field in (field_fm, field_q):
             cx = field.complex
-            ends = {e: cx.edge_endpoints(e) for e in field.forest_edges + field.critical(1)}
-            letters.append({e: e for e in union_find(cx.cells_by_dim[0], ends)[1]})
-        super().__init__(field_fm, field_q, *letters)
+            # No name holds the endpoint map, so it is freed before the level
+            # is built; kept alive, it set a tree target's peak memory.
+            closing = union_find(
+                cx.cells_by_dim[0], {e: cx.edge_endpoints(e) for e in field.forest_edges + field.critical(1)}
+            )[1]
+            levels.append(Level(field, {e: e for e in closing}))
+        super().__init__(*levels)
 
     def p1_word(self, word: FreeWord) -> int:
         return 0  # the target is a tree: its fundamental group is trivial
@@ -228,7 +233,7 @@ class TreeTargetSystem(Covering):
     def unit_word(self) -> FreeWord:
         """A quotient word with theta value 1, by running gcds of letter values."""
         g, word = self.n, FreeWord()
-        for letter in self.letter_q:
+        for letter in self.down.letters:
             t = self.theta_letter(letter)
             if t == 0:
                 continue

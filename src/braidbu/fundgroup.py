@@ -20,10 +20,12 @@ geometric oracles:
   deck rotation reached.
 
 ``BraidSystem`` is the ``Covering`` of the lollipop configuration complex
-over its quotient whose letters are the basis elements; the three oracles
-are that covering's projection and lifting.  ``rs_rewrite`` inverts ``iota``
-on its image with the covering's one rewriting: each quotient letter is
-lifted from the sheet the word has reached so far, and the lifts multiply.
+over its quotient whose letters are the basis elements: one ``Level`` per
+side, built from its gradient field and the letters ``_letter`` names.  The
+three oracles are that covering's projection and lifting of the levels'
+basis loops.  ``rs_rewrite`` inverts ``iota`` on its image with the
+covering's one sheet walk: each quotient letter is lifted from the sheet the
+word has reached so far, and the lifts multiply.
 The closed-form theta decides whether a word has a preimage, and the lift
 must agree with it.
 """
@@ -34,7 +36,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .complexes import Cell, act, build_dconf, build_quotient
-from .covering import Covering, EdgePath
+from .covering import Covering, Level
 # Bound here as well: perfbench/tracing.py patches it by looking up fundgroup.maximal_tree.
 from .covering import maximal_tree  # noqa: F401
 from .errors import InvalidParameterError, StructuralError
@@ -86,19 +88,19 @@ class BraidSystem(Covering):
         self.loop_name = self.graph.loop_edge.name
         field_fm = build_field(build_dconf(self.graph, m))
         field_q = build_field(build_quotient(field_fm.complex, m), field_fm)
-        letter_fm, letter_q = {}, {}
-        for space, field, letters in ((SPACE_FM, field_fm, letter_fm), (SPACE_QUOTIENT, field_q, letter_q)):
+        levels = []
+        for space, field in ((SPACE_FM, field_fm), (SPACE_QUOTIENT, field_q)):
+            letters = {}
             for cell in field.critical(1):
                 letter = self._letter(space, *edge_data(cell, self.graph, m))
                 if letter is not None:
                     letters[cell] = letter
-        super().__init__(field_fm, field_q, letter_fm, letter_q)
+            levels.append(Level(field, letters))
+        super().__init__(*levels)
         self.field_fm, self.field_q = field_fm, field_q
-        self.selected_fm = frozenset(e for e in field_fm.critical(1) if e not in letter_fm)
-        self.selected_q = frozenset(e for e in field_q.critical(1) if e not in letter_q)
         by_type = lambda g: (g.type_b, g.sigma.images)
-        self.basis_fm: list[GeneratorId] = sorted(letter_fm.values(), key=by_type)
-        self.basis_q: list[GeneratorId] = sorted(letter_q.values(), key=by_type)
+        self.basis_fm: list[GeneratorId] = sorted(self.up.letters.values(), key=by_type)
+        self.basis_q: list[GeneratorId] = sorted(self.down.letters.values(), key=by_type)
 
     # -- selection -----------------------------------------------------------
 
@@ -120,17 +122,10 @@ class BraidSystem(Covering):
             return None
         return GeneratorId(space, sigma, b)
 
-    # -- bases and loops ------------------------------------------------------
+    # -- bases ----------------------------------------------------------------
 
     def basis(self, space: str) -> list[GeneratorId]:
         return list(self.basis_fm if space == SPACE_FM else self.basis_q)
-
-    def selected(self, space: str) -> frozenset[Cell]:
-        return self.selected_fm if space == SPACE_FM else self.selected_q
-
-    def loop(self, gen: GeneratorId) -> EdgePath:
-        """The based loop of a basis element, in the space it belongs to."""
-        return self.loop_fm(gen) if gen.space == SPACE_FM else self.loop_q(gen)
 
     # -- iota -------------------------------------------------------------
 
@@ -180,7 +175,7 @@ class BraidSystem(Covering):
     def p1_oracle(self, gen: GeneratorId) -> int:
         """Trace the first coordinate along the basis loop; count signed
         crossings of the loop edge."""
-        path = self.loop(gen)
+        path = self.up.loop(gen)
         cur = path.start[0]
         count = 0
         for edge_cell, sign in path.steps:

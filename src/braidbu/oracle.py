@@ -8,11 +8,12 @@ import os
 import random
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import decide as dec
-from .complexes import components
+from .complexes import build_dconf, components
 from .errors import InvalidParameterError
+from .covering import Level
 from .fundgroup import GeneratorId, get_system
 from .graphs import make_path, make_star
 from .morse import GradientField, associated_permutation, edge_source, edge_target, edge_type
@@ -33,10 +34,8 @@ class _Level(NamedTuple):
     """One level of the lollipop covering, as the suite checks it."""
 
     label: str
-    cx: Any
+    level: Level
     field: GradientField
-    tree: frozenset
-    selected: frozenset
     basis: list
     orbit: int  # cells per orbit: 1 upstairs, m in the quotient
 
@@ -44,8 +43,8 @@ class _Level(NamedTuple):
 def _levels(m: int) -> tuple[_Level, _Level]:
     system = get_system(m)
     return (
-        _Level("fm", system.fm, system.field_fm, system.tree_fm, system.selected_fm, system.basis_fm, 1),
-        _Level("quotient", system.quotient, system.field_q, system.tree_q, system.selected_q, system.basis_q, m),
+        _Level("fm", system.up, system.field_fm, system.basis_fm, 1),
+        _Level("quotient", system.down, system.field_q, system.basis_q, m),
     )
 
 
@@ -59,12 +58,12 @@ def _count_types(cells: Iterable, m: int) -> dict[int, int]:
 def morse_rank_check(m: int) -> list[Verdict]:
     """Critical counts against raw Euler characteristics, both spaces."""
     out = []
-    for level in _levels(m):
-        chi = chi_oracle(level.cx)
-        crit0, crit1 = len(level.field.critical(0)), len(level.field.critical(1))
-        out.append((f"morserank.m{m}.{level.label}", crit0 - crit1 == chi, f"{crit0} - {crit1} vs chi {chi}"))
-        rank = len(level.basis)
-        out.append((f"rank.m{m}.{level.label}", rank == 1 - chi, f"rank {rank} vs 1 - chi {1 - chi}"))
+    for lv in _levels(m):
+        chi = chi_oracle(lv.level.complex)
+        crit0, crit1 = len(lv.field.critical(0)), len(lv.field.critical(1))
+        out.append((f"morserank.m{m}.{lv.label}", crit0 - crit1 == chi, f"{crit0} - {crit1} vs chi {chi}"))
+        rank = len(lv.basis)
+        out.append((f"rank.m{m}.{lv.label}", rank == 1 - chi, f"rank {rank} vs 1 - chi {1 - chi}"))
     return out
 
 
@@ -82,27 +81,27 @@ def hom_table(system) -> dict[str, tuple[list[GeneratorId], Callable, Callable]]
 
 def _check_census(m: int) -> list[Verdict]:
     out = []
-    for level in _levels(m):
-        field, expect = level.field, math.factorial(m) // level.orbit
+    for lv in _levels(m):
+        field, expect = lv.field, math.factorial(m) // lv.orbit
         counts = _count_types(field.critical(1), m)
         ok = (
             len(field.critical(0)) == expect
             and all(count == expect for count in counts.values())
-            and not any(field.critical(d) for d in range(2, level.cx.top_dim + 1))
+            and not any(field.critical(d) for d in range(2, lv.level.complex.top_dim + 1))
         )
-        out.append((f"census.m{m}.{level.label}", ok, f"crit0={len(field.critical(0))} by_type={counts}"))
+        out.append((f"census.m{m}.{lv.label}", ok, f"crit0={len(field.critical(0))} by_type={counts}"))
     return out
 
 
 def _check_selection(m: int) -> list[Verdict]:
     out = []
-    for level in _levels(m):
-        counts = _count_types(level.selected, m)
+    for lv in _levels(m):
+        counts = _count_types(lv.level.selected, m)
         # Quotient orbits are named by representatives fixing 1: none of type 1 is selected.
-        lowest = 1 if level.orbit == 1 else 2
+        lowest = 1 if lv.orbit == 1 else 2
         expect = {b: math.factorial(m - b) * (m - b) if lowest <= b < m else 0 for b in range(1, m + 1)}
-        ok = counts == expect and sum(counts.values()) == math.factorial(m) // level.orbit - 1
-        out.append((f"selection.m{m}.{level.label}", ok, f"{counts} vs {expect}"))
+        ok = counts == expect and sum(counts.values()) == math.factorial(m) // lv.orbit - 1
+        out.append((f"selection.m{m}.{lv.label}", ok, f"{counts} vs {expect}"))
     return out
 
 
@@ -110,26 +109,27 @@ def _check_lemma47(m: int) -> list[Verdict]:
     """Target permutation = source permutation * c_b^-1 on every critical
     edge; in the quotient, up to the cyclic action."""
     out = []
-    for level in _levels(m):
-        normal = (lambda p: p) if level.orbit == 1 else (lambda p: cyclic_canonical(p)[0])
-        graph, ok = level.cx.graph, True
-        for cell in level.field.critical(1):
+    for lv in _levels(m):
+        normal = (lambda p: p) if lv.orbit == 1 else (lambda p: cyclic_canonical(p)[0])
+        graph, ok = lv.level.complex.graph, True
+        for cell in lv.field.critical(1):
             src = associated_permutation(edge_source(cell, graph))
             tgt = associated_permutation(edge_target(cell, graph))
             if normal(tgt) != normal(src * Perm.cycle(edge_type(cell, m), m).inverse()):
                 ok = False
                 break
-        noun = "critical edges" if level.orbit == 1 else "orbit edges"
-        out.append((f"lemma47.m{m}.{level.label}", ok, f"{m * math.factorial(m) // level.orbit} {noun}"))
+        noun = "critical edges" if lv.orbit == 1 else "orbit edges"
+        out.append((f"lemma47.m{m}.{lv.label}", ok, f"{m * math.factorial(m) // lv.orbit} {noun}"))
     return out
 
 
 def _check_trees(m: int) -> list[Verdict]:
     # Spanning and acyclicity are checked when the covering builds its trees.
-    return [
-        (f"trees.m{m}.{lv.label}", len(lv.tree) == len(lv.cx.cells_by_dim[0]) - 1, f"{len(lv.tree)} edges")
-        for lv in _levels(m)
-    ]
+    out = []
+    for lv in _levels(m):
+        tree, vertices = lv.level.tree, lv.level.complex.cells_by_dim[0]
+        out.append((f"trees.m{m}.{lv.label}", len(tree) == len(vertices) - 1, f"{len(tree)} edges"))
+    return out
 
 
 def _check_homs(m: int, include_iota_p1: bool) -> list[Verdict]:
@@ -264,16 +264,10 @@ def _check_decisions() -> list[Verdict]:
     verdict = dec.decide_tree(star, 2, dec.ActionData(2, 1, (1,)))
     out.append(("decide.tree_star", not verdict.holds and verdict.witness is not None, "witness verified"))
     ok_path = all(
-        components(_path_complex(m)) == math.factorial(m) for m in (2, 3)
+        components(build_dconf(make_path(2 * m - 1), m)) == math.factorial(m) for m in (2, 3)
     )
     out.append(("decide.path_components", ok_path, "m! components"))
     return out
-
-
-def _path_complex(m: int):
-    from .complexes import build_dconf
-
-    return build_dconf(make_path(2 * m - 1), m)
 
 
 def _check_adapt(count: int = 100, seed: int = 20240810) -> list[Verdict]:

@@ -45,10 +45,6 @@ class FreeWord:
     def gen(letter: Letter, sign: int = 1) -> "FreeWord":
         return FreeWord.of([(letter, sign)])
 
-    @staticmethod
-    def identity() -> "FreeWord":
-        return FreeWord()
-
     def is_identity(self) -> bool:
         return not self.letters
 
@@ -82,9 +78,6 @@ class FreeWord:
 
     def inverse(self) -> "FreeWord":
         return FreeWord(tuple((l, -s) for l, s in reversed(self.letters)))
-
-    def __invert__(self) -> "FreeWord":
-        return self.inverse()
 
     def __pow__(self, k: int) -> "FreeWord":
         """w = u c u^-1 with c cyclically reduced, so w^k = u c^k u^-1 reduced."""

@@ -55,14 +55,14 @@ def test_criterion_02_selection_counts():
     for m in MS:
         system = get_system(m)
         counts = {b: 0 for b in range(1, m + 1)}
-        for cell in system.selected_fm:  # enumerated cells, not formulas
+        for cell in system.up.selected:  # enumerated cells, not formulas
             counts[edge_data(cell, system.graph, m)[1]] += 1
         ok &= all(
             counts[b] == math.factorial(m - b) * (m - b) for b in range(1, m)
         ) and counts[m] == 0
         ok &= sum(counts.values()) == math.factorial(m) - 1
         counts_q = {b: 0 for b in range(1, m + 1)}
-        for rep in system.selected_q:
+        for rep in system.down.selected:
             counts_q[edge_data(rep, system.graph, m)[1]] += 1
         ok &= all(
             counts_q[b] == math.factorial(m - b) * (m - b) for b in range(2, m)
@@ -99,8 +99,8 @@ def test_criterion_04_maximal_trees():
         system = get_system(m)
         # spanning and acyclicity are revalidated inside maximal_tree at build;
         # re-check the tree sizes explicitly here
-        ok &= len(system.tree_fm) == len(system.fm.cells_by_dim[0]) - 1
-        ok &= len(system.tree_q) == len(system.quotient.cells_by_dim[0]) - 1
+        ok &= len(system.up.tree) == len(system.fm.cells_by_dim[0]) - 1
+        ok &= len(system.down.tree) == len(system.quotient.cells_by_dim[0]) - 1
     report(4, ok, "forest + selected edges spans both spaces, m in {2,3,4}")
 
 

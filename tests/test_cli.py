@@ -167,6 +167,7 @@ BAD_INPUTS = {
     "check-negative-m": ("graph", "check", "--graph", "{lollipop}", "--m", "-3"),
     "tree-disconnected": ("decide", "--target", "tree", "--graph", "{claw}", "--n", "3"),
     "tree-not-free": ("decide", "--target", "tree", "--graph", "{two_essential}", "--n", "4"),
+    "too-many-cells": ("pi1", "basis", "--space", "fm", "--m", "7"),
 }
 
 # Essential vertices 0 and 3; four particles can swap around both at once.

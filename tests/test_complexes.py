@@ -1,9 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from test_fuzz import trees
 
 from braidbu.complexes import (
+    MAX_CELLS,
     act,
     build_dconf,
     build_quotient,
@@ -13,7 +15,7 @@ from braidbu.complexes import (
     count_cells,
 )
 from braidbu.errors import InvalidParameterError, PreconditionError
-from braidbu.graphs import make_cycle, make_lollipop, make_path, make_star
+from braidbu.graphs import make_cycle, make_lollipop, make_path, make_star, parse_graph_text
 from braidbu.oracle import chi_oracle
 from braidbu.perms import Perm, all_perms
 
@@ -94,6 +96,25 @@ class TestCount:
 
     def test_m5_without_enumerating(self):
         assert count_cells(make_lollipop(5), 5) == 234240
+
+    def test_oversized_complex_refused_before_enumerating(self):
+        assert count_cells(make_lollipop(6), 6) > MAX_CELLS
+        with pytest.raises(PreconditionError, match="7490160"):
+            build_dconf(make_lollipop(6), 6)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(trees())
+    def test_count_equals_enumeration_on_random_graphs(self, text):
+        try:
+            graph = parse_graph_text(text)
+        except InvalidParameterError:
+            assume(False)
+        for m in (1, 2, 3):
+            try:
+                cx = build_dconf(graph, m)
+            except PreconditionError:
+                continue
+            assert count_cells(graph, m) == sum(len(cells) for cells in cx.cells_by_dim.values())
 
 
 class TestAction:

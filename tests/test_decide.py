@@ -112,8 +112,8 @@ class TestTree:
         system = dec.tree_system(make_star(legs, length), n)
         ranks = []
         for cx, letters, critical0 in (
-            (system.fm, system.letter_fm, math.factorial(n)),
-            (system.quotient, system.letter_q, math.factorial(n - 1)),
+            (system.fm, system.up.letters, math.factorial(n)),
+            (system.quotient, system.down.letters, math.factorial(n - 1)),
         ):
             field = build_field(cx)
             assert len(field.critical(0)) == critical0
@@ -171,7 +171,7 @@ class TestTree:
     @given(data=st.data())
     def test_rewrite_inverts_iota(self, legs, length, n, data):
         system = dec.tree_system(make_star(legs, length), n)
-        syllables = st.tuples(st.sampled_from(list(system.letter_fm.values())), st.sampled_from([1, -1]))
+        syllables = st.tuples(st.sampled_from(list(system.up.letters.values())), st.sampled_from([1, -1]))
         w = FreeWord.of(data.draw(st.lists(syllables, max_size=8)))
         assert system.rewrite(system.iota_word(w)) == w
 

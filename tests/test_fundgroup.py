@@ -40,23 +40,23 @@ def words_over(letters, max_size=10):
 
 class TestSelection:
     def test_m2_selected(self, sys2):
-        assert sys2.selected("fm") == frozenset({(2, "a")})
-        assert sys2.selected("quotient") == frozenset()
+        assert sys2.up.selected == frozenset({(2, "a")})
+        assert sys2.down.selected == frozenset()
 
     def test_m3_counts(self, sys3):
         by_type = {}
-        for cell in sys3.selected("fm"):
+        for cell in sys3.up.selected:
             from braidbu.morse import edge_type
 
             by_type[edge_type(cell, 3)] = by_type.get(edge_type(cell, 3), 0) + 1
         assert by_type == {1: 4, 2: 1}
-        assert len(sys3.selected("fm")) == math.factorial(3) - 1
-        assert sys3.selected("quotient") == frozenset({(0, 3, "a")})
+        assert len(sys3.up.selected) == math.factorial(3) - 1
+        assert sys3.down.selected == frozenset({(0, 3, "a")})
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_totals(self, m):
-        assert len(get_system(m).selected("fm")) == math.factorial(m) - 1
-        assert len(get_system(m).selected("quotient")) == math.factorial(m - 1) - 1
+        assert len(get_system(m).up.selected) == math.factorial(m) - 1
+        assert len(get_system(m).down.selected) == math.factorial(m - 1) - 1
 
 
 class TestMaximalTrees:
@@ -65,7 +65,7 @@ class TestMaximalTrees:
     def test_spanning(self, m, space):
         system = get_system(m)
         field = system.field_fm if space == "fm" else system.field_q
-        tree = maximal_tree(field, system.selected(space))
+        tree = maximal_tree(field, (system.up if space == "fm" else system.down).selected)
         assert len(tree) == len(field.complex.cells_by_dim[0]) - 1
 
     def test_bad_selection_caught(self, sys2):
@@ -83,17 +83,36 @@ COVERINGS = {
 
 
 class TestCoveringContract:
+    """Both levels of every covering keep the ``Level`` contract."""
+
     @pytest.mark.parametrize("name", sorted(COVERINGS))
     def test_letters_and_selected_edges_partition_critical_edges(self, name):
         system = COVERINGS[name]()
         field_fm = build_field(system.fm)
-        for field, tree, letters in (
-            (field_fm, system.tree_fm, system.letter_fm),
-            (build_field(system.quotient, field_fm), system.tree_q, system.letter_q),
-        ):
-            selected = tree - frozenset(field.forest_edges)
-            assert selected | set(letters) == set(field.critical(1))
-            assert not selected & set(letters)
+        for field, level in ((field_fm, system.up), (build_field(system.quotient, field_fm), system.down)):
+            selected = level.tree - frozenset(field.forest_edges)
+            assert selected == level.selected
+            assert selected | set(level.letters) == set(field.critical(1))
+            assert not selected & set(level.letters)
+
+    @pytest.mark.parametrize("name", sorted(COVERINGS))
+    def test_every_letter_loop_is_based_and_reads_its_letter(self, name):
+        system = COVERINGS[name]()
+        for level in (system.up, system.down):
+            for letter in level.letters.values():
+                loop = level.loop(letter)
+                assert loop.start == loop.end == level.complex.base
+                assert level.express(loop) == FreeWord.gen(letter)
+
+    @pytest.mark.parametrize("name", ["star(3,2)-n2", "star(4,3)-n3"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_walk_theta_is_a_homomorphism(self, name, data):
+        # A tree covering's theta_word is the sheet walk itself.
+        system = COVERINGS[name]()
+        letters = list(system.down.letters.values())
+        u, v = data.draw(words_over(letters)), data.draw(words_over(letters))
+        assert system.theta_word(u * v) == (system.theta_word(u) + system.theta_word(v)) % system.fm.m
 
 
 class TestBases:
@@ -120,27 +139,27 @@ class TestBases:
 class TestExpressLoop:
     def test_tree_only_path_is_trivial(self, sys2):
         # a there-and-back walk inside the maximal tree
-        edge = next(iter(sys2.tree_fm))
+        edge = next(iter(sys2.up.tree))
         src, tgt = sys2.fm.edge_endpoints(edge)
         path = make_edge_path(sys2.fm, src, [(edge, 1), (edge, -1)])
-        assert express_loop(path, sys2.tree_fm, lambda e: e).is_identity()
+        assert express_loop(path, sys2.up.tree, lambda e: e).is_identity()
 
     def test_generator_loop_reads_one_letter(self, sys2):
         for gen in sys2.basis_fm:
-            word = sys2.express_fm(sys2.loop(gen))
+            word = sys2.up.express(sys2.up.loop(gen))
             assert word == FreeWord.gen(gen)
 
     def test_concatenation_multiplies(self, sys2):
         g1, g2 = sys2.basis_fm[0], sys2.basis_fm[1]
-        path = concat(sys2.fm, sys2.loop(g1), sys2.loop(g2))
-        assert sys2.express_fm(path) == FreeWord.gen(g1) * FreeWord.gen(g2)
+        path = concat(sys2.fm, sys2.up.loop(g1), sys2.up.loop(g2))
+        assert sys2.up.express(path) == FreeWord.gen(g1) * FreeWord.gen(g2)
 
     def test_open_path_rejected(self, sys2):
-        edge = next(iter(sys2.tree_fm))
+        edge = next(iter(sys2.up.tree))
         src, _tgt = sys2.fm.edge_endpoints(edge)
         path = make_edge_path(sys2.fm, src, [(edge, 1)])
         with pytest.raises(Exception):
-            express_loop(path, sys2.tree_fm, lambda e: e)
+            express_loop(path, sys2.up.tree, lambda e: e)
 
 
 class TestIota:
@@ -215,6 +234,13 @@ class TestTheta:
         system = get_system(m)
         for gen in system.basis_q:
             assert system.theta_closed_form(gen) == system.theta_oracle(FreeWord.gen(gen))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_walk_agrees_with_closed_form_on_words(self, data):
+        system = get_system(data.draw(st.integers(2, 4)))
+        w = data.draw(words_over(system.basis_q))
+        assert system.theta_oracle(w) == system.theta_word(w)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_oracle_is_a_homomorphism(self, m):
