@@ -3,11 +3,12 @@
 A ``Level`` is one side of the m-to-1 covering F -> F/Z_m: a complex, the
 letter naming the based loop of each letter edge, and a spanning tree built
 from the gradient field and the letters alone -- the field's forest plus the
-critical edges that name no letter (``maximal_tree``) -- with parent
-pointers from the base.  It turns paths into loops and loops into words:
-``path_to`` is the tree path from the base, ``close`` makes any path a based
-loop through the tree, ``loop`` is the closed one-edge path of a letter,
-and ``express`` reads a loop's letters off in order.
+critical edges that name no letter (``maximal_tree``) -- with parent pointers
+from the base, over endpoints read once per level (``skeleton``).  It turns
+paths into loops and loops into words: ``path_to`` is the tree path from the
+base, ``close`` makes any path a based loop through the tree, ``loop`` is the
+closed one-edge path of a letter, and ``express`` reads a loop's letters off
+in order.
 
 ``Covering`` holds the two levels, ``up`` (the configuration complex) and
 ``down`` (its quotient).  The upstairs cells over the quotient base are the
@@ -90,42 +91,52 @@ def reverse_path(path: EdgePath) -> EdgePath:
 # -- spanning trees ----------------------------------------------------------
 
 
-def maximal_tree(field: GradientField, selected: frozenset[Cell]) -> frozenset[Cell]:
-    """Forest edges plus the selected critical edges; checked to span."""
+def skeleton(field: GradientField) -> tuple[dict[Cell, tuple[Cell, Cell]], dict[Cell, Cell], list[Cell]]:
+    """(source, target) of each forest, then each critical, 1-cell, and one
+    ``union_find`` over them: each 0-cell's root and the edges closing a cycle.
+    The field collapses the complex onto these cells (Forman), so the roots
+    are the components of the whole 1-skeleton."""
     cx = field.complex
-    edges = list(field.forest_edges) + sorted(selected, key=cx.sort_key)
-    vertices = cx.cells_by_dim[0]
+    ends = {e: cx.edge_endpoints(e) for e in field.forest_edges + field.critical(1)}
+    return (ends, *union_find(cx.cells_by_dim[0], ends))
+
+
+def maximal_tree(field: GradientField, selected: frozenset[Cell]) -> frozenset[Cell]:
+    """Forest edges plus the selected critical edges, checked to number V - 1;
+    ``tree_parents`` then checks that they reach every 0-cell, so they span."""
+    edges = field.forest_edges + list(selected)
+    vertices = field.complex.cells_by_dim[0]
     if len(edges) != len(vertices) - 1:
-        raise StructuralError(
-            f"candidate tree has {len(edges)} edges on {len(vertices)} vertices"
-        )
-    _, closing = union_find(vertices, {e: cx.edge_endpoints(e) for e in edges})
-    if closing:
-        raise StructuralError(f"candidate tree has a cycle through {closing[0]!r}")
+        raise StructuralError(f"candidate tree has {len(edges)} edges on {len(vertices)} vertices")
     return frozenset(edges)
 
 
-def tree_parents(cx, tree_edges: frozenset[Cell], base: Cell) -> dict[Cell, Optional[tuple[Cell, int, Cell]]]:
+def tree_parents(cx, tree_edges, base: Cell, ends=None) -> dict[Cell, Optional[tuple[Cell, int, Cell]]]:
     """Breadth-first parent pointers within a spanning set of 1-cells.
 
-    parents[v] is (edge, sign, parent) where traversing edge with sign leads
-    from parent to v; the base maps to None.  Raises if the tree does not
-    reach every 0-cell.
+    parents[v] = (edge, sign, parent), v and parent the complex's own 0-cells,
+    where traversing edge with sign leads from parent to v; the base maps to None.
+    ``ends`` maps edges to (source, target), by default ``cx.edge_endpoints``.
+    A tree's paths from the base are unique, so the edges' order does not
+    matter.  Raises if the edges miss a 0-cell, as V - 1 edges with a cycle do.
     """
-    adjacency: dict[Cell, list[tuple[Cell, int, Cell]]] = {v: [] for v in cx.cells_by_dim[0]}
-    for e in sorted(tree_edges, key=cx.sort_key):
-        src, tgt = cx.edge_endpoints(e)
-        adjacency[src].append((e, 1, tgt))
-        adjacency[tgt].append((e, -1, src))
+    endpoints = cx.edge_endpoints if ends is None else ends.__getitem__
+    # Each 0-cell maps to itself too, so fresh endpoint tuples are never stored.
+    adjacency = {v: (v, []) for v in cx.cells_by_dim[0]}
+    for e in tree_edges:
+        src, tgt = endpoints(e)
+        (src, out), (tgt, into) = adjacency[src], adjacency[tgt]
+        out.append((e, 1, tgt))
+        into.append((e, -1, src))
     parents: dict[Cell, Optional[tuple[Cell, int, Cell]]] = {base: None}
     queue = deque([base])
     while queue:
         u = queue.popleft()
-        for edge, sign, v in adjacency[u]:
+        for edge, sign, v in adjacency[u][1]:
             if v not in parents:
                 parents[v] = (edge, sign, u)
                 queue.append(v)
-    if len(parents) != len(cx.cells_by_dim[0]):
+    if len(parents) != len(adjacency):
         raise StructuralError("tree does not span the 0-skeleton")
     return parents
 
@@ -174,15 +185,13 @@ def lift_path(q: QuotientComplex, qpath: EdgePath, start: Cell) -> EdgePath:
     for orbit_edge, sign in qpath.steps:
         hits = []
         for member in q.members_of[orbit_edge]:
-            src, tgt = q.fm.edge_endpoints(member)
-            if (sign == 1 and src == cur) or (sign == -1 and tgt == cur):
-                hits.append(member)
+            frm, to = _step_endpoints(q.fm, (member, sign))
+            if frm == cur:
+                hits.append((member, to))
         if len(hits) != 1:
             raise StructuralError(f"lift of {orbit_edge!r} at {cur!r} is not unique")
-        member = hits[0]
-        src, tgt = q.fm.edge_endpoints(member)
+        member, cur = hits[0]
         steps.append((member, sign))
-        cur = tgt if sign == 1 else src
     return EdgePath(start, tuple(steps), cur)
 
 
@@ -195,17 +204,18 @@ class Level:
 
     ``letters`` maps critical 1-cells of the field to the letter naming their
     based loop; ``selected`` holds the other critical 1-cells, which join the
-    field's forest in ``tree``.
+    field's forest in ``tree``; ``ends`` maps its edges to their endpoints
+    when the caller has them (``skeleton``).
     """
 
-    def __init__(self, field: GradientField, letters: Mapping[Cell, object]):
-        # The field is not kept: a tree target needs it only here, and every
-        # cached tree system would otherwise hold its matchings.
+    def __init__(self, field: GradientField, letters: Mapping[Cell, object], ends=None):
+        # Neither the field nor the endpoint table is kept: a tree target
+        # needs them only here, and every cached system would hold them.
         self.complex = cx = field.complex
         self.letters = letters
         self.selected = frozenset(e for e in field.critical(1) if e not in letters)
         self.tree = maximal_tree(field, self.selected)
-        self.parents = tree_parents(cx, self.tree, cx.base)
+        self.parents = tree_parents(cx, self.tree, cx.base, ends)
         self._edge = {letter: edge for edge, letter in letters.items()}
         self._loops: dict[object, EdgePath] = {}
 

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .complexes import build_dconf, build_quotient, components
-from .covering import Covering, Level
+from .complexes import build_dconf, build_quotient
+from .covering import Covering, Level, skeleton
 from .errors import InvalidParameterError, PreconditionError, StructuralError
 from .fundgroup import GeneratorId, get_system
-from .graphs import Graph, is_sufficiently_subdivided, union_find
+from .graphs import Graph, is_sufficiently_subdivided
 from .morse import build_field
 from .perms import Perm
 from .words import FreeWord, cyclically_reduced
@@ -192,6 +192,8 @@ class TreeTargetSystem(Covering):
     the forest and the critical edges before them; the level puts the others
     in its maximal tree.  Without critical cells of dimension two or more, the
     letters are a free basis on each level, so reduced words are canonical.
+    One ``skeleton`` per level gives its letters and, upstairs, its components;
+    a disconnected target, then a non-free one, is refused before the quotient.
     Every map comes from ``Covering``: theta and ``rewrite`` share its walk
     of per-sheet letter lifts, and ``iota_word`` projects each upstairs
     letter's loop.
@@ -207,25 +209,19 @@ class TreeTargetSystem(Covering):
         self.graph = graph
         self.n = n
         fm = build_dconf(graph, n)
-        if components(fm) != 1:
-            raise PreconditionError(f"configuration complex of the tree is disconnected for n={n}")
         field_fm = build_field(fm)
+        ends, roots, closing = skeleton(field_fm)
+        if len(set(roots.values())) != 1:
+            raise PreconditionError(f"configuration complex of the tree is disconnected for n={n}")
         if any(field_fm.critical(d) for d in range(2, fm.top_dim + 1)):
             # The quotient's critical cells are the orbits of these, so one test serves both.
             raise PreconditionError(
                 f"braid group of the tree has no free basis for n={n}: critical cells of dimension >= 2"
             )
+        up = Level(field_fm, {e: e for e in closing}, ends)
         field_q = build_field(build_quotient(fm, n), field_fm)
-        levels = []
-        for field in (field_fm, field_q):
-            cx = field.complex
-            # No name holds the endpoint map, so it is freed before the level
-            # is built; kept alive, it set a tree target's peak memory.
-            closing = union_find(
-                cx.cells_by_dim[0], {e: cx.edge_endpoints(e) for e in field.forest_edges + field.critical(1)}
-            )[1]
-            levels.append(Level(field, {e: e for e in closing}))
-        super().__init__(*levels)
+        ends, _, closing = skeleton(field_q)
+        super().__init__(up, Level(field_q, {e: e for e in closing}, ends))
 
     def p1_word(self, word: FreeWord) -> int:
         return 0  # the target is a tree: its fundamental group is trivial

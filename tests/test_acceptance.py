@@ -97,8 +97,8 @@ def test_criterion_04_maximal_trees():
     ok = True
     for m in MS:
         system = get_system(m)
-        # spanning and acyclicity are revalidated inside maximal_tree at build;
-        # re-check the tree sizes explicitly here
+        # at build, maximal_tree checks the V - 1 edge count and tree_parents
+        # that the edges reach every vertex; re-check the tree sizes here
         ok &= len(system.up.tree) == len(system.fm.cells_by_dim[0]) - 1
         ok &= len(system.down.tree) == len(system.quotient.cells_by_dim[0]) - 1
     report(4, ok, "forest + selected edges spans both spaces, m in {2,3,4}")

@@ -1,14 +1,23 @@
 import math
+from collections import deque
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidbu.covering import concat, express_loop, make_path as make_edge_path, maximal_tree
+from braidbu.complexes import build_dconf, build_quotient, components
+from braidbu.covering import (
+    concat,
+    express_loop,
+    make_path as make_edge_path,
+    maximal_tree,
+    skeleton,
+    tree_parents,
+)
 from braidbu.decide import tree_system
 from braidbu.errors import StructuralError
 from braidbu.fundgroup import GeneratorId, get_system
-from braidbu.graphs import make_star
+from braidbu.graphs import make_path, make_star
 from braidbu.morse import build_field
 from braidbu.oracle import chi_oracle
 from braidbu.perms import Perm
@@ -72,6 +81,44 @@ class TestMaximalTrees:
         with pytest.raises(StructuralError):
             maximal_tree(sys2.field_fm, frozenset())  # too few edges to span
 
+    def test_cycle_with_a_spanning_count_caught(self, sys2):
+        # Swap a forest edge off the letter's loop for the letter edge: still
+        # V - 1 edges, but one closes a cycle, so they no longer reach every
+        # 0-cell from the base.
+        level, cx = sys2.up, sys2.fm
+        letter_edge, letter = next(iter(level.letters.items()))
+        on_loop = {edge for edge, _ in level.loop(letter).steps}
+        dropped = next(e for e in sys2.field_fm.forest_edges if e not in on_loop)
+        candidate = (level.tree - {dropped}) | {letter_edge}
+        assert len(candidate) == len(cx.cells_by_dim[0]) - 1
+        with pytest.raises(StructuralError, match="does not span"):
+            tree_parents(cx, candidate, cx.base)
+
+
+# (graph, particles, components of the 1-skeleton); the stars are the benchmark's tree targets.
+SKELETONS = {
+    **{
+        f"star({legs},{length})-n{n}": (make_star(legs, length), n, 1)
+        for legs, length, n in ((3, 2, 2), (4, 3, 2), (5, 2, 2), (3, 2, 3), (4, 2, 3), (3, 3, 3), (5, 2, 3))
+    },
+    "claw-n3": (make_star(3, 1), 3, 6),
+    "path(3)-m2": (make_path(3), 2, 2),
+    "path(5)-m3": (make_path(5), 3, 6),
+}
+
+
+class TestSkeleton:
+    @pytest.mark.parametrize("name", sorted(SKELETONS))
+    def test_forest_and_critical_edges_give_the_components(self, name):
+        graph, m, count = SKELETONS[name]
+        fm = build_dconf(graph, m)
+        field = build_field(fm)
+        _, roots, _ = skeleton(field)
+        assert len(set(roots.values())) == components(fm) == count
+        q = build_quotient(fm, m)
+        _, roots, _ = skeleton(build_field(q, field))
+        assert len(set(roots.values())) == components(q)
+
 
 COVERINGS = {
     "lollipop-m2": lambda: get_system(2),
@@ -94,6 +141,35 @@ class TestCoveringContract:
             assert selected == level.selected
             assert selected | set(level.letters) == set(field.critical(1))
             assert not selected & set(level.letters)
+
+    @pytest.mark.parametrize("name", sorted(COVERINGS))
+    def test_parents_agree_with_a_sorted_walk(self, name):
+        # The walk over sort_key-sorted tree edges that tree_parents made
+        # before it took them in any order.
+        system = COVERINGS[name]()
+        for level in (system.up, system.down):
+            cx = level.complex
+            adjacency = {v: [] for v in cx.cells_by_dim[0]}
+            for e in sorted(level.tree, key=cx.sort_key):
+                src, tgt = cx.edge_endpoints(e)
+                adjacency[src].append((e, 1, tgt))
+                adjacency[tgt].append((e, -1, src))
+            parents, queue = {cx.base: None}, deque([cx.base])
+            while queue:
+                u = queue.popleft()
+                for edge, sign, v in adjacency[u]:
+                    if v not in parents:
+                        parents[v] = (edge, sign, u)
+                        queue.append(v)
+            assert parents == level.parents
+
+    @pytest.mark.parametrize("name", ["lollipop-m4", "star(4,3)-n3"])
+    def test_parents_hold_the_complexs_own_vertices(self, name):
+        system = COVERINGS[name]()
+        for level in (system.up, system.down):
+            own = {id(v) for v in level.complex.cells_by_dim[0]}
+            assert all(id(v) in own for v in level.parents)
+            assert all(id(entry[2]) in own for entry in level.parents.values() if entry is not None)
 
     @pytest.mark.parametrize("name", sorted(COVERINGS))
     def test_every_letter_loop_is_based_and_reads_its_letter(self, name):
