@@ -193,7 +193,7 @@ def cmd_decide(args) -> int:
         if args.k is None:
             raise InvalidParameterError("wedge target needs --k")
         m = args.m if args.m is not None else args.n
-        action = dec.ActionData(m, 1, _parse_theta(args.theta, 1, m))
+        action = dec.ActionData(m, args.r, _parse_theta(args.theta, args.r, m))
         verdict = dec.decide_wedge(args.k, m, action)
     report.records.append(("borsuk_ulam", "holds" if verdict.holds else "fails"))
     if args.emit_witness and verdict.witness is not None:

@@ -109,7 +109,7 @@ def build_dconf(graph: Graph, m: int) -> CubeComplex:
     if m < 1:
         raise InvalidParameterError(f"need m >= 1, got {m}")
     if not is_sufficiently_subdivided(graph, m):
-        raise PreconditionError(f"graph is not sufficiently subdivided for m={m}")
+        raise PreconditionError(f"graph is not sufficiently subdivided for {m} particles")
     total = count_cells(graph, m)
     if total > MAX_CELLS:
         raise PreconditionError(f"the {m}-particle complex has {total} cells, more than the {MAX_CELLS} allowed")

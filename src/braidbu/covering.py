@@ -10,23 +10,29 @@ base, ``close`` makes any path a based loop through the tree, ``loop`` is the
 closed one-edge path of a letter, and ``express`` reads a loop's letters off
 in order.
 
-``Covering`` holds the two levels, ``up`` (the configuration complex) and
-``down`` (its quotient).  The upstairs cells over the quotient base are the
-m sheets, numbered by deck exponent.  One lazily filled table answers every
-question about lifting: ``lift_letter(sheet, letter)`` lifts the letter's
-quotient loop from that sheet, closes the lift upstairs, and returns its
-upstairs word with the sheet it ends on.  The maps of the paper are read
-off it:
+``build_fields(graph, n)`` gives the gradient fields of both sides, and
+``Covering`` builds its two levels from them, ``up`` (the configuration
+complex) and ``down`` (its quotient), naming letters through ``_letters``:
+by default the critical edges that close a cycle, as for every tree target;
+``BraidSystem`` names the lollipop's.  The upstairs cells over the quotient
+base are the m sheets, numbered by deck exponent.  One lazily filled table
+answers every question about lifting: ``lift_letter(sheet, letter)`` lifts
+the letter's quotient loop from that sheet, closes the lift upstairs, and
+returns its upstairs word with the sheet it ends on.  The maps of the paper
+are read off the covering:
 
 * ``theta_letter`` / ``theta_word`` -- the sheet on which ``_walk``, the one
   walk of a word's letter lifts across the sheets from sheet 0, ends (the
-  classifying map theta onto Z_m);
+  classifying map theta onto Z_m); ``unit_word`` is a word it sends to 1;
 * ``rewrite`` -- the product of the same walk's lifts, or None when it ends
   off sheet 0 (restriction along the covering);
 * ``iota_word`` -- each upstairs letter mapped through one per-letter cache
   filled by the hook ``iota_letter``, by default ``iota_by_projection``:
   push the letter's loop down cell-wise and express it against the quotient
-  tree (the injection iota).
+  tree (the injection iota);
+* ``p1_word`` -- the sum of ``p1_oracle`` over the letters: coordinate 0's
+  signed crossings of the graph's loop edge along each letter's loop (the
+  first particle's image in the graph's fundamental group, 0 on a tree).
 
 The module functions below work on any complex through its 1-skeleton:
 vertices are 0-cells, edges are 1-cells with a (source, target) orientation.
@@ -37,10 +43,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
-from .complexes import Cell, QuotientComplex, act
-from .errors import InvalidParameterError, StructuralError
-from .graphs import union_find
-from .morse import GradientField
+from .complexes import Cell, QuotientComplex, act, build_dconf, build_quotient
+from .errors import InvalidParameterError, PreconditionError, StructuralError
+from .graphs import Graph, union_find
+from .morse import GradientField, build_field
 from .perms import Perm
 from .words import FreeWord
 
@@ -250,25 +256,53 @@ class Level:
         return express_loop(path, self.tree, self.letters.__getitem__)
 
 
+def build_fields(graph: Graph, n: int) -> tuple[GradientField, GradientField]:
+    """The gradient fields of the graph's n-particle configuration complex
+    and of its quotient.  A field with critical cells of dimension two or
+    more leaves the letters no free basis; it is refused before the quotient
+    is built, whose critical cells are the orbits of these."""
+    field_fm = build_field(build_dconf(graph, n))
+    fm = field_fm.complex
+    if any(field_fm.critical(d) for d in range(2, fm.top_dim + 1)):
+        raise PreconditionError(
+            f"braid group of the tree has no free basis for n={n}: critical cells of dimension >= 2"
+        )
+    return field_fm, build_field(build_quotient(fm, n), field_fm)
+
+
 class Covering:
     """The covering ``up`` -> ``down`` of a configuration complex over its
-    quotient; words on either level are words in that level's letters.
+    quotient, one ``Level`` built from each field of ``build_fields``; words
+    on either level are words in that level's letters, a free basis.
 
-    ``fm`` and ``quotient`` name the two levels' complexes.
+    ``fm`` and ``quotient`` name the two levels' complexes, ``graph`` the
+    graph the particles move on and ``m`` their number.
     """
 
-    def __init__(self, up: Level, down: Level):
-        self.up, self.down = up, down
-        self.fm = fm = up.complex
-        self.quotient = down.complex
+    def __init__(self, field_fm: GradientField, field_q: GradientField):
+        self.fm = fm = field_fm.complex
+        self.quotient = field_q.complex
+        self.graph = fm.graph
+        self.m = n = fm.m
+        self.up = Level(field_fm, *self._letters(field_fm))
+        self.down = Level(field_q, *self._letters(field_q))
         self._lifts: dict[tuple[int, object], tuple[FreeWord, int]] = {}
         self._iota: dict[object, FreeWord] = {}
-        n = fm.m
         self.c1 = Perm.cycle(1, n)
         # The deck group is identified with Z_n through the inverse rotation:
         # under it the canonical type-1 lollipop generator measures +1.
         self._sheets = [act(self.c1 ** (-t % n), fm.base) for t in range(n)]
         self._deck = {cell: t for t, cell in enumerate(self._sheets)}
+
+    def _letters(self, field: GradientField) -> tuple[dict[Cell, object], Optional[dict]]:
+        """The level's letters and the endpoint table ``Level`` reads its tree
+        from (``skeleton``): each critical edge that closes a cycle with the
+        forest and the critical edges before it is named by itself.  Refuses
+        a disconnected complex."""
+        ends, roots, closing = skeleton(field)
+        if len(set(roots.values())) != 1:
+            raise PreconditionError(f"configuration complex of the tree is disconnected for n={self.m}")
+        return {e: e for e in closing}, ends
 
     def deck_exponent(self, vertex: Cell) -> int:
         """t in Z_n with vertex == act(c1^-t, base)."""
@@ -295,7 +329,7 @@ class Covering:
         letter's lift from the running sheet, and the sheet reached.  A
         syllable g^-1 at sheet t is the reversed lift of g from sheet
         t - theta(g)."""
-        sheet, n, pieces = 0, self.fm.m, []
+        sheet, n, pieces = 0, self.m, []
         for letter, sign in word:
             if sign == 1:
                 piece, sheet = self.lift_letter(sheet, letter)
@@ -329,3 +363,55 @@ class Covering:
         for letter in word.support() - cache.keys():
             cache[letter] = self.iota_letter(letter)
         return FreeWord.product(cache[l] if sign == 1 else cache[l].inverse() for l, sign in word)
+
+    def p1_oracle(self, letter) -> int:
+        """Trace coordinate 0 along the upstairs letter's loop; its signed
+        crossings of the graph's loop edge (0 on a graph without one)."""
+        path = self.up.loop(letter)
+        loop_edge = self.graph.loop_edge
+        cur = path.start[0]
+        count = 0
+        for edge_cell, sign in path.steps:
+            if not isinstance(edge_cell[0], str):
+                continue  # coordinate 0 rests on a vertex
+            e = self.graph.edge_by_name[edge_cell[0]]
+            if cur != (e.lo if sign == 1 else e.hi):
+                raise StructuralError("first-coordinate trace lost the walk")
+            cur = e.hi if sign == 1 else e.lo
+            if e is loop_edge:
+                count += sign
+        if cur != path.start[0]:
+            raise StructuralError("first-coordinate trace did not close up")
+        return count
+
+    def p1_word(self, word: FreeWord) -> int:
+        return word.evaluate_additive(self.p1_oracle)
+
+    def unit_word(self) -> FreeWord:
+        """A quotient word with theta value 1, by running gcds of letter values."""
+        g, word = self.m, FreeWord()
+        for letter in self.down.letters.values():
+            t = self.theta_letter(letter)
+            if t == 0:
+                continue
+            g2, x, y = _ext_gcd(g, t)
+            word = (word ** x) * (FreeWord.gen(letter) ** y)
+            g = g2
+            if g == 1:
+                break
+        if g != 1 or self.theta_word(word) != 1:
+            raise StructuralError("classifying map is not surjective on letters")
+        return word
+
+
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = x*a + y*b."""
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    return old_r, old_x, old_y

@@ -6,7 +6,8 @@ surjection theta_tau onto Z_n classifying the covering.  Targets:
 
 * interval  -- the property always holds;
 * tree (not an interval) -- always fails; a witness pair of homomorphisms is
-  built on the tree's own configuration complex and verified;
+  built on the ``Covering`` of the tree's own configuration complex and
+  verified;
 * circle -- fails exactly for the block-constant classes whose leading entry
   is 1 mod n; decided arithmetically and cross-checked by brute force;
 * circle wedge interval (Euler characteristic zero source) -- always fails;
@@ -19,12 +20,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .complexes import build_dconf, build_quotient
-from .covering import Covering, Level, skeleton
-from .errors import InvalidParameterError, PreconditionError, StructuralError
+from .covering import Covering, build_fields
+from .errors import InvalidParameterError, StructuralError
 from .fundgroup import GeneratorId, get_system
-from .graphs import Graph, is_sufficiently_subdivided
-from .morse import build_field
+from .graphs import Graph
 from .perms import Perm
 from .words import FreeWord, cyclically_reduced
 
@@ -184,78 +183,6 @@ def eliminate_to_free_basis(
     return surviving, resolved
 
 
-class TreeTargetSystem(Covering):
-    """The covering of a tree target's configuration complex.
-
-    Built like ``BraidSystem``: one ``Level`` per side, from a Farley-Sabalka
-    gradient field and as letters the critical edges that close a cycle with
-    the forest and the critical edges before them; the level puts the others
-    in its maximal tree.  Without critical cells of dimension two or more, the
-    letters are a free basis on each level, so reduced words are canonical.
-    One ``skeleton`` per level gives its letters and, upstairs, its components;
-    a disconnected target, then a non-free one, is refused before the quotient.
-    Every map comes from ``Covering``: theta and ``rewrite`` share its walk
-    of per-sheet letter lifts, and ``iota_word`` projects each upstairs
-    letter's loop.
-    """
-
-    def __init__(self, graph: Graph, n: int):
-        if not graph.is_tree:
-            raise InvalidParameterError("target must be a tree")
-        if not graph.essential_vertices:
-            raise InvalidParameterError("target tree is an interval; use decide_interval")
-        if not is_sufficiently_subdivided(graph, n):
-            raise PreconditionError(f"tree is not sufficiently subdivided for n={n}")
-        self.graph = graph
-        self.n = n
-        fm = build_dconf(graph, n)
-        field_fm = build_field(fm)
-        ends, roots, closing = skeleton(field_fm)
-        if len(set(roots.values())) != 1:
-            raise PreconditionError(f"configuration complex of the tree is disconnected for n={n}")
-        if any(field_fm.critical(d) for d in range(2, fm.top_dim + 1)):
-            # The quotient's critical cells are the orbits of these, so one test serves both.
-            raise PreconditionError(
-                f"braid group of the tree has no free basis for n={n}: critical cells of dimension >= 2"
-            )
-        up = Level(field_fm, {e: e for e in closing}, ends)
-        field_q = build_field(build_quotient(fm, n), field_fm)
-        ends, _, closing = skeleton(field_q)
-        super().__init__(up, Level(field_q, {e: e for e in closing}, ends))
-
-    def p1_word(self, word: FreeWord) -> int:
-        return 0  # the target is a tree: its fundamental group is trivial
-
-    def unit_word(self) -> FreeWord:
-        """A quotient word with theta value 1, by running gcds of letter values."""
-        g, word = self.n, FreeWord()
-        for letter in self.down.letters:
-            t = self.theta_letter(letter)
-            if t == 0:
-                continue
-            g2, x, y = _ext_gcd(g, t)
-            word = (word ** x) * (FreeWord.gen(letter) ** y)
-            g = g2
-            if g == 1:
-                break
-        if g != 1 or self.theta_word(word) != 1:
-            raise StructuralError("classifying map is not surjective on letters")
-        return word
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with g = gcd(a, b) = x*a + y*b."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
-
-
 # -- diagram verification -----------------------------------------------------
 
 
@@ -268,9 +195,9 @@ def verify_diagram(
 ) -> VerifyResult:
     """Check the three faces of the master diagram on every generator.
 
-    system must provide theta_word, iota_word and p1_word; phi is given on a
-    free basis of the covering group (keys are its words in x1..xr), psi on
-    the letters x1..xr, alpha on phi's basis.
+    system is a ``Covering``, read through theta_word, iota_word and p1_word;
+    phi is given on a free basis of the covering group (keys are its words in
+    x1..xr), psi on the letters x1..xr, alpha on phi's basis.
     """
     failures = []
     for letter, image in psi.images.items():
@@ -335,13 +262,20 @@ def decide_tree(graph: Graph, n: int, action: ActionData) -> BUVerdict:
     return _verified_failure(psi, kernel_words, 0, action, system, system.rewrite)
 
 
-@lru_cache(maxsize=None)
-def _tree_system_cached(graph: Graph, n: int) -> TreeTargetSystem:
-    return TreeTargetSystem(graph, n)
-
-
-def tree_system(graph: Graph, n: int) -> TreeTargetSystem:
+def tree_system(graph: Graph, n: int) -> Covering:
+    """The covering of a tree target's configuration complex, built once per
+    (graph, n).  Refusals, in order: not a tree, an interval, then those of
+    ``build_dconf``, no free basis (before the quotient), and disconnected."""
+    if not graph.is_tree:
+        raise InvalidParameterError("target must be a tree")
+    if not graph.essential_vertices:
+        raise InvalidParameterError("target tree is an interval; use decide_interval")
     return _tree_system_cached(graph, n)
+
+
+@lru_cache(maxsize=None)
+def _tree_system_cached(graph: Graph, n: int) -> Covering:
+    return Covering(*build_fields(graph, n))
 
 
 def e_letter(i: int, j: int) -> str:

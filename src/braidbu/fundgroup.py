@@ -20,28 +20,28 @@ geometric oracles:
   deck rotation reached.
 
 ``BraidSystem`` is the ``Covering`` of the lollipop configuration complex
-over its quotient whose letters are the basis elements: one ``Level`` per
-side, built from its gradient field and the letters ``_letter`` names.  The
-three oracles are that covering's projection and lifting of the levels'
-basis loops.  ``rs_rewrite`` inverts ``iota`` on its image with the
-covering's one sheet walk: each quotient letter is lifted from the sheet the
-word has reached so far, and the lifts multiply.
+over its quotient whose letters are the basis elements: it overrides only
+``_letters``, through ``_letter``, and adds the closed forms.  The three
+oracles are the covering's own projection, coordinate-0 trace and lifting
+of the levels' basis loops.  ``rs_rewrite`` inverts ``iota`` on its image
+with the covering's one sheet walk: each quotient letter is lifted from the
+sheet the word has reached so far, and the lifts multiply.
 The closed-form theta decides whether a word has a preimage, and the lift
 must agree with it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
-from .complexes import Cell, act, build_dconf, build_quotient
-from .covering import Covering, Level
+from .complexes import Cell, act
+from .covering import Covering, build_fields
 # Bound here as well: perfbench/tracing.py patches it by looking up fundgroup.maximal_tree.
 from .covering import maximal_tree  # noqa: F401
 from .errors import InvalidParameterError, StructuralError
 from .graphs import make_lollipop
-from .morse import build_field, edge_data, type_tuple
+from .morse import GradientField, edge_data, type_tuple
 from .perms import Perm, cyclic_canonical
 from .words import FreeWord
 
@@ -83,24 +83,14 @@ class BraidSystem(Covering):
     def __init__(self, m: int):
         if m < 2:
             raise InvalidParameterError(f"need m >= 2, got {m}")
-        self.m = m
-        self.graph = make_lollipop(m)
-        self.loop_name = self.graph.loop_edge.name
-        field_fm = build_field(build_dconf(self.graph, m))
-        field_q = build_field(build_quotient(field_fm.complex, m), field_fm)
-        levels = []
-        for space, field in ((SPACE_FM, field_fm), (SPACE_QUOTIENT, field_q)):
-            letters = {}
-            for cell in field.critical(1):
-                letter = self._letter(space, *edge_data(cell, self.graph, m))
-                if letter is not None:
-                    letters[cell] = letter
-            levels.append(Level(field, letters))
-        super().__init__(*levels)
-        self.field_fm, self.field_q = field_fm, field_q
-        by_type = lambda g: (g.type_b, g.sigma.images)
-        self.basis_fm: list[GeneratorId] = sorted(self.up.letters.values(), key=by_type)
-        self.basis_q: list[GeneratorId] = sorted(self.down.letters.values(), key=by_type)
+        self.field_fm, self.field_q = build_fields(make_lollipop(m), m)
+        super().__init__(self.field_fm, self.field_q)
+
+    def _letters(self, field: GradientField) -> tuple[dict[Cell, GeneratorId], None]:
+        """Each critical edge named by ``_letter``; the selected ones are left out."""
+        space = SPACE_FM if field.complex is self.fm else SPACE_QUOTIENT
+        named = ((cell, self._letter(space, *edge_data(cell, self.graph, self.m))) for cell in field.critical(1))
+        return {cell: letter for cell, letter in named if letter is not None}, None
 
     # -- selection -----------------------------------------------------------
 
@@ -125,7 +115,11 @@ class BraidSystem(Covering):
     # -- bases ----------------------------------------------------------------
 
     def basis(self, space: str) -> list[GeneratorId]:
-        return list(self.basis_fm if space == SPACE_FM else self.basis_q)
+        level = self.up if space == SPACE_FM else self.down
+        return sorted(level.letters.values(), key=lambda g: (g.type_b, g.sigma.images))
+
+    basis_fm = cached_property(lambda self: self.basis(SPACE_FM))
+    basis_q = cached_property(lambda self: self.basis(SPACE_QUOTIENT))
 
     # -- iota -------------------------------------------------------------
 
@@ -170,28 +164,10 @@ class BraidSystem(Covering):
     def p1_closed_form(self, gen: GeneratorId) -> int:
         if gen.space != SPACE_FM:
             raise InvalidParameterError("p1 takes generators of the m-particle space")
-        return 1 if gen.cell()[0] == self.loop_name else 0
+        return 1 if gen.cell()[0] == self.graph.loop_edge.name else 0
 
-    def p1_oracle(self, gen: GeneratorId) -> int:
-        """Trace the first coordinate along the basis loop; count signed
-        crossings of the loop edge."""
-        path = self.up.loop(gen)
-        cur = path.start[0]
-        count = 0
-        for edge_cell, sign in path.steps:
-            r = next(i for i, c in enumerate(edge_cell) if isinstance(c, str))
-            if r != 0:
-                continue
-            e = self.graph.edge_by_name[edge_cell[0]]
-            expected = e.lo if sign == 1 else e.hi
-            if cur != expected:
-                raise StructuralError("first-coordinate trace lost the walk")
-            cur = e.hi if sign == 1 else e.lo
-            if edge_cell[0] == self.loop_name:
-                count += sign
-        if cur != path.start[0]:
-            raise StructuralError("first-coordinate trace did not close up")
-        return count
+    # Bound in this class body: perfbench/tracing.py wraps it in BraidSystem.__dict__.
+    p1_oracle = Covering.p1_oracle
 
     def p1_word(self, word: FreeWord) -> int:
         return word.evaluate_additive(self.p1_closed_form)

@@ -167,6 +167,8 @@ BAD_INPUTS = {
     "check-negative-m": ("graph", "check", "--graph", "{lollipop}", "--m", "-3"),
     "tree-disconnected": ("decide", "--target", "tree", "--graph", "{claw}", "--n", "3"),
     "tree-not-free": ("decide", "--target", "tree", "--graph", "{two_essential}", "--n", "4"),
+    "tree-not-subdivided": ("decide", "--target", "tree", "--graph", "{two_essential}", "--n", "5"),
+    "wedge-rank-two": ("decide", "--target", "wedge", "--n", "2", "--k", "3", "--r", "2"),
     "too-many-cells": ("pi1", "basis", "--space", "fm", "--m", "7"),
 }
 
@@ -224,6 +226,10 @@ class TestBadInput:
         assert "disconnected" in capsys.readouterr().err
         main([arg.format(two_essential=two_essential) for arg in BAD_INPUTS["tree-not-free"]])
         assert "no free basis" in capsys.readouterr().err
+        main([arg.format(two_essential=two_essential) for arg in BAD_INPUTS["tree-not-subdivided"]])
+        assert "not sufficiently subdivided for 5 particles" in capsys.readouterr().err
+        main(list(BAD_INPUTS["wedge-rank-two"]))
+        assert "Euler characteristic zero" in capsys.readouterr().err
 
     def test_fresh_process(self):
         src = Path(__file__).resolve().parent.parent / "src"

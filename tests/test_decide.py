@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import braidbu.covering as covering
 import braidbu.decide as dec
 from braidbu.errors import InvalidParameterError, PreconditionError, StructuralError
 from braidbu.fundgroup import BraidSystem, GeneratorId, get_system
@@ -124,15 +125,15 @@ class TestTree:
 
     def test_non_free_tree_refused_before_quotient(self, monkeypatch):
         quotients = []
-        original = dec.build_quotient
+        original = covering.build_quotient
 
         def recording(fm, n):
             quotients.append(n)
             return original(fm, n)
 
-        monkeypatch.setattr(dec, "build_quotient", recording)
+        monkeypatch.setattr(covering, "build_quotient", recording)
         with pytest.raises(PreconditionError, match="no free basis"):
-            dec.TreeTargetSystem(TWO_ESSENTIAL, 4)
+            dec.tree_system(TWO_ESSENTIAL, 4)
         assert quotients == []
 
     @pytest.mark.parametrize(
@@ -323,7 +324,7 @@ class TestDecisionsRefuseBrokenWitnesses:
             dec.decide_wedge(3, 2, dec.ActionData(2, 1, (1,)))
 
     def _broken_tree(self, monkeypatch, attr, replacement):
-        system = dec.TreeTargetSystem(make_star(3, 2), 2)
+        system = covering.Covering(*covering.build_fields(make_star(3, 2), 2))
         setattr(system, attr, replacement)
         monkeypatch.setattr(dec, "tree_system", lambda graph, n: system)
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from braidbu.complexes import build_dconf, build_quotient, components
 from braidbu.covering import (
+    Covering,
     concat,
     express_loop,
     make_path as make_edge_path,
@@ -16,7 +17,7 @@ from braidbu.covering import (
 )
 from braidbu.decide import tree_system
 from braidbu.errors import StructuralError
-from braidbu.fundgroup import GeneratorId, get_system
+from braidbu.fundgroup import BraidSystem, GeneratorId, get_system
 from braidbu.graphs import make_path, make_star
 from braidbu.morse import build_field
 from braidbu.oracle import chi_oracle
@@ -180,6 +181,24 @@ class TestCoveringContract:
                 assert loop.start == loop.end == level.complex.base
                 assert level.express(loop) == FreeWord.gen(letter)
 
+    @pytest.mark.parametrize("name", sorted(COVERINGS))
+    def test_system_class(self, name):
+        # Trees need no class of their own: tree_system builds a plain Covering.
+        want = BraidSystem if name.startswith("lollipop") else Covering
+        assert type(COVERINGS[name]()) is want
+
+    @pytest.mark.parametrize("name", sorted(COVERINGS))
+    def test_unit_word_has_theta_one(self, name):
+        system = COVERINGS[name]()
+        unit = system.unit_word()
+        assert system.theta_word(unit) == system.theta_by_lift(unit) == 1
+
+    @pytest.mark.parametrize("name", ["star(3,2)-n2", "star(4,3)-n3"])
+    def test_p1_oracle_is_zero_on_a_tree(self, name):
+        system = COVERINGS[name]()
+        assert system.graph.loop_edge is None
+        assert all(system.p1_oracle(letter) == 0 for letter in system.up.letters.values())
+
     @pytest.mark.parametrize("name", ["star(3,2)-n2", "star(4,3)-n3"])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -246,7 +265,7 @@ class TestIota:
         assert sys2.iota_closed_form(fm_gen((1, 2), 2)) == w
         assert sys2.iota_closed_form(fm_gen((2, 1), 2)) == z.inverse() * w * z
 
-    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 4])
     def test_closed_form_equals_oracle(self, m):
         system = get_system(m)
         for gen in system.basis_fm:
@@ -289,7 +308,7 @@ class TestP1:
         assert sys2.p1_closed_form(fm_gen((1, 2), 2)) == 0
         assert sys2.p1_closed_form(fm_gen((2, 1), 2)) == 1
 
-    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 4])
     def test_closed_form_equals_oracle(self, m):
         system = get_system(m)
         for gen in system.basis_fm:
