@@ -170,30 +170,53 @@ def _witness_records(report: Report, witness: dec.Witness) -> None:
         report.records.append((f"witness.phi.{key}", fmt(image)))
 
 
+# The options each decide target reads (by argparse dest); it refuses any other.
+DECIDE_READS = {
+    "interval": (),
+    "tree": ("graph", "n", "r", "theta"),
+    "circle": ("n", "cls"),
+    "wedge": ("k", "m", "n", "r", "theta"),
+}
+
+
+def _refuse_unread(args) -> None:
+    for option in ("n", "m", "r", "theta", "cls", "k", "graph"):
+        if getattr(args, option) is not None and option not in DECIDE_READS[args.target]:
+            name = "class" if option == "cls" else option
+            raise InvalidParameterError(f"the {args.target} target does not read --{name}")
+    if args.target == "wedge" and None not in (args.n, args.m) and args.n != args.m:
+        raise InvalidParameterError(
+            f"the wedge target reads --n and --m as one particle count, got {args.n} and {args.m}"
+        )
+
+
 def cmd_decide(args) -> int:
+    _refuse_unread(args)
+    n = 2 if args.n is None else args.n
+    r = 1 if args.r is None else args.r
     report = Report(command=f"decide --target {args.target}")
     if args.target == "interval":
         verdict = dec.decide_interval()
     elif args.target == "tree":
         graph = _load_graph(args.graph) if args.graph else make_star(3, 2)
-        action = dec.ActionData(args.n, args.r, _parse_theta(args.theta, args.r, args.n))
-        verdict = dec.decide_tree(graph, args.n, action)
+        action = dec.ActionData(n, r, _parse_theta(args.theta, r, n))
+        verdict = dec.decide_tree(graph, n, action)
     elif args.target == "circle":
         if args.cls is None:
             raise InvalidParameterError("circle target needs --class p,p1,...")
         cls = _parse_ints(args.cls, "--class")
-        _require_order(args.n)
-        m, extra = divmod(len(cls) - 1, args.n)
+        _require_order(n)
+        m, extra = divmod(len(cls) - 1, n)
         if extra:
             raise InvalidParameterError(
-                f"--class must list 1 + a multiple of n={args.n} values, got {len(cls)}"
+                f"--class must list 1 + a multiple of n={n} values, got {len(cls)}"
             )
-        verdict = dec.decide_circle(cls, args.n, m)
+        verdict = dec.decide_circle(cls, n, m)
     else:
         if args.k is None:
             raise InvalidParameterError("wedge target needs --k")
-        m = args.m if args.m is not None else args.n
-        action = dec.ActionData(m, args.r, _parse_theta(args.theta, args.r, m))
+        m = args.m if args.m is not None else n
+        action = dec.ActionData(m, r, _parse_theta(args.theta, r, m))
         verdict = dec.decide_wedge(args.k, m, action)
     report.records.append(("borsuk_ulam", "holds" if verdict.holds else "fails"))
     if args.emit_witness and verdict.witness is not None:
@@ -288,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     decide = sub.add_parser("decide", help="Borsuk-Ulam decisions")
     decide.add_argument("--target", choices=("interval", "tree", "circle", "wedge"), required=True)
-    decide.add_argument("--n", type=int, default=2)
-    decide.add_argument("--m", type=int, default=None)
-    decide.add_argument("--r", type=int, default=1)
+    decide.add_argument("--n", type=int, default=None, help="order n of Z_n (default 2)")
+    decide.add_argument("--m", type=int, default=None, help="wedge particles (default --n)")
+    decide.add_argument("--r", type=int, default=None, help="rank of the action (default 1)")
     decide.add_argument("--theta", default=None)
     decide.add_argument("--class", dest="cls", default=None)
     decide.add_argument("--k", type=int, default=None)

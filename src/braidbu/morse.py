@@ -15,9 +15,16 @@ is critical.  The field is stored as this matching (Forman, "Morse theory
 for cell complexes", Adv. Math. 134, 1998): each cell maps to its partner,
 or to None when critical, and a cell's kind is read off its partner's
 dimension.  Building a field checks that the matching is an involution on
-cells one dimension apart.  The rule commutes with permuting coordinates,
-so the matching of a cyclic quotient is read off the upstairs one, one
-orbit representative at a time.
+cells one dimension apart.
+
+The rule reads a cell's coordinates, not their places, so it commutes with
+permuting coordinates.  The field classifies one cell per coordinate set,
+its ascending ordering; the partner changes one coordinate, a swap (old,
+new), and every other ordering takes the partner that swaps ``old`` in its
+own place.  The ascending cell's one-place rotation, the deck generator of
+the cyclic quotient, is classified directly as a check on that
+translation.  The matching of a cyclic quotient is then read off the
+upstairs one, one orbit representative at a time.
 
 The 0-cells and the collapsible 1-cells form a maximal forest whose trees are
 labelled by the permutation sorting their coordinates' places in the
@@ -28,6 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations, repeat
+from operator import ne
 from typing import Optional, Union
 
 from .complexes import Cell, CubeComplex, QuotientComplex, cell_dim
@@ -144,43 +153,65 @@ def _check_involution(
                 raise StructuralError(f"matching is not an involution at {c!r}")
 
 
+def _match_orderings(c: Cell, cx: CubeComplex, out: dict[Cell, Optional[Cell]]) -> None:
+    """Classify the ascending cell c, and enter every ordering of its
+    coordinate set into ``out`` with its partner.
+
+    The ordering act(sigma, c) pairs with act(sigma, partner), which is that
+    ordering with the swapped coordinate replaced in its own place, so the
+    permutations of c and of its partner, taken in step, list the pairs.
+    """
+    partner = classify_cell(c, cx)
+    if partner is None:
+        out.update(zip(permutations(c), repeat(None)))
+    elif len(partner) == len(c) and sum(map(ne, c, partner)) == 1:
+        out.update(zip(permutations(c), permutations(partner)))
+    else:
+        raise StructuralError(f"matching is not an involution at {c!r}")
+    rotated = c[1:] + c[:1]
+    if classify_cell(rotated, cx) != out[rotated]:
+        raise StructuralError(f"matching is not equivariant at {rotated!r}")
+
+
 def build_field(
     cx: Union[CubeComplex, QuotientComplex], upstairs: Optional[GradientField] = None
 ) -> GradientField:
     """Match every cell; a quotient's matching is induced from the upstairs one.
 
-    On a configuration complex every cell goes through ``classify_cell``.  On
-    a quotient the orbit takes the orbit of its representative's partner in
-    ``upstairs``, the field of ``cx.fm``, which is built here when not given;
-    no cell is classified again.  The matching is equivariant under
-    coordinate permutations, so every orbit member must be critical exactly
-    when the representative is, with a partner in the orbit of the
-    representative's partner; otherwise, or when a partner is not a cell of
-    ``cx.fm``, this raises ``StructuralError``.  Both matchings are checked
-    to be involutions.
+    On a configuration complex only one ordering per coordinate set goes
+    through ``classify_cell``: the first in ``cells_by_dim`` order, which is
+    the ascending one.  Its partner must differ from it in one place, a swap
+    (old, new), and every other ordering of the set pairs with itself with
+    ``old`` replaced in its own place (``_match_orderings``).  The ascending
+    cell's one-place rotation ``c[1:] + c[:1]``, the deck generator of the
+    cyclic quotient, is classified too and must get that translated
+    partner; otherwise the matching is not equivariant and this raises
+    ``StructuralError``.  On a quotient the orbit takes the orbit of its
+    representative's partner in ``upstairs``, the field of ``cx.fm``, which
+    is built here when not given; no cell is classified again.  Both
+    matchings are checked to be involutions on cells one dimension apart.
     """
+    classes: dict[Cell, Optional[Cell]] = {}
     if isinstance(cx, QuotientComplex):
         if upstairs is None:
             upstairs = build_field(cx.fm)
         elif upstairs.complex is not cx.fm:
             raise InvalidParameterError("upstairs field is not on the quotient's complex")
         up, project = upstairs.classes, cx.rep_of_cell
-        classes: dict[Cell, Optional[Cell]] = {}
         try:
             for rep in cx.all_cells():
                 partner = up[rep]
-                pair = None if partner is None else project[partner]
-                for member in cx.members_of[rep]:
-                    partner = up[member]
-                    image = None if partner is None else project[partner]
-                    if image != pair:
-                        how = "classifies" if None in (image, pair) else "pairs"
-                        raise StructuralError(f"orbit of {rep!r} {how} inconsistently")
-                classes[rep] = pair
+                classes[rep] = None if partner is None else project[partner]
         except KeyError as missing:
             raise StructuralError(f"{missing.args[0]!r} is not a cell of the upstairs complex") from None
     else:
-        classes = {c: classify_cell(c, cx) for c in cx.all_cells()}
+        for d in sorted(cx.cells_by_dim):
+            cells = cx.cells_by_dim[d]
+            orderings: dict[Cell, Optional[Cell]] = {}
+            for c in cells:
+                if c not in orderings:  # the first ordering of its set in sort order: ascending
+                    _match_orderings(c, cx, orderings)
+            classes.update(zip(cells, map(orderings.__getitem__, cells)))
     _check_involution(cx, classes)
     return GradientField(cx, classes)
 

@@ -146,6 +146,11 @@ class TestDecide:
         psi = dec.decide_wedge(5, 3, dec.ActionData(3, 1, (2,))).witness.psi.images[dec.x_letter(1)]
         assert f"witness.psi.x1 = {psi.format(lambda g: g.name())}\n" in with_two
 
+    def test_wedge_reads_equal_n_and_m_as_one_count(self, capsys):
+        code, both = run(capsys, "decide", "--target", "wedge", "--n", "3", "--m", "3", "--k", "5")
+        assert code == 0
+        assert both == run(capsys, "decide", "--target", "wedge", "--m", "3", "--k", "5")[1]
+
     def test_wedge_theta_not_a_unit_is_usage_error(self, capsys):
         code = main(["decide", "--target", "wedge", "--m", "4", "--k", "5", "--theta", "2"])
         assert code == 2
@@ -170,6 +175,10 @@ BAD_INPUTS = {
     "tree-not-subdivided": ("decide", "--target", "tree", "--graph", "{two_essential}", "--n", "5"),
     "wedge-rank-two": ("decide", "--target", "wedge", "--n", "2", "--k", "3", "--r", "2"),
     "too-many-cells": ("pi1", "basis", "--space", "fm", "--m", "7"),
+    "tree-reads-no-m": ("decide", "--target", "tree", "--m", "3"),
+    "circle-reads-no-r": ("decide", "--target", "circle", "--n", "3", "--class", "1,2,2,2", "--r", "5", "--theta", "7"),
+    "wedge-n-differs-from-m": ("decide", "--target", "wedge", "--n", "3", "--m", "4", "--k", "1"),
+    "interval-reads-no-n": ("decide", "--target", "interval", "--n", "5", "--k", "3"),
 }
 
 # Essential vertices 0 and 3; four particles can swap around both at once.
@@ -230,6 +239,14 @@ class TestBadInput:
         assert "not sufficiently subdivided for 5 particles" in capsys.readouterr().err
         main(list(BAD_INPUTS["wedge-rank-two"]))
         assert "Euler characteristic zero" in capsys.readouterr().err
+        main(list(BAD_INPUTS["tree-reads-no-m"]))
+        assert "does not read --m" in capsys.readouterr().err
+        main(list(BAD_INPUTS["circle-reads-no-r"]))
+        assert "does not read --r" in capsys.readouterr().err
+        main(list(BAD_INPUTS["wedge-n-differs-from-m"]))
+        assert "got 3 and 4" in capsys.readouterr().err
+        main(list(BAD_INPUTS["interval-reads-no-n"]))
+        assert "does not read --n" in capsys.readouterr().err
 
     def test_fresh_process(self):
         src = Path(__file__).resolve().parent.parent / "src"

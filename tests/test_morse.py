@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -193,6 +194,14 @@ class TestAssociatedPermutation:
 # (legs, leg length, particles) of the seven star targets the tree decisions are checked on.
 STAR_TARGETS = ((3, 2, 2), (4, 3, 2), (5, 2, 2), (3, 2, 3), (4, 2, 3), (3, 3, 3), (5, 2, 3))
 
+# The lollipop at m=2..4 and the seven star targets: every field check runs on these.
+FIELD_CASES = pytest.mark.parametrize(
+    "graph, m",
+    [(make_lollipop(m), m) for m in (2, 3, 4)]
+    + [(make_star(legs, length), n) for legs, length, n in STAR_TARGETS],
+    ids=[f"lollipop-m{m}" for m in (2, 3, 4)] + [f"star({l},{k})-n{n}" for l, k, n in STAR_TARGETS],
+)
+
 
 class TestForest:
     def test_two_trees_m2(self, sys2):
@@ -235,26 +244,52 @@ class TestForest:
         assert len(all_vertices) == len(set(all_vertices)) == len(system.fm.cells_by_dim[0])
 
 
-class TestInvolution:
-    @staticmethod
-    def _field_with(monkeypatch, overrides):
-        """The field of the m=2 lollipop complex, with ``classify_cell``
-        answering ``overrides[cell]`` for the cells listed there."""
-        original = morse.classify_cell
-        monkeypatch.setattr(
-            morse, "classify_cell", lambda c, cx: overrides[c] if c in overrides else original(c, cx)
-        )
-        return build_field(build_dconf(make_lollipop(2), 2))
+def _field_with(monkeypatch, overrides):
+    """The field of the m=2 lollipop complex, with ``classify_cell``
+    answering ``overrides[cell]`` for the cells listed there."""
+    original = morse.classify_cell
+    monkeypatch.setattr(
+        morse, "classify_cell", lambda c, cx: overrides[c] if c in overrides else original(c, cx)
+    )
+    return build_field(build_dconf(make_lollipop(2), 2))
 
+
+class TestInvolution:
     def test_partner_that_does_not_pair_back_is_refused(self, monkeypatch):
         # ("a2", 0) stays matched with (2, 0), not with the critical (0, 1).
         with pytest.raises(StructuralError, match="not an involution"):
-            self._field_with(monkeypatch, {(0, 1): ("a2", 0)})
+            _field_with(monkeypatch, {(0, 1): ("a2", 0)})
 
     def test_partner_of_the_same_dimension_is_refused(self, monkeypatch):
         # The two critical 0-cells matched with each other pair back.
         with pytest.raises(StructuralError, match="not an involution"):
-            self._field_with(monkeypatch, {(0, 1): (1, 0), (1, 0): (0, 1)})
+            _field_with(monkeypatch, {(0, 1): (1, 0), (1, 0): (0, 1)})
+
+
+class TestSymmetricField:
+    """The field classifies one ordering per coordinate set and translates its
+    partner to the others; direct classification must agree everywhere."""
+
+    @FIELD_CASES
+    def test_every_ordered_cell_matches_its_classification(self, graph, m):
+        fm = build_dconf(graph, m)
+        classes = build_field(fm).classes
+        wrong = [c for c in fm.all_cells() if classify_cell(c, fm) != classes[c]]
+        assert not wrong
+
+    def test_sampled_ordered_cells_match_at_m5(self):
+        fm = build_dconf(make_lollipop(5), 5)
+        classes = build_field(fm).classes
+        sample = random.Random(5).sample(list(fm.all_cells()), 2000)
+        wrong = [c for c in sample if classify_cell(c, fm) != classes[c]]
+        assert not wrong
+
+    @pytest.mark.parametrize("answer", [None, ("a3", 0)], ids=["critical", "another-set"])
+    def test_misclassified_rotation_is_refused(self, monkeypatch, answer):
+        # (0, 2) is classified as its set's ascending ordering; (2, 0) is its
+        # rotation, checked directly, and pairs with ("a2", 0).
+        with pytest.raises(StructuralError, match="not equivariant"):
+            _field_with(monkeypatch, {(2, 0): answer})
 
 
 class TestQuotientField:
@@ -267,12 +302,7 @@ class TestQuotientField:
             kinds = {fresh.kind(member) for member in q.members_of[rep]}
             assert kinds == {system.field_q.kind(rep)}
 
-    @pytest.mark.parametrize(
-        "graph, m",
-        [(make_lollipop(m), m) for m in (2, 3, 4)]
-        + [(make_star(legs, length), n) for legs, length, n in STAR_TARGETS],
-        ids=[f"lollipop-m{m}" for m in (2, 3, 4)] + [f"star({l},{k})-n{n}" for l, k, n in STAR_TARGETS],
-    )
+    @FIELD_CASES
     def test_derived_classes_match_representatives(self, graph, m):
         fm = build_dconf(graph, m)
         q = build_quotient(fm, m)
@@ -281,34 +311,12 @@ class TestQuotientField:
             partner = classify_cell(rep, fm)
             assert field.classes[rep] == (None if partner is None else q.project(partner))
 
-    @staticmethod
-    def _altered(change):
-        """A quotient of the m=2 lollipop complex and its upstairs field,
-        altered by ``change`` on the second member of a redundant orbit."""
+    def test_representative_paired_outside_the_complex_is_refused(self):
         fm = build_dconf(make_lollipop(2), 2)
         q = build_quotient(fm, 2)
         field = build_field(fm)
         rep = next(c for c in q.all_cells() if field.kind(c) == KIND_REDUNDANT)
-        member = q.members_of[rep][1]
-        classes = dict(field.classes)
-        classes[member] = change(q, classes[member])
-        return q, GradientField(fm, classes)
-
-    def test_member_of_another_kind_is_refused(self):
-        q, altered = self._altered(lambda q, partner: None)
-        with pytest.raises(StructuralError, match="classifies inconsistently"):
-            build_field(q, altered)
-
-    def test_member_paired_into_another_orbit_is_refused(self):
-        def repair(q, partner):
-            return next(c for c in q.cells_by_dim[1] if c != q.project(partner))
-
-        q, altered = self._altered(repair)
-        with pytest.raises(StructuralError, match="pairs inconsistently"):
-            build_field(q, altered)
-
-    def test_member_paired_outside_the_complex_is_refused(self):
-        q, altered = self._altered(lambda q, partner: (0, 0))
+        altered = GradientField(fm, {**field.classes, rep: (0, 0)})
         with pytest.raises(StructuralError, match="not a cell"):
             build_field(q, altered)
 
@@ -328,7 +336,9 @@ class TestQuotientField:
 
         monkeypatch.setattr(morse, "classify_cell", counting)
         system = BraidSystem(3)
-        assert len(calls) == len(set(calls)) == sum(len(c) for c in system.fm.cells_by_dim.values())
+        # Each coordinate set's ascending ordering and its rotation, once each.
+        unordered = {frozenset(c) for c in system.fm.all_cells()}
+        assert len(calls) == len(set(calls)) == 2 * len(unordered)
 
     def test_build_field_on_fresh_quotient(self):
         cx = build_dconf(make_lollipop(2), 2)
