@@ -23,8 +23,12 @@ its ascending ordering; the partner changes one coordinate, a swap (old,
 new), and every other ordering takes the partner that swaps ``old`` in its
 own place.  The ascending cell's one-place rotation, the deck generator of
 the cyclic quotient, is classified directly as a check on that
-translation.  The matching of a cyclic quotient is then read off the
-upstairs one, one orbit representative at a time.
+translation.  Because that translation makes the matching commute with
+every permutation, the involution check too runs once per coordinate set:
+a count shows that every set is present in all its orderings, and each
+ascending cell's partner must pair back with it.  The matching of a cyclic
+quotient is then read off the upstairs one, one orbit representative at a
+time, and checked cell by cell.
 
 The 0-cells and the collapsible 1-cells form a maximal forest whose trees are
 labelled by the permutation sorting their coordinates' places in the
@@ -33,9 +37,11 @@ every tree edge respects the order.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, repeat
+from math import factorial
 from operator import ne
 from typing import Optional, Union
 
@@ -142,9 +148,10 @@ def _kind(partner: Optional[Cell], d: int) -> str:
 
 
 def _check_involution(
-    cx: Union[CubeComplex, QuotientComplex], classes: dict[Cell, Optional[Cell]]
+    classes: dict[Cell, Optional[Cell]], cells_by_dim: Mapping[int, Iterable[Cell]]
 ) -> None:
-    for d, cells in cx.cells_by_dim.items():
+    """Each listed cell's partner pairs back with it, one dimension away."""
+    for d, cells in cells_by_dim.items():
         for c in cells:
             partner = classes[c]
             if partner is not None and (
@@ -188,8 +195,25 @@ def build_field(
     partner; otherwise the matching is not equivariant and this raises
     ``StructuralError``.  On a quotient the orbit takes the orbit of its
     representative's partner in ``upstairs``, the field of ``cx.fm``, which
-    is built here when not given; no cell is classified again.  Both
-    matchings are checked to be involutions on cells one dimension apart.
+    is built here when not given; no cell is classified again.
+
+    Both matchings are checked to be involutions on cells one dimension
+    apart.  The quotient's is checked cell by cell, which also tests
+    ``rep_of_cell``.  The upstairs one is checked once per coordinate set,
+    in two parts:
+
+    1. Closure count: each dimension holds distinct cells, m! per ascending
+       cell.  Every cell is an ordering of some ascending cell, so every
+       coordinate set is present in all m! orderings, with distinct
+       coordinates.
+    2. Ascending check: each ascending cell c with partner p has
+       ``classes[p] == c``, and their dimensions differ by one.
+
+    That is enough.  By construction ``classes[sigma c] == sigma p`` for
+    every permutation sigma, and p is ``tau c'`` for the ascending cell c'
+    of its own set, whose orderings are all cells by the count.  So
+    ``classes[sigma p] == sigma classes[p] == sigma c``, and sigma c and
+    sigma p have the dimensions of c and p.
     """
     classes: dict[Cell, Optional[Cell]] = {}
     if isinstance(cx, QuotientComplex):
@@ -204,15 +228,23 @@ def build_field(
                 classes[rep] = None if partner is None else project[partner]
         except KeyError as missing:
             raise StructuralError(f"{missing.args[0]!r} is not a cell of the upstairs complex") from None
+        _check_involution(classes, cx.cells_by_dim)
     else:
+        per_set = factorial(cx.m)
+        ascending: dict[int, list[Cell]] = {}
         for d in sorted(cx.cells_by_dim):
             cells = cx.cells_by_dim[d]
             orderings: dict[Cell, Optional[Cell]] = {}
+            firsts = ascending[d] = []
             for c in cells:
                 if c not in orderings:  # the first ordering of its set in sort order: ascending
                     _match_orderings(c, cx, orderings)
+                    firsts.append(c)
+            size = len(classes)  # the closure count: classes grows by distinct cells, m! per set
             classes.update(zip(cells, map(orderings.__getitem__, cells)))
-    _check_involution(cx, classes)
+            if not len(classes) - size == len(cells) == per_set * len(firsts):
+                raise StructuralError(f"the {d}-cells are not every ordering of their coordinate sets")
+        _check_involution(classes, ascending)
     return GradientField(cx, classes)
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import braidbu.morse as morse
-from braidbu.complexes import act, build_dconf, build_quotient
+from braidbu.complexes import CubeComplex, act, build_dconf, build_quotient
 from braidbu.errors import InvalidParameterError, StructuralError
 from braidbu.fundgroup import BraidSystem, get_system
 from braidbu.graphs import make_cycle, make_lollipop, make_path, make_star
@@ -264,6 +264,47 @@ class TestInvolution:
         # The two critical 0-cells matched with each other pair back.
         with pytest.raises(StructuralError, match="not an involution"):
             _field_with(monkeypatch, {(0, 1): (1, 0), (1, 0): (0, 1)})
+
+
+class TestInvolutionPerSet:
+    """The upstairs matching is checked once per coordinate set; the old
+    per-cell check must still pass on every field that check accepts."""
+
+    @FIELD_CASES
+    def test_per_cell_check_passes_on_both_fields(self, graph, m):
+        fm = build_dconf(graph, m)
+        field_fm = build_field(fm)
+        field_q = build_field(build_quotient(fm, m), field_fm)
+        for field in (field_fm, field_q):
+            morse._check_involution(field.classes, field.complex.cells_by_dim)
+
+    def test_equivariant_wrong_partner_is_refused(self, monkeypatch):
+        # Every ordering of {0, 1, 3} pairs with itself with 3 replaced by 'a4'
+        # in place, the same swap in each, so the rotation check passes; but
+        # (0, 1, 'a4') pairs back with (0, 1, 4).
+        original = morse.classify_cell
+
+        def wrong(c, cx):
+            if set(c) == {0, 1, 3}:
+                return tuple("a4" if coord == 3 else coord for coord in c)
+            return original(c, cx)
+
+        monkeypatch.setattr(morse, "classify_cell", wrong)
+        with pytest.raises(StructuralError, match="not an involution"):
+            build_field(build_dconf(make_lollipop(3), 3))
+
+    @pytest.mark.parametrize("duplicate", [False, True], ids=["missing", "duplicated-in-its-place"])
+    def test_coordinate_set_without_every_ordering_is_refused(self, duplicate):
+        # The reverse of a 3-cell is not one of its rotations, so nothing
+        # classifies it directly; only the closure count can see it gone.
+        fm = build_dconf(make_lollipop(3), 3)
+        first = fm.cells_by_dim[1][0]
+        cells = [c for c in fm.cells_by_dim[1] if c != first[::-1]]
+        if duplicate:
+            cells.append(first)
+        hand_built = CubeComplex(fm.graph, 3, {**fm.cells_by_dim, 1: tuple(cells)})
+        with pytest.raises(StructuralError, match="not every ordering"):
+            build_field(hand_built)
 
 
 class TestSymmetricField:
