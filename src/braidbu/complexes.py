@@ -4,11 +4,16 @@ A cell of the m-particle complex is an m-tuple of graph cells (vertices or
 edges) whose closures are pairwise disjoint; the dimension is the number of
 edge coordinates.  Facets of a cell replace one edge coordinate by one of
 its endpoints.  The symmetric group acts by permuting coordinates; the
-cyclic subgroup generated by the full rotation acts freely on cells, and the
-quotient complex keeps one canonical representative per orbit.
+cyclic subgroup generated by the full rotation acts freely on cells, since
+their coordinates are distinct.  The quotient complex keeps one
+representative per orbit, the rotation whose first coordinate has the
+smallest key: ``build_dconf``'s walk lists them as it enumerates the cells,
+``project`` rotates a cell's smallest-key coordinate to the front, and an
+orbit's members are rotated out of its representative on demand.
 """
 from __future__ import annotations
 
+from collections.abc import Collection, Mapping
 from math import comb, factorial
 from typing import Iterator, Optional, Union
 
@@ -41,7 +46,7 @@ class _CellComplex:
 
     graph: Graph
     cells_by_dim: dict[int, tuple[Cell, ...]]
-    _cell_set: frozenset[Cell]
+    _cell_set: Collection[Cell]
 
     def sort_key(self, cell: Cell):
         return tuple(map(self.graph.coord_keys.__getitem__, cell))
@@ -62,12 +67,24 @@ class _CellComplex:
 
 
 class CubeComplex(_CellComplex):
-    """The m-particle configuration complex of a graph."""
+    """The m-particle configuration complex of a graph.
 
-    def __init__(self, graph: Graph, m: int, cells_by_dim: dict[int, tuple[Cell, ...]]):
+    ``representatives`` lists, per dimension and in sort order, the cells
+    whose first coordinate has the smallest key, when the caller knows them
+    (``build_dconf``); the quotient reads them.
+    """
+
+    def __init__(
+        self,
+        graph: Graph,
+        m: int,
+        cells_by_dim: dict[int, tuple[Cell, ...]],
+        representatives: Optional[dict[int, tuple[Cell, ...]]] = None,
+    ):
         self.graph = graph
         self.m = m
         self.cells_by_dim = cells_by_dim
+        self.representatives = representatives
         self._cell_set = frozenset(c for cells in cells_by_dim.values() for c in cells)
         self.base: Cell = cells_by_dim[0][0]
 
@@ -105,6 +122,14 @@ def build_dconf(graph: Graph, m: int) -> CubeComplex:
     its closures as a bit mask of vertices, and its count of edge
     coordinates, so a finished cell goes straight into its dimension.
     Complexes of more than ``MAX_CELLS`` cells are refused, counted first.
+
+    The walk also lists the rotation representatives, the cells whose first
+    coordinate has the smallest key.  After the first coordinate it tries
+    the graph cells of smaller key (``low``) before those of larger key
+    (``high``); a prefix whose later coordinates all came from ``high``
+    keeps that split, any other tries every cell as ``low``.  A cell
+    finished from ``high`` is a representative, so the representatives come
+    out in sort order too, as the same tuples.
     """
     if m < 1:
         raise InvalidParameterError(f"need m >= 1, got {m}")
@@ -120,22 +145,35 @@ def build_dconf(graph: Graph, m: int) -> CubeComplex:
         for c in sorted(keys, key=keys.__getitem__)
     ]
     by_dim: list[list[Cell]] = [[] for _ in range(m + 1)]
+    reps: list[list[Cell]] = [[] for _ in range(m + 1)]
 
-    def extend(prefix: Cell, used: int, dim: int) -> None:
+    def extend(prefix: Cell, used: int, dim: int, low: list, high: list) -> None:
         if len(prefix) == m - 1:
-            for c, mask, is_edge in steps:
+            for c, mask, is_edge in low:
                 if not used & mask:
                     by_dim[dim + is_edge].append(prefix + (c,))
+            for c, mask, is_edge in high:
+                if not used & mask:
+                    cell = prefix + (c,)
+                    by_dim[dim + is_edge].append(cell)
+                    reps[dim + is_edge].append(cell)
             return
-        for c, mask, is_edge in steps:
+        for c, mask, is_edge in low:
             if not used & mask:
-                extend(prefix + (c,), used | mask, dim + is_edge)
+                extend(prefix + (c,), used | mask, dim + is_edge, steps, [])
+        for c, mask, is_edge in high:
+            if not used & mask:
+                extend(prefix + (c,), used | mask, dim + is_edge, low, high)
 
-    extend((), 0, 0)
+    if m == 1:
+        extend((), 0, 0, [], steps)  # every cell is its own orbit
+    else:
+        for j, (c, mask, is_edge) in enumerate(steps):
+            extend((c,), mask, is_edge, steps[:j], steps[j + 1:])
     cells_by_dim = {d: tuple(cells) for d, cells in enumerate(by_dim) if cells}
     if 0 not in cells_by_dim:
         raise PreconditionError(f"no room for {m} particles on this graph")
-    return CubeComplex(graph, m, cells_by_dim)
+    return CubeComplex(graph, m, cells_by_dim, {d: tuple(reps[d]) for d in cells_by_dim})
 
 
 def count_cells(graph: Graph, m: int) -> int:
@@ -226,12 +264,23 @@ def _tree_matchings(graph: Graph, top: int, deleted: tuple[int, ...]) -> list[in
 class QuotientComplex(_CellComplex):
     """Quotient of a configuration complex by the cyclic rotation action.
 
-    Cells are orbits, identified by the orbit member that comes first in the
-    cell ordering.  The rotation act(c1, -) moves every coordinate one place
-    left, so an orbit is the m rotations of a cell; ``fm`` lists each
-    dimension in sort order and an orbit stays in one dimension, so the first
-    cell of an orbit met in that order is its representative.
-    ``members_of[rep]`` lists the orbit as rep rotated left by 0..m-1 places.
+    The rotation act(c1, -) moves every coordinate one place left, so an
+    orbit is the m rotations of a cell.  A cell's coordinates have distinct
+    keys, so exactly one rotation puts the smallest-key coordinate first;
+    that rotation, the orbit member that comes first in sort order, is the
+    orbit's representative.  ``cells_by_dim`` lists the representatives in
+    sort order, as the configuration complex's own tuples, and a table over
+    them alone serves ``has`` and ``project``.  ``members_of[rep]`` lists the
+    orbit as rep rotated left by 0..m-1 places, made on demand.
+
+    ``build_dconf``'s complex is closed under rotation: the walk enumerates
+    every tuple with pairwise disjoint closures, a condition that does not
+    depend on the places.  A complex built otherwise is checked cell by cell
+    for that.  Given closure, one count per dimension proves every orbit
+    free: an orbit whose smallest key occurs once has m members and one
+    representative, any other orbit has members but no representative, so
+    the cells number m times the representatives exactly when no orbit is
+    smaller than m.
     """
 
     def __init__(self, fm: CubeComplex, m: int):
@@ -240,36 +289,93 @@ class QuotientComplex(_CellComplex):
         self.fm = fm
         self.graph = fm.graph
         self.m = m
-        rep_of: dict[Cell, Cell] = {}
-        members_of: dict[Cell, tuple[Cell, ...]] = {}
-        cells_by_dim: dict[int, list[Cell]] = {}
+        reps = fm.representatives
+        if reps is None:
+            reps = _rotation_representatives(fm)
         for d, cells in fm.cells_by_dim.items():
-            reps = cells_by_dim[d] = []
-            for cell in cells:
-                if cell in rep_of:
-                    continue
-                members = tuple(cell[t:] + cell[:t] for t in range(m))
-                if len(set(members)) != m:
-                    raise StructuralError(f"rotation orbit of {cell!r} has size {len(set(members))}")
-                for member in members:
-                    rep_of[member] = cell
-                members_of[cell] = members
-                reps.append(cell)
-        self.rep_of_cell = rep_of
-        self.members_of = members_of
-        self.cells_by_dim = {d: tuple(reps) for d, reps in cells_by_dim.items()}
-        self._cell_set = frozenset(members_of)
-        self.base: Cell = rep_of[fm.base]
+            if len(cells) != m * len(reps.get(d, ())):
+                raise StructuralError(
+                    f"the {d}-cells are not free rotation orbits: {len(cells)} cells, "
+                    f"{len(reps.get(d, ()))} representatives"
+                )
+        self.cells_by_dim = reps
+        self._rep = {c: c for cells in reps.values() for c in cells}
+        self._cell_set = self._rep
+        keys = self.graph.coord_keys
+        self._rank = {c: i for i, c in enumerate(sorted(keys, key=keys.__getitem__))}
+        self.members_of: Mapping[Cell, tuple[Cell, ...]] = _Orbits(self._rep, m)
+        self.base: Cell = self.project(fm.base)
 
     def project(self, cell: Cell) -> Cell:
-        return self.rep_of_cell[cell]
+        """The representative of the cell's orbit: the cell rotated to put
+        its smallest-key coordinate first.  Raises KeyError on a non-cell."""
+        rep = self._rep.get(cell)
+        if rep is None:
+            rank = self._rank
+            ranks = [rank[c] for c in cell]
+            first = ranks.index(min(ranks))
+            rep = self._rep[cell[first:] + cell[:first]]
+        return rep
+
+    def project_near(self, rep: Cell, cell: Cell) -> Cell:
+        """``project(cell)`` for a cell that is the representative rep with
+        one place changed, as a face or a partner of rep is.
+
+        Every coordinate of rep after the first has a larger key than the
+        first.  So when the changed place is not the first, the cell is a
+        representative, or its changed coordinate is now the smallest and
+        goes to the front; only a changed first coordinate needs the scan.
+        Any rotation found in the table is the cell's representative, so a
+        non-cell gives KeyError, never a wrong orbit.
+        """
+        found = self._rep.get(cell)
+        if found is not None:
+            return found
+        if cell[0] != rep[0] or len(cell) != len(rep):
+            return self.project(cell)
+        first = 1
+        while cell[first] == rep[first]:
+            first += 1
+        return self._rep[cell[first:] + cell[:first]]
 
     def facets(self, cell: Cell) -> tuple[Cell, ...]:
         return tuple(self.project(f) for f in self.fm.facets(cell))
 
     def edge_endpoints(self, cell: Cell) -> tuple[Cell, Cell]:
         src, tgt = self.fm.edge_endpoints(cell)
-        return (self.project(src), self.project(tgt))
+        found = self._rep.get  # the faces of a representative mostly are representatives
+        return (found(src) or self.project_near(cell, src), found(tgt) or self.project_near(cell, tgt))
+
+
+class _Orbits(Mapping):
+    """Each representative's orbit, rotated out of it when asked for."""
+
+    def __init__(self, reps: dict[Cell, Cell], m: int):
+        self._reps = reps
+        self._m = m
+
+    def __getitem__(self, rep: Cell) -> tuple[Cell, ...]:
+        rep = self._reps[rep]
+        return tuple(rep[t:] + rep[:t] for t in range(self._m))
+
+    def __iter__(self) -> Iterator[Cell]:
+        return iter(self._reps)
+
+    def __len__(self) -> int:
+        return len(self._reps)
+
+
+def _rotation_representatives(fm: CubeComplex) -> dict[int, tuple[Cell, ...]]:
+    """The representatives of a complex that ``build_dconf`` did not list,
+    after checking that every cell's one-place rotation is a cell."""
+    keys = fm.graph.coord_keys
+    out = {}
+    for d, cells in fm.cells_by_dim.items():
+        for c in cells:
+            if not fm.has(c[1:] + c[:1]):
+                raise StructuralError(f"the complex is not closed under rotation at {c!r}")
+        out[d] = tuple(c for c in cells if all(keys[c[0]] < keys[x] for x in c[1:]))
+    return out
 
 
 def build_quotient(fm: CubeComplex, m: int) -> QuotientComplex:

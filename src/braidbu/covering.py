@@ -183,21 +183,24 @@ def project_path(q: QuotientComplex, path: EdgePath) -> EdgePath:
 
 
 def lift_path(q: QuotientComplex, qpath: EdgePath, start: Cell) -> EdgePath:
-    """Lift a quotient path through the m-to-1 projection, given a start cell."""
+    """Lift a quotient path through the m-to-1 projection, given a start cell.
+
+    A step's lift at cur is the rotation of its orbit edge whose start is
+    cur.  The orbit edge's own start holds distinct coordinates, so the
+    place of cur's first coordinate in it fixes the rotation, and no other
+    rotation can start at cur.
+    """
     if q.project(start) != qpath.start:
         raise InvalidParameterError("start cell does not lie over the path start")
     cur = start
     steps: list[Step] = []
     for orbit_edge, sign in qpath.steps:
-        hits = []
-        for member in q.members_of[orbit_edge]:
-            frm, to = _step_endpoints(q.fm, (member, sign))
-            if frm == cur:
-                hits.append((member, to))
-        if len(hits) != 1:
-            raise StructuralError(f"lift of {orbit_edge!r} at {cur!r} is not unique")
-        member, cur = hits[0]
-        steps.append((member, sign))
+        frm, to = _step_endpoints(q.fm, (orbit_edge, sign))
+        t = frm.index(cur[0]) if cur[0] in frm else 0  # 0: the check below fails
+        if frm[t:] + frm[:t] != cur:
+            raise StructuralError(f"{orbit_edge!r} has no lift at {cur!r}")
+        steps.append((orbit_edge[t:] + orbit_edge[:t], sign))
+        cur = to[t:] + to[:t]
     return EdgePath(start, tuple(steps), cur)
 
 

@@ -199,8 +199,9 @@ def build_field(
 
     Both matchings are checked to be involutions on cells one dimension
     apart.  The quotient's is checked cell by cell, which also tests
-    ``rep_of_cell``.  The upstairs one is checked once per coordinate set,
-    in two parts:
+    ``project``, the minimal rotation that names each partner's orbit; a
+    partner that is not a cell upstairs is refused.  The upstairs one is
+    checked once per coordinate set, in two parts:
 
     1. Closure count: each dimension holds distinct cells, m! per ascending
        cell.  Every cell is an ordering of some ascending cell, so every
@@ -221,11 +222,11 @@ def build_field(
             upstairs = build_field(cx.fm)
         elif upstairs.complex is not cx.fm:
             raise InvalidParameterError("upstairs field is not on the quotient's complex")
-        up, project = upstairs.classes, cx.rep_of_cell
+        up, project = upstairs.classes, cx.project_near
         try:
             for rep in cx.all_cells():
                 partner = up[rep]
-                classes[rep] = None if partner is None else project[partner]
+                classes[rep] = None if partner is None else project(rep, partner)
         except KeyError as missing:
             raise StructuralError(f"{missing.args[0]!r} is not a cell of the upstairs complex") from None
         _check_involution(classes, cx.cells_by_dim)

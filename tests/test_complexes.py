@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -6,6 +7,8 @@ from test_fuzz import trees
 
 from braidbu.complexes import (
     MAX_CELLS,
+    CubeComplex,
+    QuotientComplex,
     act,
     build_dconf,
     build_quotient,
@@ -14,7 +17,7 @@ from braidbu.complexes import (
     components,
     count_cells,
 )
-from braidbu.errors import InvalidParameterError, PreconditionError
+from braidbu.errors import InvalidParameterError, PreconditionError, StructuralError
 from braidbu.graphs import make_cycle, make_lollipop, make_path, make_star, parse_graph_text
 from braidbu.oracle import chi_oracle
 from braidbu.perms import Perm, all_perms
@@ -195,7 +198,49 @@ class TestQuotient:
         total = sum(len(cells) for cells in f3.cells_by_dim.values())
         orbits = sum(len(cells) for cells in q.cells_by_dim.values())
         assert total == 3 * orbits
-        assert set(q.rep_of_cell.values()) == set(q.members_of)
+        images = Counter(map(q.project, f3.all_cells()))
+        assert set(images) == set(q.members_of)
+        assert set(images.values()) == {3}
+
+    @pytest.mark.parametrize("graph, m", TARGETS, ids=TARGET_IDS)
+    def test_representatives_are_the_complex_own_cells(self, graph, m):
+        cx = build_dconf(graph, m)
+        q = build_quotient(cx, m)
+        own = {id(c) for c in cx.all_cells()}
+        for reps in q.cells_by_dim.values():
+            assert all(id(rep) in own for rep in reps)
+            for rep in reps:
+                assert all(q.project(member) is rep for member in q.members_of[rep])
+        assert len(q.members_of) == sum(map(len, q.cells_by_dim.values()))
+
+    def test_particle_count_mismatch_is_refused(self, f2):
+        with pytest.raises(InvalidParameterError, match="particle count mismatch"):
+            QuotientComplex(f2, 3)
+
+    def test_complex_not_closed_under_rotation_is_refused(self, f2):
+        # (0, 2) stays, its rotation (2, 0) goes.
+        cells = {**f2.cells_by_dim, 0: tuple(c for c in f2.cells_by_dim[0] if c != (2, 0))}
+        with pytest.raises(StructuralError, match="not closed under rotation"):
+            build_quotient(CubeComplex(f2.graph, 2, cells), 2)
+
+    def test_walk_representatives_that_miss_cells_are_refused(self, f2):
+        # The same complex with the walk's representatives: the count refuses it.
+        cells = {**f2.cells_by_dim, 0: tuple(c for c in f2.cells_by_dim[0] if c != (2, 0))}
+        with pytest.raises(StructuralError, match="not free rotation orbits"):
+            build_quotient(CubeComplex(f2.graph, 2, cells, f2.representatives), 2)
+
+    def test_non_free_orbit_is_refused(self, f2):
+        # (0, 0) is its own rotation: closed, but an orbit of size 1.
+        cells = {**f2.cells_by_dim, 0: f2.cells_by_dim[0] + ((0, 0),)}
+        with pytest.raises(StructuralError, match="not free rotation orbits"):
+            build_quotient(CubeComplex(f2.graph, 2, cells), 2)
+
+    def test_project_refuses_a_non_cell(self, f2):
+        q = build_quotient(f2, 2)
+        for cell in ((0, 0), (0, 1, 2), ("a", "a1")):
+            with pytest.raises(KeyError):
+                q.project(cell)
+            assert not q.has(cell)
 
     def test_projection_commutes_with_facets(self, f2):
         q = build_quotient(f2, 2)

@@ -8,15 +8,17 @@ from hypothesis import given, settings, strategies as st
 from braidbu.complexes import build_dconf, build_quotient, components
 from braidbu.covering import (
     Covering,
+    EdgePath,
     concat,
     express_loop,
+    lift_path,
     make_path as make_edge_path,
     maximal_tree,
     skeleton,
     tree_parents,
 )
 from braidbu.decide import tree_system
-from braidbu.errors import StructuralError
+from braidbu.errors import InvalidParameterError, StructuralError
 from braidbu.fundgroup import BraidSystem, GeneratorId, get_system
 from braidbu.graphs import make_path, make_star
 from braidbu.morse import build_field
@@ -208,6 +210,55 @@ class TestCoveringContract:
         letters = list(system.down.letters.values())
         u, v = data.draw(words_over(letters)), data.draw(words_over(letters))
         assert system.theta_word(u * v) == (system.theta_word(u) + system.theta_word(v)) % system.fm.m
+
+
+def _lift_by_search(q, qpath, start):
+    """lift_path by trying every rotation of each orbit edge at each step."""
+    cur, steps = start, []
+    for orbit_edge, sign in qpath.steps:
+        hits = []
+        for member in q.members_of[orbit_edge]:
+            src, tgt = q.fm.edge_endpoints(member)
+            frm, to = (src, tgt) if sign == 1 else (tgt, src)
+            if frm == cur:
+                hits.append((member, to))
+        assert len(hits) == 1
+        member, cur = hits[0]
+        steps.append((member, sign))
+    return tuple(steps), cur
+
+
+class TestLifting:
+    @pytest.mark.parametrize("name", sorted(COVERINGS))
+    def test_lifts_match_a_search_over_each_orbit(self, name):
+        system = COVERINGS[name]()
+        q = system.quotient
+        for letter in system.down.letters.values():
+            loop = system.down.loop(letter)
+            for sheet in range(system.m):
+                start = system._sheets[sheet]
+                lifted = lift_path(q, loop, start)
+                assert (lifted.steps, lifted.end) == _lift_by_search(q, loop, start)
+                assert lifted.start == start
+
+    def test_start_off_the_path_start_is_refused(self, sys3):
+        loop = sys3.down.loop(next(iter(sys3.down.letters.values())))
+        off = next(v for v in sys3.fm.cells_by_dim[0] if sys3.quotient.project(v) != loop.start)
+        with pytest.raises(InvalidParameterError, match="does not lie over"):
+            lift_path(sys3.quotient, loop, off)
+
+    def test_step_away_from_the_lift_is_refused(self, sys3):
+        q = sys3.quotient
+        edge = next(e for e in q.cells_by_dim[1] if q.base not in q.edge_endpoints(e))
+        broken = EdgePath(q.base, ((edge, 1),), q.edge_endpoints(edge)[1])
+        with pytest.raises(StructuralError, match="has no lift"):
+            lift_path(q, broken, sys3._sheets[0])
+
+    def test_deck_exponent_outside_the_base_orbit_is_refused(self, sys3):
+        off = next(v for v in sys3.fm.cells_by_dim[0] if sys3.quotient.project(v) != sys3.quotient.base)
+        with pytest.raises(StructuralError, match="not in the base orbit"):
+            sys3.deck_exponent(off)
+        assert [sys3.deck_exponent(v) for v in sys3._sheets] == [0, 1, 2]
 
 
 class TestBases:

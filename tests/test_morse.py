@@ -4,7 +4,7 @@ import random
 import pytest
 
 import braidbu.morse as morse
-from braidbu.complexes import CubeComplex, act, build_dconf, build_quotient
+from braidbu.complexes import CubeComplex, act, build_dconf, build_quotient, cell_dim, count_cells
 from braidbu.errors import InvalidParameterError, StructuralError
 from braidbu.fundgroup import BraidSystem, get_system
 from braidbu.graphs import make_cycle, make_lollipop, make_path, make_star
@@ -331,6 +331,69 @@ class TestSymmetricField:
         # rotation, checked directly, and pairs with ("a2", 0).
         with pytest.raises(StructuralError, match="not equivariant"):
             _field_with(monkeypatch, {(2, 0): answer})
+
+
+class _DisjointCells:
+    """A stand-in complex of m particles on a graph: any tuple of graph cells
+    with pairwise disjoint closures is a cell."""
+
+    def __init__(self, graph):
+        self.graph = graph
+
+    def has(self, cell):
+        closures = self.graph.closures
+        used = frozenset()
+        for coord in cell:
+            if used & closures[coord]:
+                return False
+            used |= closures[coord]
+        return True
+
+
+def _unordered_cells(graph, m):
+    """Each set of m graph cells with pairwise disjoint closures, as its
+    ascending tuple."""
+    keys, closures = graph.coord_keys, graph.closures
+    order = sorted(keys, key=keys.__getitem__)
+
+    def extend(prefix, used, start):
+        if len(prefix) == m:
+            yield prefix
+            return
+        for i in range(start, len(order)):
+            coord = order[i]
+            if not used & closures[coord]:
+                yield from extend(prefix + (coord,), used | closures[coord], i + 1)
+
+    return extend((), frozenset(), 0)
+
+
+class TestSymmetricCensus:
+    """The rule commutes with permuting coordinates, so one ascending tuple
+    per unordered cell, times m!, gives the ordered census.  This needs no
+    ordered complex, which ``MAX_CELLS`` refuses past m=5."""
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 7])
+    def test_census_times_m_factorial(self, m):
+        graph = make_lollipop(m)
+        stub = _DisjointCells(graph)
+        total = chi = 0
+        critical = {}
+        for cell in _unordered_cells(graph, m):
+            d = cell_dim(cell)
+            total += 1
+            chi += (-1) ** d
+            if classify_cell(cell, stub) is None:
+                critical[d] = critical.get(d, 0) + 1
+        per_set = math.factorial(m)
+        assert {d: n * per_set for d, n in critical.items()} == {0: per_set, 1: m * per_set}
+        assert total * per_set == count_cells(graph, m)
+        assert chi * per_set == (critical[0] - critical[1]) * per_set == (1 - m) * per_set
+        if m == 4:
+            ordered = build_field(build_dconf(graph, m)).census()
+            assert {d: n * per_set for d, n in critical.items()} == {
+                d: n for (d, kind), n in ordered.items() if kind == "critical"
+            }
 
 
 class TestQuotientField:
