@@ -70,8 +70,8 @@ class CubeComplex(_CellComplex):
     """The m-particle configuration complex of a graph.
 
     ``representatives`` lists, per dimension and in sort order, the cells
-    whose first coordinate has the smallest key, when the caller knows them
-    (``build_dconf``); the quotient reads them.
+    whose first coordinate has the smallest key, as ``build_dconf``'s walk
+    finds them; the quotient reads them.
     """
 
     def __init__(
@@ -79,7 +79,7 @@ class CubeComplex(_CellComplex):
         graph: Graph,
         m: int,
         cells_by_dim: dict[int, tuple[Cell, ...]],
-        representatives: Optional[dict[int, tuple[Cell, ...]]] = None,
+        representatives: dict[int, tuple[Cell, ...]],
     ):
         self.graph = graph
         self.m = m
@@ -275,9 +275,8 @@ class QuotientComplex(_CellComplex):
 
     ``build_dconf``'s complex is closed under rotation: the walk enumerates
     every tuple with pairwise disjoint closures, a condition that does not
-    depend on the places.  A complex built otherwise is checked cell by cell
-    for that.  Given closure, one count per dimension proves every orbit
-    free: an orbit whose smallest key occurs once has m members and one
+    depend on the places.  Given closure, one count per dimension proves
+    every orbit free: an orbit whose smallest key occurs once has m members and one
     representative, any other orbit has members but no representative, so
     the cells number m times the representatives exactly when no orbit is
     smaller than m.
@@ -290,8 +289,6 @@ class QuotientComplex(_CellComplex):
         self.graph = fm.graph
         self.m = m
         reps = fm.representatives
-        if reps is None:
-            reps = _rotation_representatives(fm)
         for d, cells in fm.cells_by_dim.items():
             if len(cells) != m * len(reps.get(d, ())):
                 raise StructuralError(
@@ -343,8 +340,7 @@ class QuotientComplex(_CellComplex):
 
     def edge_endpoints(self, cell: Cell) -> tuple[Cell, Cell]:
         src, tgt = self.fm.edge_endpoints(cell)
-        found = self._rep.get  # the faces of a representative mostly are representatives
-        return (found(src) or self.project_near(cell, src), found(tgt) or self.project_near(cell, tgt))
+        return (self.project_near(cell, src), self.project_near(cell, tgt))
 
 
 class _Orbits(Mapping):
@@ -363,19 +359,6 @@ class _Orbits(Mapping):
 
     def __len__(self) -> int:
         return len(self._reps)
-
-
-def _rotation_representatives(fm: CubeComplex) -> dict[int, tuple[Cell, ...]]:
-    """The representatives of a complex that ``build_dconf`` did not list,
-    after checking that every cell's one-place rotation is a cell."""
-    keys = fm.graph.coord_keys
-    out = {}
-    for d, cells in fm.cells_by_dim.items():
-        for c in cells:
-            if not fm.has(c[1:] + c[:1]):
-                raise StructuralError(f"the complex is not closed under rotation at {c!r}")
-        out[d] = tuple(c for c in cells if all(keys[c[0]] < keys[x] for x in c[1:]))
-    return out
 
 
 def build_quotient(fm: CubeComplex, m: int) -> QuotientComplex:

@@ -218,13 +218,7 @@ class TestQuotient:
             QuotientComplex(f2, 3)
 
     def test_complex_not_closed_under_rotation_is_refused(self, f2):
-        # (0, 2) stays, its rotation (2, 0) goes.
-        cells = {**f2.cells_by_dim, 0: tuple(c for c in f2.cells_by_dim[0] if c != (2, 0))}
-        with pytest.raises(StructuralError, match="not closed under rotation"):
-            build_quotient(CubeComplex(f2.graph, 2, cells), 2)
-
-    def test_walk_representatives_that_miss_cells_are_refused(self, f2):
-        # The same complex with the walk's representatives: the count refuses it.
+        # (0, 2) stays, its rotation (2, 0) goes: the count refuses it.
         cells = {**f2.cells_by_dim, 0: tuple(c for c in f2.cells_by_dim[0] if c != (2, 0))}
         with pytest.raises(StructuralError, match="not free rotation orbits"):
             build_quotient(CubeComplex(f2.graph, 2, cells, f2.representatives), 2)
@@ -233,7 +227,7 @@ class TestQuotient:
         # (0, 0) is its own rotation: closed, but an orbit of size 1.
         cells = {**f2.cells_by_dim, 0: f2.cells_by_dim[0] + ((0, 0),)}
         with pytest.raises(StructuralError, match="not free rotation orbits"):
-            build_quotient(CubeComplex(f2.graph, 2, cells), 2)
+            build_quotient(CubeComplex(f2.graph, 2, cells, f2.representatives), 2)
 
     def test_project_refuses_a_non_cell(self, f2):
         q = build_quotient(f2, 2)

@@ -302,7 +302,7 @@ class TestInvolutionPerSet:
         cells = [c for c in fm.cells_by_dim[1] if c != first[::-1]]
         if duplicate:
             cells.append(first)
-        hand_built = CubeComplex(fm.graph, 3, {**fm.cells_by_dim, 1: tuple(cells)})
+        hand_built = CubeComplex(fm.graph, 3, {**fm.cells_by_dim, 1: tuple(cells)}, fm.representatives)
         with pytest.raises(StructuralError, match="not every ordering"):
             build_field(hand_built)
 
