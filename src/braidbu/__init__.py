@@ -44,7 +44,6 @@ from .morse import (
     build_field,
     classify_cell,
     edge_type,
-    forest,
     type_tuple,
 )
 from .oracle import Report, chi_oracle, morse_rank_check, run_suite

@@ -13,7 +13,7 @@ orbit's members are rotated out of its representative on demand.
 """
 from __future__ import annotations
 
-from collections.abc import Collection, Mapping
+from collections.abc import Mapping
 from math import comb, factorial
 from typing import Iterator, Optional, Union
 
@@ -40,19 +40,15 @@ def act(sigma: Perm, cell: Cell) -> Cell:
 class _CellComplex:
     """The cell API shared by a configuration complex and its quotient.
 
-    Subclasses set ``graph``, ``cells_by_dim`` (cells of each dimension in
-    sort order) and ``_cell_set``.
+    Subclasses set ``graph`` and ``cells_by_dim`` (cells of each dimension
+    in sort order), and answer ``has``.
     """
 
     graph: Graph
     cells_by_dim: dict[int, tuple[Cell, ...]]
-    _cell_set: Collection[Cell]
 
     def sort_key(self, cell: Cell):
         return tuple(map(self.graph.coord_keys.__getitem__, cell))
-
-    def has(self, cell: Cell) -> bool:
-        return cell in self._cell_set
 
     def all_cells(self) -> Iterator[Cell]:
         for d in sorted(self.cells_by_dim):
@@ -85,8 +81,20 @@ class CubeComplex(_CellComplex):
         self.m = m
         self.cells_by_dim = cells_by_dim
         self.representatives = representatives
-        self._cell_set = frozenset(c for cells in cells_by_dim.values() for c in cells)
         self.base: Cell = cells_by_dim[0][0]
+
+    def has(self, cell: Cell) -> bool:
+        """Whether the tuple is a cell: m graph cells whose closures are
+        pairwise disjoint, tested on their vertex bit masks."""
+        if len(cell) != self.m:
+            return False
+        masks, used = self.graph.closure_masks, 0
+        for coord in cell:
+            mask = masks.get(coord)
+            if mask is None or used & mask:
+                return False
+            used |= mask
+        return True
 
     def facets(self, cell: Cell) -> tuple[Cell, ...]:
         """The 2d codimension-one faces, pairing each edge coordinate with its ends."""
@@ -139,11 +147,8 @@ def build_dconf(graph: Graph, m: int) -> CubeComplex:
     if total > MAX_CELLS:
         raise PreconditionError(f"the {m}-particle complex has {total} cells, more than the {MAX_CELLS} allowed")
     keys = graph.coord_keys
-    closures = graph.closures
-    steps = [
-        (c, sum(1 << v for v in closures[c]), c.__class__ is str)
-        for c in sorted(keys, key=keys.__getitem__)
-    ]
+    masks = graph.closure_masks
+    steps = [(c, masks[c], c.__class__ is str) for c in sorted(keys, key=keys.__getitem__)]
     by_dim: list[list[Cell]] = [[] for _ in range(m + 1)]
     reps: list[list[Cell]] = [[] for _ in range(m + 1)]
 
@@ -297,11 +302,14 @@ class QuotientComplex(_CellComplex):
                 )
         self.cells_by_dim = reps
         self._rep = {c: c for cells in reps.values() for c in cells}
-        self._cell_set = self._rep
         keys = self.graph.coord_keys
         self._rank = {c: i for i, c in enumerate(sorted(keys, key=keys.__getitem__))}
         self.members_of: Mapping[Cell, tuple[Cell, ...]] = _Orbits(self._rep, m)
         self.base: Cell = self.project(fm.base)
+
+    def has(self, cell: Cell) -> bool:
+        """Whether the tuple is an orbit's representative."""
+        return cell in self._rep
 
     def project(self, cell: Cell) -> Cell:
         """The representative of the cell's orbit: the cell rotated to put

@@ -3,12 +3,18 @@
 A ``Level`` is one side of the m-to-1 covering F -> F/Z_m: a complex, the
 letter naming the based loop of each letter edge, and a spanning tree built
 from the gradient field and the letters alone -- the field's forest plus the
-critical edges that name no letter (``maximal_tree``) -- with parent pointers
-from the base, over endpoints read once per level (``skeleton``).  It turns
-paths into loops and loops into words: ``path_to`` is the tree path from the
-base, ``close`` makes any path a based loop through the tree, ``loop`` is the
-closed one-edge path of a letter, and ``express`` reads a loop's letters off
-in order.
+critical edges that name no letter, the selected edges.  It is read off the
+Morse complex, never off every 0-cell.  The field's flow takes a 0-cell down
+the forest to its critical 0-cell (``GradientField.flow``).  The Morse
+complex joins the critical 0-cells by the critical edges, their ends flowed
+(``skeleton``), and the selected edges are its spanning tree
+(``maximal_tree``), with parent pointers from the base's sink
+(``tree_parents``).  A Level turns paths into loops and loops into words:
+``path_to`` is the tree path from the base, the Morse-tree path with each
+edge expanded along the flow; ``close`` makes any path a based loop through
+the tree; ``loop`` is the closed one-edge path of a letter; and ``express``
+reads a loop's letters off in order, skipping the forest's and the selected
+edges.
 
 ``build_fields(graph, n)`` gives the gradient fields of both sides, and
 ``Covering`` builds its two levels from them, ``up`` (the configuration
@@ -43,15 +49,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
-from .complexes import Cell, QuotientComplex, act, build_dconf, build_quotient
+from .complexes import Cell, QuotientComplex, act, build_dconf, build_quotient, cell_dim
 from .errors import InvalidParameterError, PreconditionError, StructuralError
 from .graphs import Graph, union_find
-from .morse import GradientField, build_field
+from .morse import GradientField, Step, build_field
 from .perms import Perm
 from .words import FreeWord
-
-Step = tuple[Cell, int]  # (1-cell, +1 along orientation / -1 against)
-
 
 @dataclass(frozen=True)
 class EdgePath:
@@ -94,63 +97,83 @@ def reverse_path(path: EdgePath) -> EdgePath:
     return EdgePath(path.end, tuple((e, -s) for e, s in reversed(path.steps)), path.start)
 
 
-# -- spanning trees ----------------------------------------------------------
+# -- the Morse complex and its spanning tree -----------------------------------
+
+
+def morse_ends(field: GradientField, edge: Cell) -> tuple[Cell, Cell]:
+    """The critical 0-cells that the edge's source and target flow to."""
+    src, tgt = field.complex.edge_endpoints(edge)
+    return field.sink(src), field.sink(tgt)
 
 
 def skeleton(field: GradientField) -> tuple[dict[Cell, tuple[Cell, Cell]], dict[Cell, Cell], list[Cell]]:
-    """(source, target) of each forest, then each critical, 1-cell, and one
-    ``union_find`` over them: each 0-cell's root and the edges closing a cycle.
-    The field collapses the complex onto these cells (Forman), so the roots
-    are the components of the whole 1-skeleton."""
-    cx = field.complex
-    ends = {e: cx.edge_endpoints(e) for e in field.forest_edges + field.critical(1)}
-    return (ends, *union_find(cx.cells_by_dim[0], ends))
+    """The 1-skeleton of the Morse complex: each critical 1-cell's ends
+    flowed to their critical 0-cells, and one ``union_find`` over them, in
+    ``critical(1)`` order: each critical 0-cell's root and the edges closing
+    a cycle.  The forest the flow follows has no cycle and joins each 0-cell
+    to its sink (``build_field``), so these are the components and the
+    closing edges of the whole 1-skeleton with the forest taken first."""
+    ends = {e: morse_ends(field, e) for e in field.critical(1)}
+    return (ends, *union_find(field.critical(0), ends))
 
 
 def maximal_tree(field: GradientField, selected: frozenset[Cell]) -> frozenset[Cell]:
-    """Forest edges plus the selected critical edges, checked to number V - 1;
-    ``tree_parents`` then checks that they reach every 0-cell, so they span."""
-    edges = field.forest_edges + list(selected)
-    vertices = field.complex.cells_by_dim[0]
-    if len(edges) != len(vertices) - 1:
-        raise StructuralError(f"candidate tree has {len(edges)} edges on {len(vertices)} vertices")
-    return frozenset(edges)
+    """The selected critical edges, checked to number c0 - 1: with the
+    forest they span the 1-skeleton as a tree once ``tree_parents`` finds
+    that they reach every critical 0-cell (``build_field``)."""
+    sinks = len(field.critical(0))
+    if len(selected) != sinks - 1:
+        raise StructuralError(f"candidate tree has {len(selected)} edges on {sinks} critical vertices")
+    return frozenset(selected)
 
 
-def tree_parents(cx, tree_edges, base: Cell, ends=None) -> dict[Cell, Optional[tuple[Cell, int, Cell]]]:
-    """Breadth-first parent pointers within a spanning set of 1-cells.
+def tree_parents(
+    vertices: Iterable[Cell], ends: Mapping[Cell, tuple[Cell, Cell]], base: Cell
+) -> dict[Cell, Optional[tuple[Cell, int, Cell]]]:
+    """Breadth-first parent pointers within a spanning set of edges.
 
-    parents[v] = (edge, sign, parent), v and parent the complex's own 0-cells,
-    where traversing edge with sign leads from parent to v; the base maps to None.
-    ``ends`` maps edges to (source, target), by default ``cx.edge_endpoints``.
-    A tree's paths from the base are unique, so the edges' order does not
-    matter.  Raises if the edges miss a 0-cell, as V - 1 edges with a cycle do.
+    ``ends`` maps each edge to its (source, target) among ``vertices``.
+    parents[v] = (edge, sign, parent), where traversing edge with sign leads
+    from parent to v; the base maps to None.  A tree's paths from the base
+    are unique, so the edges' order does not matter.  Raises if the edges
+    miss a vertex, as c0 - 1 edges with a cycle do.
     """
-    endpoints = cx.edge_endpoints if ends is None else ends.__getitem__
-    # Each 0-cell maps to itself too, so fresh endpoint tuples are never stored.
-    adjacency = {v: (v, []) for v in cx.cells_by_dim[0]}
-    for e in tree_edges:
-        src, tgt = endpoints(e)
-        (src, out), (tgt, into) = adjacency[src], adjacency[tgt]
-        out.append((e, 1, tgt))
-        into.append((e, -1, src))
+    adjacency: dict[Cell, list[tuple[Cell, int, Cell]]] = {v: [] for v in vertices}
+    for e, (src, tgt) in ends.items():
+        adjacency[src].append((e, 1, tgt))
+        adjacency[tgt].append((e, -1, src))
     parents: dict[Cell, Optional[tuple[Cell, int, Cell]]] = {base: None}
     queue = deque([base])
     while queue:
         u = queue.popleft()
-        for edge, sign, v in adjacency[u][1]:
+        for edge, sign, v in adjacency[u]:
             if v not in parents:
                 parents[v] = (edge, sign, u)
                 queue.append(v)
     if len(parents) != len(adjacency):
-        raise StructuralError("tree does not span the 0-skeleton")
+        raise StructuralError("tree does not span the critical 0-cells")
     return parents
+
+
+def _reduce(steps: Iterable[Step]) -> list[Step]:
+    """Cancel each step that retraces the one before it."""
+    out: list[Step] = []
+    for edge, sign in steps:
+        if out and out[-1] == (edge, -sign):
+            out.pop()
+        else:
+            out.append((edge, sign))
+    return out
+
+
+def _reversed(steps: list[Step]) -> list[Step]:
+    return [(e, -s) for e, s in reversed(steps)]
 
 
 # -- loop expression ---------------------------------------------------------
 
 
-def express_loop(path: EdgePath, tree_edges: frozenset[Cell], letter_of: Callable[[Cell], object]) -> FreeWord:
+def express_loop(path: EdgePath, is_tree: Callable[[Cell], bool], letter_of: Callable[[Cell], object]) -> FreeWord:
     """Read off, in order, the non-tree edges a closed path traverses.
 
     letter_of maps a non-tree 1-cell to the letter naming its based loop; it
@@ -160,7 +183,7 @@ def express_loop(path: EdgePath, tree_edges: frozenset[Cell], letter_of: Callabl
         raise InvalidParameterError("path is not closed")
     pieces = []
     for edge, sign in path.steps:
-        if edge in tree_edges:
+        if is_tree(edge):
             continue
         try:
             letter = letter_of(edge)
@@ -208,35 +231,58 @@ def lift_path(q: QuotientComplex, qpath: EdgePath, start: Cell) -> EdgePath:
 
 
 class Level:
-    """One side of the covering: a complex and its letters, with the spanning
-    tree and parent pointers that turn paths into loops and loops into words.
+    """One side of the covering: a complex and its letters, with the field
+    whose flow and Morse tree turn paths into loops and loops into words.
 
     ``letters`` maps critical 1-cells of the field to the letter naming their
-    based loop; ``selected`` holds the other critical 1-cells, which join the
-    field's forest in ``tree``; ``ends`` maps its edges to their endpoints
-    when the caller has them (``skeleton``).
+    based loop.  The other critical 1-cells, ``selected``, join the critical
+    0-cells into the Morse tree, with parent pointers (``parents``) from the
+    base's sink.  The level's spanning tree is the field's forest, the
+    1-cells matched with 0-cells, together with the selected edges.
     """
 
-    def __init__(self, field: GradientField, letters: Mapping[Cell, object], ends=None):
-        # Neither the field nor the endpoint table is kept: a tree target
-        # needs them only here, and every cached system would hold them.
+    def __init__(self, field: GradientField, letters: Mapping[Cell, object]):
+        # The field is kept: the flow reads its matching, and ``express``
+        # reads it to tell the forest's edges from the rest.
         self.complex = cx = field.complex
+        self.field = field
         self.letters = letters
-        self.selected = frozenset(e for e in field.critical(1) if e not in letters)
-        self.tree = maximal_tree(field, self.selected)
-        self.parents = tree_parents(cx, self.tree, cx.base, ends)
+        self.selected = maximal_tree(field, frozenset(e for e in field.critical(1) if e not in letters))
+        ends = {e: morse_ends(field, e) for e in self.selected}
+        to_root, root = field.flow(cx.base)
+        self.parents = tree_parents(field.critical(0), ends, root)
+        self._paths: dict[Cell, list[Step]] = {root: to_root}
         self._edge = {letter: edge for edge, letter in letters.items()}
         self._loops: dict[object, EdgePath] = {}
 
     def path_to(self, v: Cell) -> EdgePath:
-        """The unique tree path from the base to v."""
-        steps: list[Step] = []
-        cur = v
-        while self.parents[cur] is not None:
-            edge, sign, cur = self.parents[cur]
-            steps.append((edge, sign))
-        steps.reverse()
-        return make_path(self.complex, cur, steps)
+        """The unique tree path from the base to v: the path to v's sink
+        (``_to_sink``), then v's flow backwards, freely reduced."""
+        cx = self.complex
+        steps, sink = self.field.flow(v)
+        return make_path(cx, cx.base, _reduce(self._to_sink(sink) + _reversed(steps)))
+
+    def _to_sink(self, sink: Cell) -> list[Step]:
+        """The tree path from the base to a critical 0-cell, memoised.
+
+        The base flows to the root of the Morse tree.  Below it, the path to
+        a critical 0-cell is its parent's path, then its Morse edge expanded:
+        the flow from the edge's start backwards, the edge, and the flow from
+        its end.  That walk stays in the spanning tree, so once freely
+        reduced it is the tree path.
+        """
+        cx, field, paths, parents = self.complex, self.field, self._paths, self.parents
+        below = []
+        while sink not in paths:
+            below.append(sink)
+            sink = parents[sink][2]
+        path = paths[sink]
+        for u in reversed(below):
+            edge, sign, _ = parents[u]
+            src, tgt = cx.edge_endpoints(edge)
+            frm, to = (src, tgt) if sign == 1 else (tgt, src)
+            path = paths[u] = _reduce(path + _reversed(field.flow(frm)[0]) + [(edge, sign)] + field.flow(to)[0])
+        return path
 
     def close(self, path: EdgePath) -> EdgePath:
         """The based loop through the path: the tree path to its start, the
@@ -254,9 +300,17 @@ class Level:
             self._loops[letter] = self.close(EdgePath(src, ((edge, 1),), tgt))
         return self._loops[letter]
 
+    def is_tree_edge(self, edge: Cell) -> bool:
+        """Whether the 1-cell is in the spanning tree: selected, or matched
+        with a 0-cell."""
+        if edge in self.selected:
+            return True
+        partner = self.field.classes[edge]
+        return partner is not None and cell_dim(partner) == 0
+
     def express(self, path: EdgePath) -> FreeWord:
         """The word of a closed path: its letter edges, read in order."""
-        return express_loop(path, self.tree, self.letters.__getitem__)
+        return express_loop(path, self.is_tree_edge, self.letters.__getitem__)
 
 
 def build_fields(graph: Graph, n: int) -> tuple[GradientField, GradientField]:
@@ -287,8 +341,8 @@ class Covering:
         self.quotient = field_q.complex
         self.graph = fm.graph
         self.m = n = fm.m
-        self.up = Level(field_fm, *self._letters(field_fm))
-        self.down = Level(field_q, *self._letters(field_q))
+        self.up = Level(field_fm, self._letters(field_fm))
+        self.down = Level(field_q, self._letters(field_q))
         self._lifts: dict[tuple[int, object], tuple[FreeWord, int]] = {}
         self._iota: dict[object, FreeWord] = {}
         self.c1 = Perm.cycle(1, n)
@@ -297,15 +351,14 @@ class Covering:
         self._sheets = [act(self.c1 ** (-t % n), fm.base) for t in range(n)]
         self._deck = {cell: t for t, cell in enumerate(self._sheets)}
 
-    def _letters(self, field: GradientField) -> tuple[dict[Cell, object], Optional[dict]]:
-        """The level's letters and the endpoint table ``Level`` reads its tree
-        from (``skeleton``): each critical edge that closes a cycle with the
-        forest and the critical edges before it is named by itself.  Refuses
-        a disconnected complex."""
-        ends, roots, closing = skeleton(field)
+    def _letters(self, field: GradientField) -> dict[Cell, object]:
+        """The level's letters: each critical edge that closes a cycle with
+        the forest and the critical edges before it, in the Morse complex
+        (``skeleton``), is named by itself.  Refuses a disconnected complex."""
+        _, roots, closing = skeleton(field)
         if len(set(roots.values())) != 1:
             raise PreconditionError(f"configuration complex of the tree is disconnected for n={self.m}")
-        return {e: e for e in closing}, ends
+        return {e: e for e in closing}
 
     def deck_exponent(self, vertex: Cell) -> int:
         """t in Z_n with vertex == act(c1^-t, base)."""

@@ -86,11 +86,11 @@ class BraidSystem(Covering):
         self.field_fm, self.field_q = build_fields(make_lollipop(m), m)
         super().__init__(self.field_fm, self.field_q)
 
-    def _letters(self, field: GradientField) -> tuple[dict[Cell, GeneratorId], None]:
+    def _letters(self, field: GradientField) -> dict[Cell, GeneratorId]:
         """Each critical edge named by ``_letter``; the selected ones are left out."""
         space = SPACE_FM if field.complex is self.fm else SPACE_QUOTIENT
         named = ((cell, self._letter(space, *edge_data(cell, self.graph, self.m))) for cell in field.critical(1))
-        return {cell: letter for cell, letter in named if letter is not None}, None
+        return {cell: letter for cell, letter in named if letter is not None}
 
     # -- selection -----------------------------------------------------------
 

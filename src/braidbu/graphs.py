@@ -179,6 +179,11 @@ class Graph:
         return out
 
     @cached_property
+    def closure_masks(self) -> dict[Coord, int]:
+        """Each graph cell's closure as a bit mask over the vertices."""
+        return {c: sum(1 << v for v in vs) for c, vs in self.closures.items()}
+
+    @cached_property
     def coord_keys(self) -> dict[Coord, tuple[float, int]]:
         """Sort key of each graph cell: by ordinal, vertices before edges on ties."""
         out: dict[Coord, tuple[float, int]] = {v: (v, 0) for v in range(self.num_vertices)}

@@ -30,25 +30,29 @@ ascending cell's partner must pair back with it.  The matching of a cyclic
 quotient is then read off the upstairs one, one orbit representative at a
 time, and checked cell by cell.
 
-The 0-cells and the collapsible 1-cells form a maximal forest whose trees are
-labelled by the permutation sorting their coordinates' places in the
-numbering (``forest``).  On the lollipop the numbering is the identity and
-every tree edge respects the order.
+The 0-cells and the 1-cells matched with them form a maximal forest, and
+each of its trees holds one critical 0-cell.  The flow follows it: a
+matched 0-cell steps along its partner edge to that edge's other end, and
+every 0-cell reaches its tree's critical 0-cell, its sink (``sink``,
+``flow``).  Steps are memoised, so the flow touches only the 0-cells it is
+asked about.  ``build_field`` checks that every step moves a vertex toward
+the root, which proves that the flow ends and that the forest is acyclic.
+On the lollipop the numbering is the identity and every tree edge respects
+the order.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, repeat
+from itertools import compress, permutations, repeat
 from math import factorial
-from operator import ne
+from operator import is_, ne
 from typing import Optional, Union
 
 from .complexes import Cell, CubeComplex, QuotientComplex, cell_dim
 from .errors import InvalidParameterError, StructuralError
-from .graphs import Graph, union_find
-from .perms import Perm, cyclic_canonical, sorting_permutation
+from .graphs import Graph
+from .perms import Perm, sorting_permutation
 
 KIND_CRITICAL = "critical"
 KIND_REDUNDANT = "redundant"
@@ -109,26 +113,38 @@ def classify_cell(c: Cell, cx: CubeComplex) -> Optional[Cell]:
     return None
 
 
+Step = tuple[Cell, int]  # (1-cell, +1 along its orientation / -1 against)
+
+
 class GradientField:
     """A discrete gradient field as its matching: ``classes`` maps every cell
-    to its partner, or to None when the cell is critical."""
+    to its partner, or to None when the cell is critical.  ``critical``
+    holds the critical cells of each dimension in ``cells_by_dim`` order,
+    as ``build_field`` finds them."""
 
-    def __init__(self, cx: Union[CubeComplex, QuotientComplex], classes: dict[Cell, Optional[Cell]]):
+    def __init__(
+        self,
+        cx: Union[CubeComplex, QuotientComplex],
+        classes: dict[Cell, Optional[Cell]],
+        critical: Mapping[int, Iterable[Cell]],
+    ):
         self.complex = cx
         self.classes = classes
+        self._critical = {d: tuple(cells) for d, cells in critical.items()}
+        # The memoised steps of the matched 0-cells, and the sink of each
+        # 0-cell walked from; a critical 0-cell maps to itself, so a flow
+        # ends on the complex's own tuple.
+        self._steps: dict[Cell, tuple[Cell, int, Cell]] = {}
+        self._sinks = {c: c for c in self.critical(0)}
+        self._most = len(cx.cells_by_dim[0])  # no flow is longer
 
     def kind(self, cell: Cell) -> str:
         return _kind(self.classes[cell], cell_dim(cell))
 
-    def critical(self, dim: Optional[int] = None) -> list[Cell]:
-        dims = sorted(self.complex.cells_by_dim) if dim is None else [dim]
-        return [c for d in dims for c in self.complex.cells_by_dim.get(d, ()) if self.classes[c] is None]
-
-    @property
-    def forest_edges(self) -> list[Cell]:
-        """The 1-cells matched with 0-cells; together with all 0-cells they span."""
-        classes = self.classes
-        return [classes[v] for v in self.complex.cells_by_dim.get(0, ()) if classes[v] is not None]
+    def critical(self, dim: Optional[int] = None) -> tuple[Cell, ...]:
+        if dim is not None:
+            return self._critical.get(dim, ())
+        return tuple(c for d in sorted(self._critical) for c in self._critical[d])
 
     def census(self) -> dict[tuple[int, str], int]:
         out: dict[tuple[int, str], int] = {}
@@ -138,6 +154,46 @@ class GradientField:
                 key = (d, _kind(classes[c], d))
                 out[key] = out.get(key, 0) + 1
         return out
+
+    def _step(self, v: Cell) -> tuple[Cell, int, Cell]:
+        """The matched 0-cell v's partner edge, the sign that leaves v along
+        it, and the edge's other end."""
+        step = self._steps.get(v)
+        if step is None:
+            edge = self.classes[v]
+            src, tgt = self.complex.edge_endpoints(edge)
+            if v == src:
+                step = (edge, 1, tgt)
+            elif v == tgt:
+                step = (edge, -1, src)
+            else:
+                raise StructuralError(f"{v!r} is not an end of its partner {edge!r}")
+            self._steps[v] = step
+        return step
+
+    def flow(self, v: Cell) -> tuple[list[Step], Cell]:
+        """The steps from the 0-cell v down the forest to its sink, and the
+        sink, a critical 0-cell.  A field from ``build_field`` descends at
+        every step, so its flows end; a longer one is refused."""
+        classes, steps = self.classes, []
+        while classes[v] is not None:
+            if len(steps) == self._most:
+                raise StructuralError(f"the flow from {v!r} does not end")
+            edge, sign, v = self._step(v)
+            steps.append((edge, sign))
+        return steps, self._sinks[v]
+
+    def sink(self, v: Cell) -> Cell:
+        """The critical 0-cell that v flows to, memoised for every 0-cell on
+        the way."""
+        sinks, walked = self._sinks, []
+        while v not in sinks:
+            if len(walked) == self._most:
+                raise StructuralError(f"the flow from {v!r} does not end")
+            walked.append(v)
+            v = self._step(v)[2]
+        sinks.update(dict.fromkeys(walked, sinks[v]))
+        return sinks[v]
 
 
 def _kind(partner: Optional[Cell], d: int) -> str:
@@ -180,6 +236,24 @@ def _match_orderings(c: Cell, cx: CubeComplex, out: dict[Cell, Optional[Cell]]) 
         raise StructuralError(f"matching is not equivariant at {rotated!r}")
 
 
+def _check_descent(cx: CubeComplex, ascending: Iterable[Cell], classes: Mapping[Cell, Optional[Cell]]) -> None:
+    """Each matched ascending 0-cell's partner is an edge at one of its
+    coordinates' places, with that coordinate as one end and an end of
+    smaller ``tree_order.number`` as the other."""
+    number, edge_by_name = cx.graph.tree_order.number, cx.graph.edge_by_name
+    for c in ascending:
+        partner = classes[c]
+        if partner is None:
+            continue
+        r = next(i for i, (old, new) in enumerate(zip(c, partner)) if old != new)
+        edge = edge_by_name.get(partner[r])
+        if edge is None or c[r] not in (edge.lo, edge.hi):
+            raise StructuralError(f"{c!r} is not an end of its partner {partner!r}")
+        other = edge.hi if c[r] == edge.lo else edge.lo
+        if number[other] >= number[c[r]]:
+            raise StructuralError(f"the flow from {c!r} does not move toward the root")
+
+
 def build_field(
     cx: Union[CubeComplex, QuotientComplex], upstairs: Optional[GradientField] = None
 ) -> GradientField:
@@ -195,7 +269,8 @@ def build_field(
     partner; otherwise the matching is not equivariant and this raises
     ``StructuralError``.  On a quotient the orbit takes the orbit of its
     representative's partner in ``upstairs``, the field of ``cx.fm``, which
-    is built here when not given; no cell is classified again.
+    is built here when not given; no cell is classified again.  The
+    critical cells of each dimension are listed as the matching is filled.
 
     Both matchings are checked to be involutions on cells one dimension
     apart.  The quotient's is checked cell by cell, which also tests
@@ -215,8 +290,39 @@ def build_field(
     of its own set, whose orderings are all cells by the count.  So
     ``classes[sigma p] == sigma classes[p] == sigma c``, and sigma c and
     sigma p have the dimensions of c and p.
+
+    The flow (``GradientField.flow``) is checked once per coordinate set as
+    well (``_check_descent``).  Let s(v) be the sum of ``tree_order.number``
+    over the coordinates of a 0-cell v.  Each matched ascending 0-cell c must
+    be an end of its partner edge p, and the step to p's other end must
+    lower the number of the coordinate it moves, so it lowers s.  That
+    covers every step on both levels, because s does not depend on the
+    order of the coordinates:
+
+    * upstairs, a 0-cell sigma c has the partner sigma p, whose ends are
+      the ends of p permuted by sigma, so its step is sigma of c's step;
+    * in the quotient, a representative's partner is the orbit of its
+      upstairs partner, and the ends of that orbit edge are the orbits of
+      the upstairs ends, rotations of them.
+
+    So every step lowers s, and three facts follow:
+
+    1. Every flow ends, since s is a non-negative integer.
+    2. The forest, the 0-cells with the edges matched to them, is acyclic.
+       Each forest edge is matched with one of its ends, and no two edges
+       with the same one.  So the k edges of a cycle through k 0-cells are
+       matched with all k of them, and the flow from any of them would
+       stay on the cycle forever, against 1.
+    3. Each tree of the forest holds one critical 0-cell: its V - 1 edges
+       are matched with V - 1 of its V vertices.
+
+    So the forest and c0 - 1 edges that join the c0 critical 0-cells into a
+    tree (``covering.maximal_tree`` and ``covering.tree_parents``) span the
+    1-skeleton as a tree.  That is as strong as a check that V - 1 edges
+    reach every 0-cell, without a walk over every 0-cell.
     """
     classes: dict[Cell, Optional[Cell]] = {}
+    critical: dict[int, list[Cell]] = {}
     if isinstance(cx, QuotientComplex):
         if upstairs is None:
             upstairs = build_field(cx.fm)
@@ -224,9 +330,15 @@ def build_field(
             raise InvalidParameterError("upstairs field is not on the quotient's complex")
         up, project = upstairs.classes, cx.project_near
         try:
-            for rep in cx.all_cells():
-                partner = up[rep]
-                classes[rep] = None if partner is None else project(rep, partner)
+            for d in sorted(cx.cells_by_dim):
+                found = critical[d] = []
+                for rep in cx.cells_by_dim[d]:
+                    partner = up[rep]
+                    if partner is None:
+                        classes[rep] = None
+                        found.append(rep)
+                    else:
+                        classes[rep] = project(rep, partner)
         except KeyError as missing:
             raise StructuralError(f"{missing.args[0]!r} is not a cell of the upstairs complex") from None
         _check_involution(classes, cx.cells_by_dim)
@@ -242,11 +354,14 @@ def build_field(
                     _match_orderings(c, cx, orderings)
                     firsts.append(c)
             size = len(classes)  # the closure count: classes grows by distinct cells, m! per set
-            classes.update(zip(cells, map(orderings.__getitem__, cells)))
+            partners = list(map(orderings.__getitem__, cells))
+            classes.update(zip(cells, partners))
             if not len(classes) - size == len(cells) == per_set * len(firsts):
                 raise StructuralError(f"the {d}-cells are not every ordering of their coordinate sets")
+            critical[d] = list(compress(cells, map(is_, partners, repeat(None))))
         _check_involution(classes, ascending)
-    return GradientField(cx, classes)
+        _check_descent(cx, ascending[0], classes)
+    return GradientField(cx, classes, critical)
 
 
 # -- critical edges --------------------------------------------------------
@@ -292,56 +407,3 @@ def associated_permutation(v: Cell) -> Perm:
 def edge_data(cell: Cell, graph: Graph, m: int) -> tuple[Perm, int]:
     """(source permutation, type) of a critical edge."""
     return associated_permutation(edge_source(cell, graph)), edge_type(cell, m)
-
-
-# -- the maximal forest ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ForestTree:
-    label: Perm
-    vertices: frozenset[Cell]
-    edges: frozenset[Cell]
-
-
-def _vertex_label(cell: Cell, number: tuple[int, ...], quotient: bool) -> Perm:
-    sigma = sorting_permutation(tuple(number[v] for v in cell))
-    if not quotient:
-        return sigma
-    canonical, _ = cyclic_canonical(sigma)
-    return canonical
-
-
-def forest(field: GradientField) -> list[ForestTree]:
-    """Connected components of (0-cells plus forest 1-cells), with labels.
-
-    A 0-cell is labelled by the permutation sorting its coordinates' places
-    in ``Graph.tree_order`` (on the lollipop, the coordinates themselves).
-    Every tree's vertices share one label (one coset of it, in the quotient);
-    a mismatch is a structural failure of the field.
-    """
-    cx = field.complex
-    quotient = isinstance(cx, QuotientComplex)
-    number = cx.graph.tree_order.number
-    ends = {e: cx.edge_endpoints(e) for e in field.forest_edges}
-    root_of, closing = union_find(cx.cells_by_dim[0], ends)
-    if closing:
-        raise StructuralError(f"forest contains a cycle through {closing[0]!r}")
-
-    groups: dict[Cell, list[Cell]] = {}
-    for v in cx.cells_by_dim[0]:
-        groups.setdefault(root_of[v], []).append(v)
-    edges_by_root: dict[Cell, list[Cell]] = {}
-    for e, (src, _) in ends.items():
-        edges_by_root.setdefault(root_of[src], []).append(e)
-
-    trees = []
-    for root, vertices in groups.items():
-        labels = {_vertex_label(v, number, quotient) for v in vertices}
-        if len(labels) != 1:
-            raise StructuralError("one forest tree carries several sorting permutations")
-        trees.append(
-            ForestTree(labels.pop(), frozenset(vertices), frozenset(edges_by_root.get(root, ())))
-        )
-    trees.sort(key=lambda t: t.label.images)
-    return trees

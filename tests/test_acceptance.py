@@ -97,10 +97,15 @@ def test_criterion_04_maximal_trees():
     ok = True
     for m in MS:
         system = get_system(m)
-        # at build, maximal_tree checks the V - 1 edge count and tree_parents
-        # that the edges reach every vertex; re-check the tree sizes here
-        ok &= len(system.up.tree) == len(system.fm.cells_by_dim[0]) - 1
-        ok &= len(system.down.tree) == len(system.quotient.cells_by_dim[0]) - 1
+        # at build, the field checks that its forest is acyclic with one
+        # critical 0-cell per tree, maximal_tree the c0 - 1 selected edges
+        # and tree_parents that they reach every critical 0-cell; re-check
+        # the counts here
+        for field, level in ((system.field_fm, system.up), (system.field_q, system.down)):
+            vertices, sinks = level.complex.cells_by_dim[0], field.critical(0)
+            forest = sum(field.classes[v] is not None for v in vertices)
+            ok &= len(level.selected) == len(sinks) - 1 and level.parents.keys() == set(sinks)
+            ok &= forest + len(level.selected) == len(vertices) - 1
     report(4, ok, "forest + selected edges spans both spaces, m in {2,3,4}")
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -76,6 +77,23 @@ class TestBuild:
             keys = list(map(cx.sort_key, cells))
             assert all(a < b for a, b in zip(keys, keys[1:]))
             assert all(cell_dim(c) == d for c in cells)
+
+    @pytest.mark.parametrize("graph, m", TARGETS[:2] + TARGETS[3:5], ids=TARGET_IDS[:2] + TARGET_IDS[3:5])
+    def test_has_is_membership_over_every_tuple_of_graph_cells(self, graph, m):
+        cx = build_dconf(graph, m)
+        cells = set(cx.all_cells())
+        coords = list(graph.closures)
+        hits = [cell for cell in itertools.product(coords, repeat=m) if cx.has(cell)]
+        assert len(hits) == len(cells) and set(hits) == cells
+
+    @pytest.mark.parametrize(
+        "cell",
+        [(0,), (0, 2, 3), (0, "b"), (0, 7), (2, 2), ("a2", "a2"), (1, "a2"), ("a2", "a3"), ("a", "a2")],
+        ids=["short", "long", "unknown-edge", "unknown-vertex", "repeated-vertex", "repeated-edge",
+             "vertex-in-edge", "edges-share-a-vertex", "loop-edge-shares-a-vertex"],
+    )
+    def test_has_refuses_a_non_cell(self, f2, cell):
+        assert not f2.has(cell)
 
     def test_edge_endpoints_refuse_other_dimensions(self, f2):
         for cell in (f2.cells_by_dim[0][0], f2.cells_by_dim[2][0]):

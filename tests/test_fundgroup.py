@@ -14,6 +14,7 @@ from braidbu.covering import (
     lift_path,
     make_path as make_edge_path,
     maximal_tree,
+    morse_ends,
     skeleton,
     tree_parents,
 )
@@ -77,25 +78,27 @@ class TestMaximalTrees:
     def test_spanning(self, m, space):
         system = get_system(m)
         field = system.field_fm if space == "fm" else system.field_q
-        tree = maximal_tree(field, (system.up if space == "fm" else system.down).selected)
-        assert len(tree) == len(field.complex.cells_by_dim[0]) - 1
+        level = system.up if space == "fm" else system.down
+        tree = maximal_tree(field, level.selected)
+        assert tree == level.selected
+        assert len(tree) == len(field.critical(0)) - 1
+        assert level.parents.keys() == set(field.critical(0))
 
     def test_bad_selection_caught(self, sys2):
         with pytest.raises(StructuralError):
             maximal_tree(sys2.field_fm, frozenset())  # too few edges to span
 
-    def test_cycle_with_a_spanning_count_caught(self, sys2):
-        # Swap a forest edge off the letter's loop for the letter edge: still
-        # V - 1 edges, but one closes a cycle, so they no longer reach every
-        # 0-cell from the base.
-        level, cx = sys2.up, sys2.fm
-        letter_edge, letter = next(iter(level.letters.items()))
-        on_loop = {edge for edge, _ in level.loop(letter).steps}
-        dropped = next(e for e in sys2.field_fm.forest_edges if e not in on_loop)
-        candidate = (level.tree - {dropped}) | {letter_edge}
-        assert len(candidate) == len(cx.cells_by_dim[0]) - 1
+    def test_cycle_with_a_spanning_count_caught(self, sys3):
+        # Swap a selected edge for a letter edge that is a loop of the Morse
+        # complex: still c0 - 1 edges, but one closes a cycle, so they no
+        # longer reach every critical 0-cell from the base's sink.
+        level, field = sys3.up, sys3.field_fm
+        loop_edge = next(e for e in level.letters if len(set(morse_ends(field, e))) == 1)
+        candidate = (level.selected - {next(iter(level.selected))}) | {loop_edge}
+        assert maximal_tree(field, candidate) == candidate
+        ends = {e: morse_ends(field, e) for e in candidate}
         with pytest.raises(StructuralError, match="does not span"):
-            tree_parents(cx, candidate, cx.base)
+            tree_parents(field.critical(0), ends, field.sink(sys3.fm.base))
 
 
 # (graph, particles, components of the 1-skeleton); the stars are the benchmark's tree targets.
@@ -140,24 +143,22 @@ class TestCoveringContract:
         system = COVERINGS[name]()
         field_fm = build_field(system.fm)
         for field, level in ((field_fm, system.up), (build_field(system.quotient, field_fm), system.down)):
-            selected = level.tree - frozenset(field.forest_edges)
-            assert selected == level.selected
-            assert selected | set(level.letters) == set(field.critical(1))
-            assert not selected & set(level.letters)
+            assert level.selected | set(level.letters) == set(field.critical(1))
+            assert not level.selected & set(level.letters)
 
     @pytest.mark.parametrize("name", sorted(COVERINGS))
     def test_parents_agree_with_a_sorted_walk(self, name):
-        # The walk over sort_key-sorted tree edges that tree_parents made
-        # before it took them in any order.
+        # The walk over sort_key-sorted selected edges of the Morse complex.
         system = COVERINGS[name]()
         for level in (system.up, system.down):
-            cx = level.complex
-            adjacency = {v: [] for v in cx.cells_by_dim[0]}
-            for e in sorted(level.tree, key=cx.sort_key):
-                src, tgt = cx.edge_endpoints(e)
+            cx, field = level.complex, level.field
+            adjacency = {v: [] for v in field.critical(0)}
+            for e in sorted(level.selected, key=cx.sort_key):
+                src, tgt = morse_ends(field, e)
                 adjacency[src].append((e, 1, tgt))
                 adjacency[tgt].append((e, -1, src))
-            parents, queue = {cx.base: None}, deque([cx.base])
+            root = field.sink(cx.base)
+            parents, queue = {root: None}, deque([root])
             while queue:
                 u = queue.popleft()
                 for edge, sign, v in adjacency[u]:
@@ -228,6 +229,67 @@ def _lift_by_search(q, qpath, start):
     return tuple(steps), cur
 
 
+def _spanning_tree_paths(level):
+    """Each 0-cell's path from the base in the spanning tree of the forest
+    and the selected edges, by a breadth-first walk over every 0-cell."""
+    cx, classes = level.complex, level.field.classes
+    forest = [classes[v] for v in cx.cells_by_dim[0] if classes[v] is not None]
+    adjacency = {v: (v, []) for v in cx.cells_by_dim[0]}
+    for e in forest + sorted(level.selected, key=cx.sort_key):
+        src, tgt = cx.edge_endpoints(e)
+        (src, out), (tgt, into) = adjacency[src], adjacency[tgt]
+        out.append((e, 1, tgt))
+        into.append((e, -1, src))
+    parents, queue = {cx.base: None}, deque([cx.base])
+    while queue:
+        u = queue.popleft()
+        for edge, sign, v in adjacency[u][1]:
+            if v not in parents:
+                parents[v] = (edge, sign, u)
+                queue.append(v)
+    assert len(parents) == len(adjacency) == len(forest) + len(level.selected) + 1
+    paths = {}
+    for v in cx.cells_by_dim[0]:
+        steps, cur = [], v
+        while parents[cur] is not None:
+            edge, sign, cur = parents[cur]
+            steps.append((edge, sign))
+        paths[v] = tuple(reversed(steps))
+    return paths
+
+
+STAR_COVERINGS = {
+    f"star({legs},{length})-n{n}": (legs, length, n)
+    for legs, length, n in ((3, 2, 2), (4, 3, 2), (5, 2, 2), (3, 2, 3), (4, 2, 3), (3, 3, 3), (5, 2, 3))
+}
+
+
+class TestMorseTree:
+    """``path_to`` reads the tree path off the flow and the Morse tree; a
+    walk over every 0-cell of the spanning tree must find the same path."""
+
+    @pytest.mark.parametrize("name", [f"lollipop-m{m}" for m in (2, 3, 4)] + sorted(STAR_COVERINGS))
+    def test_path_to_equals_the_spanning_tree_walk(self, name):
+        if name.startswith("lollipop"):
+            system = get_system(int(name[-1]))
+        else:
+            legs, length, n = STAR_COVERINGS[name]
+            system = tree_system(make_star(legs, length), n)
+        for level in (system.up, system.down):
+            for v, steps in _spanning_tree_paths(level).items():
+                path = level.path_to(v)
+                assert (path.start, path.steps, path.end) == (level.complex.base, steps, v)
+
+    @pytest.mark.parametrize("name", sorted(COVERINGS))
+    def test_tree_edges_are_the_forest_and_the_selected_edges(self, name):
+        system = COVERINGS[name]()
+        for level in (system.up, system.down):
+            classes = level.field.classes
+            forest = {classes[v] for v in level.complex.cells_by_dim[0]} - {None}
+            tree = {e for e in level.complex.cells_by_dim[1] if level.is_tree_edge(e)}
+            assert tree == forest | level.selected
+
+
 class TestLifting:
     @pytest.mark.parametrize("name", sorted(COVERINGS))
     def test_lifts_match_a_search_over_each_orbit(self, name):
@@ -285,10 +347,10 @@ class TestBases:
 class TestExpressLoop:
     def test_tree_only_path_is_trivial(self, sys2):
         # a there-and-back walk inside the maximal tree
-        edge = next(iter(sys2.up.tree))
+        edge = next(iter(sys2.up.selected))
         src, tgt = sys2.fm.edge_endpoints(edge)
         path = make_edge_path(sys2.fm, src, [(edge, 1), (edge, -1)])
-        assert express_loop(path, sys2.up.tree, lambda e: e).is_identity()
+        assert express_loop(path, sys2.up.is_tree_edge, lambda e: e).is_identity()
 
     def test_generator_loop_reads_one_letter(self, sys2):
         for gen in sys2.basis_fm:
@@ -301,11 +363,11 @@ class TestExpressLoop:
         assert sys2.up.express(path) == FreeWord.gen(g1) * FreeWord.gen(g2)
 
     def test_open_path_rejected(self, sys2):
-        edge = next(iter(sys2.up.tree))
+        edge = next(iter(sys2.up.selected))
         src, _tgt = sys2.fm.edge_endpoints(edge)
         path = make_edge_path(sys2.fm, src, [(edge, 1)])
         with pytest.raises(Exception):
-            express_loop(path, sys2.up.tree, lambda e: e)
+            express_loop(path, sys2.up.is_tree_edge, lambda e: e)
 
 
 class TestIota:

@@ -4,7 +4,16 @@ import random
 import pytest
 
 import braidbu.morse as morse
-from braidbu.complexes import CubeComplex, act, build_dconf, build_quotient, cell_dim, count_cells
+from braidbu.complexes import (
+    CubeComplex,
+    QuotientComplex,
+    act,
+    build_dconf,
+    build_quotient,
+    cell_dim,
+    count_cells,
+)
+from braidbu.covering import make_path as make_edge_path
 from braidbu.errors import InvalidParameterError, StructuralError
 from braidbu.fundgroup import BraidSystem, get_system
 from braidbu.graphs import make_cycle, make_lollipop, make_path, make_star
@@ -17,10 +26,9 @@ from braidbu.morse import (
     edge_source,
     edge_target,
     edge_type,
-    forest,
     type_tuple,
 )
-from braidbu.perms import Perm, all_perms, cyclic_canonical
+from braidbu.perms import Perm, all_perms, cyclic_canonical, sorting_permutation
 
 
 @pytest.fixture(scope="module")
@@ -203,45 +211,92 @@ FIELD_CASES = pytest.mark.parametrize(
 )
 
 
+def _label(v, cx):
+    """The permutation sorting the places of v's coordinates in the tree
+    numbering; in a quotient, its coset's canonical representative."""
+    sigma = sorting_permutation(tuple(cx.graph.tree_order.number[c] for c in v))
+    return cyclic_canonical(sigma)[0] if isinstance(cx, QuotientComplex) else sigma
+
+
+def _flow_trees(field):
+    """Each sink with the 0-cells that flow to it."""
+    trees = {}
+    for v in field.complex.cells_by_dim[0]:
+        trees.setdefault(field.sink(v), []).append(v)
+    return trees
+
+
 class TestForest:
+    """The flow follows the forest: every 0-cell reaches one sink, and every
+    0-cell's sink carries its sorting permutation (a coset in the quotient)."""
+
     def test_two_trees_m2(self, sys2):
-        trees = forest(sys2.field_fm)
-        assert len(trees) == 2
-        assert [t.label.images for t in trees] == [(1, 2), (2, 1)]
-        for t in trees:
-            assert len(t.vertices) == 6 and len(t.edges) == 5
+        trees = _flow_trees(sys2.field_fm)
+        assert sorted(_label(sink, sys2.fm).images for sink in trees) == [(1, 2), (2, 1)]
+        for vertices in trees.values():
+            edges = {sys2.field_fm.classes[v] for v in vertices} - {None}
+            assert len(vertices) == 6 and len(edges) == 5
 
     def test_m3_trees_and_quotient_labels(self, sys3):
-        assert len(forest(sys3.field_fm)) == 6
-        qtrees = forest(sys3.field_q)
-        assert len(qtrees) == 2
-        assert [t.label.images for t in qtrees] == [(1, 2, 3), (1, 3, 2)]
+        assert len(_flow_trees(sys3.field_fm)) == 6
+        qtrees = _flow_trees(sys3.field_q)
+        assert sorted(_label(sink, sys3.quotient).images for sink in qtrees) == [(1, 2, 3), (1, 3, 2)]
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_forest_edges_join_equal_permutations(self, m):
         system = get_system(m)
-        for e in system.field_fm.forest_edges:
-            src, tgt = system.fm.edge_endpoints(e)
-            assert associated_permutation(src) == associated_permutation(tgt)
+        classes = system.field_fm.classes
+        for v in system.fm.cells_by_dim[0]:
+            if classes[v] is not None:
+                src, tgt = system.fm.edge_endpoints(classes[v])
+                assert associated_permutation(src) == associated_permutation(tgt)
 
     @pytest.mark.parametrize("legs, length, n", [(3, 2, 2), (4, 3, 3), (3, 3, 3)])
     def test_star_forests(self, legs, length, n):
         # Labels come from the depth-first numbering, not the raw vertex ids.
         fm = build_dconf(make_star(legs, length), n)
         field = build_field(fm)
-        trees = forest(field)
+        trees = _flow_trees(field)
         assert len(trees) == math.factorial(n)
-        assert len({t.label for t in trees}) == len(trees)
-        qtrees = forest(build_field(build_quotient(fm, n), field))
+        assert len({_label(sink, fm) for sink in trees}) == len(trees)
+        q = build_quotient(fm, n)
+        qtrees = _flow_trees(build_field(q, field))
         assert len(qtrees) == math.factorial(n - 1)
-        assert len({t.label for t in qtrees}) == len(qtrees)
+        assert len({_label(sink, q) for sink in qtrees}) == len(qtrees)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_forest_partitions_vertices(self, m):
         system = get_system(m)
-        trees = forest(system.field_fm)
-        all_vertices = [v for t in trees for v in t.vertices]
+        trees = _flow_trees(system.field_fm)
+        assert set(trees) == set(system.field_fm.critical(0))
+        all_vertices = [v for vertices in trees.values() for v in vertices]
         assert len(all_vertices) == len(set(all_vertices)) == len(system.fm.cells_by_dim[0])
+
+    @FIELD_CASES
+    def test_every_0_cell_carries_its_sinks_label(self, graph, m):
+        fm = build_dconf(graph, m)
+        field_fm = build_field(fm)
+        for field in (field_fm, build_field(build_quotient(fm, m), field_fm)):
+            cx = field.complex
+            for v in cx.cells_by_dim[0]:
+                steps, sink = field.flow(v)
+                assert make_edge_path(cx, v, steps).end == sink
+                assert _label(v, cx) == _label(sink, cx)
+
+    @pytest.mark.parametrize(
+        "partner, error", [(("a", 0), "not an end of its partner"), (("a3", 0), "does not end")],
+        ids=["off-its-partner", "cycle"],
+    )
+    def test_flow_of_an_unchecked_matching_is_refused(self, sys2, partner, error):
+        # 'a' joins 1 and 3, not 2; 'a3' leads from (2, 0) to (3, 0), which
+        # is matched with ('a3', 0) and leads back.
+        field = sys2.field_fm
+        altered = GradientField(
+            sys2.fm, {**field.classes, (2, 0): partner}, {d: field.critical(d) for d in (0, 1, 2)}
+        )
+        for walk in (altered.flow, altered.sink):
+            with pytest.raises(StructuralError, match=error):
+                walk((2, 0))
 
 
 def _field_with(monkeypatch, overrides):
@@ -264,6 +319,27 @@ class TestInvolution:
         # The two critical 0-cells matched with each other pair back.
         with pytest.raises(StructuralError, match="not an involution"):
             _field_with(monkeypatch, {(0, 1): (1, 0), (1, 0): (0, 1)})
+
+
+class TestDescent:
+    """Every flow step must move a vertex toward the root; with the
+    involution that proves the forest acyclic (``build_field``)."""
+
+    def test_step_away_from_the_root_is_refused(self, monkeypatch):
+        # Reverse the gradient path (0, 2) -> (0, 1): (0, 1) takes (0, 'a2'),
+        # whose other end (0, 2) moves vertex 1 to 2, and (0, 2) turns
+        # critical.  The matching is still an involution in every ordering.
+        reversed_path = {(0, 1): (0, "a2"), (0, "a2"): (0, 1), (0, 2): None}
+        overrides = {**reversed_path, **{c[::-1]: p and p[::-1] for c, p in reversed_path.items()}}
+        with pytest.raises(StructuralError, match="does not move toward the root"):
+            _field_with(monkeypatch, overrides)
+
+    def test_0_cell_matched_off_its_partner_is_refused(self, monkeypatch):
+        # (0, 2) takes (0, 'a'), and the edge 'a' joins 1 and 3, not 2.
+        matching = {(0, 2): (0, "a"), (0, "a"): (0, 2), (0, "a2"): None}
+        overrides = {**matching, **{c[::-1]: p and p[::-1] for c, p in matching.items()}}
+        with pytest.raises(StructuralError, match="not an end of its partner"):
+            _field_with(monkeypatch, overrides)
 
 
 class TestInvolutionPerSet:
@@ -401,7 +477,9 @@ class TestQuotientField:
     def test_orbit_classification_matches_members(self, m):
         system = get_system(m)
         q = system.quotient
-        fresh = GradientField(system.fm, {c: classify_cell(c, system.fm) for c in system.fm.all_cells()})
+        classes = {c: classify_cell(c, system.fm) for c in system.fm.all_cells()}
+        critical = {d: [c for c in cells if classes[c] is None] for d, cells in system.fm.cells_by_dim.items()}
+        fresh = GradientField(system.fm, classes, critical)
         for rep in q.all_cells():
             kinds = {fresh.kind(member) for member in q.members_of[rep]}
             assert kinds == {system.field_q.kind(rep)}
@@ -420,7 +498,7 @@ class TestQuotientField:
         q = build_quotient(fm, 2)
         field = build_field(fm)
         rep = next(c for c in q.all_cells() if field.kind(c) == KIND_REDUNDANT)
-        altered = GradientField(fm, {**field.classes, rep: (0, 0)})
+        altered = GradientField(fm, {**field.classes, rep: (0, 0)}, {d: field.critical(d) for d in fm.cells_by_dim})
         with pytest.raises(StructuralError, match="not a cell"):
             build_field(q, altered)
 
