@@ -3,17 +3,23 @@
 A cell of the m-particle complex is an m-tuple of graph cells (vertices or
 edges) whose closures are pairwise disjoint; the dimension is the number of
 edge coordinates.  Facets of a cell replace one edge coordinate by one of
-its endpoints.  The symmetric group acts by permuting coordinates; the
-cyclic subgroup generated by the full rotation acts freely on cells, since
-their coordinates are distinct.  The quotient complex keeps one
-representative per orbit, the rotation whose first coordinate has the
-smallest key: ``build_dconf``'s walk lists them as it enumerates the cells,
-``project`` rotates a cell's smallest-key coordinate to the front, and an
-orbit's members are rotated out of its representative on demand.
+its endpoints.  The symmetric group acts by permuting coordinates, and
+whether a tuple is a cell does not depend on the order of its coordinates.
+So the complex is stored by coordinate set: ``sets_by_dim`` lists each set
+once, as its ascending tuple, and ``set_key`` names the set of any ordering.
+The ordered cells, every ordering of every set, are listed only on demand
+(``cells_by_dim``).  The cyclic subgroup generated by the full rotation
+acts freely on cells, since their coordinates are distinct.  The quotient
+complex keeps one representative per orbit, the rotation whose first
+coordinate has the smallest key: ``build_dconf``'s walk lists them beside
+the sets, ``project`` rotates a cell's smallest-key coordinate to the
+front, and an orbit's members are rotated out of its representative on
+demand.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
+from itertools import permutations
 from math import comb, factorial
 from typing import Iterator, Optional, Union
 
@@ -23,8 +29,10 @@ from .perms import Perm
 
 Cell = tuple[Coord, ...]
 
-# build_dconf refuses larger complexes before enumerating them: lollipop m=5
-# (234 240 cells) fits, m=6 (7 490 160) would exhaust memory.
+# build_dconf refuses complexes of more than MAX_CELLS ordered cells before
+# enumerating them: lollipop m=5 (234 240 cells) fits, m=6 (7 490 160) is
+# refused.  What is stored is less: the coordinate sets, 1/m! of the count,
+# and the rotation representatives, 1/m of it.
 MAX_CELLS = 1_000_000
 
 
@@ -41,11 +49,11 @@ class _CellComplex:
     """The cell API shared by a configuration complex and its quotient.
 
     Subclasses set ``graph`` and ``cells_by_dim`` (cells of each dimension
-    in sort order), and answer ``has``.
+    in sort order), and answer ``has`` and ``set_key``.
     """
 
     graph: Graph
-    cells_by_dim: dict[int, tuple[Cell, ...]]
+    cells_by_dim: Mapping[int, Sequence[Cell]]
 
     def sort_key(self, cell: Cell):
         return tuple(map(self.graph.coord_keys.__getitem__, cell))
@@ -63,25 +71,44 @@ class _CellComplex:
 
 
 class CubeComplex(_CellComplex):
-    """The m-particle configuration complex of a graph.
+    """The m-particle configuration complex of a graph, stored by coordinate set.
 
-    ``representatives`` lists, per dimension and in sort order, the cells
-    whose first coordinate has the smallest key, as ``build_dconf``'s walk
-    finds them; the quotient reads them.
+    ``sets_by_dim`` lists, per dimension and in sort order, each coordinate
+    set once, as its ascending tuple; ``representatives`` lists the cells
+    whose first coordinate has the smallest key.  Both are ``build_dconf``'s
+    walk's own tuples; the quotient reads the representatives.
+    ``cells_by_dim`` lists every ordering of the sets, in sort order, when
+    iterated; its lengths are counts.  ``rank`` numbers the graph cells in
+    key order, ``bit`` gives each the bit of its rank, and ``set_key`` adds
+    the bits of a cell's coordinates.
     """
 
     def __init__(
         self,
         graph: Graph,
         m: int,
-        cells_by_dim: dict[int, tuple[Cell, ...]],
+        sets_by_dim: dict[int, tuple[Cell, ...]],
         representatives: dict[int, tuple[Cell, ...]],
     ):
         self.graph = graph
         self.m = m
-        self.cells_by_dim = cells_by_dim
+        self.sets_by_dim = sets_by_dim
         self.representatives = representatives
-        self.base: Cell = cells_by_dim[0][0]
+        self.base: Cell = sets_by_dim[0][0]  # the smallest 0-cell in sort order
+        keys = graph.coord_keys
+        self.rank = {c: i for i, c in enumerate(sorted(keys, key=keys.__getitem__))}
+        self.bit = {c: 1 << i for c, i in self.rank.items()}
+
+    @property
+    def cells_by_dim(self) -> dict[int, Sequence[Cell]]:
+        return {d: _Orderings(self, sets) for d, sets in self.sets_by_dim.items()}
+
+    def set_key(self, cell: Cell) -> int:
+        """The name of the cell's coordinate set, whatever their order: the
+        sum of one bit per coordinate.  A repeated coordinate carries, so a
+        tuple of m graph cells with a repeat has fewer than m bits set and
+        names no set.  Raises KeyError on an unknown coordinate."""
+        return sum(map(self.bit.__getitem__, cell))
 
     def has(self, cell: Cell) -> bool:
         """Whether the tuple is a cell: m graph cells whose closures are
@@ -122,22 +149,21 @@ class CubeComplex(_CellComplex):
 
 
 def build_dconf(graph: Graph, m: int) -> CubeComplex:
-    """Enumerate all m-tuples of graph cells with pairwise disjoint closures.
+    """Enumerate the coordinate sets of the m-particle complex and its
+    rotation representatives, never every ordering.
 
-    The depth-first walk tries graph cells in ``coord_keys`` order.  Those
-    keys are distinct, so cells come out in lexicographic key order, which is
-    ``sort_key`` order within each dimension.  A prefix carries the union of
-    its closures as a bit mask of vertices, and its count of edge
-    coordinates, so a finished cell goes straight into its dimension.
-    Complexes of more than ``MAX_CELLS`` cells are refused, counted first.
-
-    The walk also lists the rotation representatives, the cells whose first
-    coordinate has the smallest key.  After the first coordinate it tries
-    the graph cells of smaller key (``low``) before those of larger key
-    (``high``); a prefix whose later coordinates all came from ``high``
-    keeps that split, any other tries every cell as ``low``.  A cell
-    finished from ``high`` is a representative, so the representatives come
-    out in sort order too, as the same tuples.
+    The depth-first walk lists the representatives, the cells whose first
+    coordinate has the smallest key: after the first coordinate it tries
+    only the graph cells of larger key (``high``), in ``coord_keys`` order.
+    Those keys are distinct, so the representatives come out in
+    lexicographic key order, which is ``sort_key`` order within each
+    dimension.  A prefix carries the union of its closures as a bit mask of
+    vertices, and its count of edge coordinates, so a finished cell goes
+    straight into its dimension.  A representative whose coordinates came
+    in key order (each later in ``high`` than the last, tracked as
+    ``last``) is its set's ascending tuple; so the sets come out in sort
+    order too, as the same tuples.  Complexes of more than ``MAX_CELLS``
+    ordered cells are refused, counted first.
     """
     if m < 1:
         raise InvalidParameterError(f"need m >= 1, got {m}")
@@ -149,54 +175,53 @@ def build_dconf(graph: Graph, m: int) -> CubeComplex:
     keys = graph.coord_keys
     masks = graph.closure_masks
     steps = [(c, masks[c], c.__class__ is str) for c in sorted(keys, key=keys.__getitem__)]
-    by_dim: list[list[Cell]] = [[] for _ in range(m + 1)]
+    sets: list[list[Cell]] = [[] for _ in range(m + 1)]
     reps: list[list[Cell]] = [[] for _ in range(m + 1)]
 
-    def extend(prefix: Cell, used: int, dim: int, low: list, high: list) -> None:
+    def extend(prefix: Cell, used: int, dim: int, high: list, last: int) -> None:
         if len(prefix) == m - 1:
-            for c, mask, is_edge in low:
-                if not used & mask:
-                    by_dim[dim + is_edge].append(prefix + (c,))
-            for c, mask, is_edge in high:
+            for k, (c, mask, is_edge) in enumerate(high):
                 if not used & mask:
                     cell = prefix + (c,)
-                    by_dim[dim + is_edge].append(cell)
                     reps[dim + is_edge].append(cell)
+                    if k > last:
+                        sets[dim + is_edge].append(cell)
             return
-        for c, mask, is_edge in low:
+        for k, (c, mask, is_edge) in enumerate(high):
             if not used & mask:
-                extend(prefix + (c,), used | mask, dim + is_edge, steps, [])
-        for c, mask, is_edge in high:
-            if not used & mask:
-                extend(prefix + (c,), used | mask, dim + is_edge, low, high)
+                extend(prefix + (c,), used | mask, dim + is_edge, high, k if k > last else len(high))
 
     if m == 1:
-        extend((), 0, 0, [], steps)  # every cell is its own orbit
+        extend((), 0, 0, steps, -1)  # every cell is its own orbit and its own set
     else:
         for j, (c, mask, is_edge) in enumerate(steps):
-            extend((c,), mask, is_edge, steps[:j], steps[j + 1:])
-    cells_by_dim = {d: tuple(cells) for d, cells in enumerate(by_dim) if cells}
-    if 0 not in cells_by_dim:
+            extend((c,), mask, is_edge, steps[j + 1:], -1)
+    if not sets[0]:
         raise PreconditionError(f"no room for {m} particles on this graph")
-    return CubeComplex(graph, m, cells_by_dim, {d: tuple(reps[d]) for d in cells_by_dim})
+    dims = [d for d in range(m + 1) if sets[d]]
+    return CubeComplex(graph, m, {d: tuple(sets[d]) for d in dims}, {d: tuple(reps[d]) for d in dims})
 
 
-def count_cells(graph: Graph, m: int) -> int:
-    """Number of cells of the m-particle complex, without enumerating it.
+def count_sets(graph: Graph, m: int) -> list[int]:
+    """[S_0, ..., S_m]: the number of coordinate sets of the m-particle
+    complex's j-cells, without enumerating them.
 
-    A cell puts j edges forming a matching and m - j of the V - 2j vertices
-    those edges leave free into m ordered places, so the count is
-    sum_j M_j * C(V - 2j, m - j) * m!, M_j the number of j-edge matchings.
+    A j-cell's set holds j edges forming a matching and m - j of the V - 2j
+    vertices those edges leave free, so S_j = M_j * C(V - 2j, m - j), M_j
+    the number of j-edge matchings.
     """
     if m < 1:
         raise InvalidParameterError(f"need m >= 1, got {m}")
     size = graph.num_vertices
-    total = sum(
-        count * comb(size - 2 * j, m - j)
+    return [
+        count * comb(size - 2 * j, m - j) if 2 * j <= size else 0
         for j, count in enumerate(_matching_counts(graph, m))
-        if 2 * j <= size
-    )
-    return total * factorial(m)
+    ]
+
+
+def count_cells(graph: Graph, m: int) -> int:
+    """Number of cells of the m-particle complex: m! orderings of each set."""
+    return sum(count_sets(graph, m)) * factorial(m)
 
 
 def _matching_counts(graph: Graph, top: int) -> list[int]:
@@ -278,13 +303,11 @@ class QuotientComplex(_CellComplex):
     them alone serves ``has`` and ``project``.  ``members_of[rep]`` lists the
     orbit as rep rotated left by 0..m-1 places, made on demand.
 
-    ``build_dconf``'s complex is closed under rotation: the walk enumerates
-    every tuple with pairwise disjoint closures, a condition that does not
-    depend on the places.  Given closure, one count per dimension proves
-    every orbit free: an orbit whose smallest key occurs once has m members and one
-    representative, any other orbit has members but no representative, so
-    the cells number m times the representatives exactly when no orbit is
-    smaller than m.
+    The ordered cells are the orderings of coordinate sets of m distinct
+    graph cells, so no rotation but the identity fixes one, and every orbit
+    is free.  A set's m! orderings fall into (m-1)! orbits, each with one
+    representative, so a count per dimension checks the walk's
+    representatives against its sets.
     """
 
     def __init__(self, fm: CubeComplex, m: int):
@@ -293,17 +316,17 @@ class QuotientComplex(_CellComplex):
         self.fm = fm
         self.graph = fm.graph
         self.m = m
-        reps = fm.representatives
-        for d, cells in fm.cells_by_dim.items():
-            if len(cells) != m * len(reps.get(d, ())):
+        reps, per_set = fm.representatives, factorial(m - 1)
+        for d in fm.sets_by_dim.keys() | reps.keys():
+            sets, found = len(fm.sets_by_dim.get(d, ())), len(reps.get(d, ()))
+            if found != per_set * sets:
                 raise StructuralError(
-                    f"the {d}-cells are not free rotation orbits: {len(cells)} cells, "
-                    f"{len(reps.get(d, ()))} representatives"
+                    f"the {d}-cells are not free rotation orbits: {sets} coordinate sets, {found} representatives"
                 )
         self.cells_by_dim = reps
         self._rep = {c: c for cells in reps.values() for c in cells}
-        keys = self.graph.coord_keys
-        self._rank = {c: i for i, c in enumerate(sorted(keys, key=keys.__getitem__))}
+        self._rank = fm.rank
+        self.set_key = fm.set_key  # a representative is a cell upstairs
         self.members_of: Mapping[Cell, tuple[Cell, ...]] = _Orbits(self._rep, m)
         self.base: Cell = self.project(fm.base)
 
@@ -349,6 +372,26 @@ class QuotientComplex(_CellComplex):
     def edge_endpoints(self, cell: Cell) -> tuple[Cell, Cell]:
         src, tgt = self.fm.edge_endpoints(cell)
         return (self.project_near(cell, src), self.project_near(cell, tgt))
+
+
+class _Orderings(Sequence):
+    """Every ordering of one dimension's coordinate sets, listed in sort
+    order when iterated or indexed; its length is a count."""
+
+    def __init__(self, cx: CubeComplex, sets: tuple[Cell, ...]):
+        self._cx = cx
+        self._sets = sets
+
+    def __len__(self) -> int:
+        return factorial(self._cx.m) * len(self._sets)
+
+    def __iter__(self) -> Iterator[Cell]:
+        cells = [c for s in self._sets for c in permutations(s)]
+        cells.sort(key=self._cx.sort_key)
+        return iter(cells)
+
+    def __getitem__(self, index):
+        return list(self)[index]
 
 
 class _Orbits(Mapping):

@@ -49,7 +49,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
-from .complexes import Cell, QuotientComplex, act, build_dconf, build_quotient, cell_dim
+from .complexes import Cell, QuotientComplex, act, build_dconf, build_quotient
 from .errors import InvalidParameterError, PreconditionError, StructuralError
 from .graphs import Graph, union_find
 from .morse import GradientField, Step, build_field
@@ -230,6 +230,20 @@ def lift_path(q: QuotientComplex, qpath: EdgePath, start: Cell) -> EdgePath:
 # -- the covering --------------------------------------------------------------
 
 
+class _TreeEdges(dict):
+    """Whether each 1-cell asked about is in a level's spanning tree:
+    selected, or in the field's forest.  Filled on the first ask, so a loop
+    step costs one dict lookup; loops share most of their edges."""
+
+    def __init__(self, selected: Iterable[Cell], is_forest_edge: Callable[[Cell], bool]):
+        super().__init__(dict.fromkeys(selected, True))
+        self._is_forest_edge = is_forest_edge
+
+    def __missing__(self, edge: Cell) -> bool:
+        tree = self[edge] = self._is_forest_edge(edge)
+        return tree
+
+
 class Level:
     """One side of the covering: a complex and its letters, with the field
     whose flow and Morse tree turn paths into loops and loops into words.
@@ -238,7 +252,8 @@ class Level:
     based loop.  The other critical 1-cells, ``selected``, join the critical
     0-cells into the Morse tree, with parent pointers (``parents``) from the
     base's sink.  The level's spanning tree is the field's forest, the
-    1-cells matched with 0-cells, together with the selected edges.
+    1-cells matched with 0-cells, together with the selected edges;
+    ``is_tree_edge`` answers membership in it.
     """
 
     def __init__(self, field: GradientField, letters: Mapping[Cell, object]):
@@ -251,19 +266,34 @@ class Level:
         ends = {e: morse_ends(field, e) for e in self.selected}
         to_root, root = field.flow(cx.base)
         self.parents = tree_parents(field.critical(0), ends, root)
-        self._paths: dict[Cell, list[Step]] = {root: to_root}
+        self._paths: dict[Cell, EdgePath] = {root: self._checked(to_root, root)}
         self._edge = {letter: edge for edge, letter in letters.items()}
         self._loops: dict[object, EdgePath] = {}
+        self.is_tree_edge = _TreeEdges(self.selected, field.is_forest_edge).__getitem__
+
+    def _checked(self, steps: list[Step], end: Cell) -> EdgePath:
+        """The path from the base along the steps, checked to chain up and
+        to end at ``end``."""
+        path = make_path(self.complex, self.complex.base, steps)
+        if path.end != end:
+            raise StructuralError(f"the tree path to {end!r} ends at {path.end!r}")
+        return path
 
     def path_to(self, v: Cell) -> EdgePath:
         """The unique tree path from the base to v: the path to v's sink
-        (``_to_sink``), then v's flow backwards, freely reduced."""
-        cx = self.complex
+        (``_to_sink``), then v's flow backwards, freely reduced.  The path
+        to the sink was checked when it was made; here only the flow back
+        to v is."""
         steps, sink = self.field.flow(v)
-        return make_path(cx, cx.base, _reduce(self._to_sink(sink) + _reversed(steps)))
+        to_sink = self._to_sink(sink)
+        back = make_path(self.complex, sink, _reversed(steps))
+        if to_sink.end != sink or back.end != v:
+            raise StructuralError(f"the tree path to {v!r} does not join at its sink {sink!r}")
+        return EdgePath(to_sink.start, tuple(_reduce(to_sink.steps + back.steps)), v)
 
-    def _to_sink(self, sink: Cell) -> list[Step]:
-        """The tree path from the base to a critical 0-cell, memoised.
+    def _to_sink(self, sink: Cell) -> EdgePath:
+        """The tree path from the base to a critical 0-cell, memoised and
+        checked once, when it is made.
 
         The base flows to the root of the Morse tree.  Below it, the path to
         a critical 0-cell is its parent's path, then its Morse edge expanded:
@@ -279,9 +309,9 @@ class Level:
         path = paths[sink]
         for u in reversed(below):
             edge, sign, _ = parents[u]
-            src, tgt = cx.edge_endpoints(edge)
-            frm, to = (src, tgt) if sign == 1 else (tgt, src)
-            path = paths[u] = _reduce(path + _reversed(field.flow(frm)[0]) + [(edge, sign)] + field.flow(to)[0])
+            frm, to = _step_endpoints(cx, (edge, sign))
+            steps = _reduce([*path.steps, *_reversed(field.flow(frm)[0]), (edge, sign), *field.flow(to)[0]])
+            path = paths[u] = self._checked(steps, u)
         return path
 
     def close(self, path: EdgePath) -> EdgePath:
@@ -299,14 +329,6 @@ class Level:
             src, tgt = self.complex.edge_endpoints(edge)
             self._loops[letter] = self.close(EdgePath(src, ((edge, 1),), tgt))
         return self._loops[letter]
-
-    def is_tree_edge(self, edge: Cell) -> bool:
-        """Whether the 1-cell is in the spanning tree: selected, or matched
-        with a 0-cell."""
-        if edge in self.selected:
-            return True
-        partner = self.field.classes[edge]
-        return partner is not None and cell_dim(partner) == 0
 
     def express(self, path: EdgePath) -> FreeWord:
         """The word of a closed path: its letter edges, read in order."""

@@ -18,17 +18,16 @@ dimension.  Building a field checks that the matching is an involution on
 cells one dimension apart.
 
 The rule reads a cell's coordinates, not their places, so it commutes with
-permuting coordinates.  The field classifies one cell per coordinate set,
-its ascending ordering; the partner changes one coordinate, a swap (old,
-new), and every other ordering takes the partner that swaps ``old`` in its
-own place.  The ascending cell's one-place rotation, the deck generator of
-the cyclic quotient, is classified directly as a check on that
-translation.  Because that translation makes the matching commute with
-every permutation, the involution check too runs once per coordinate set:
-a count shows that every set is present in all its orderings, and each
-ascending cell's partner must pair back with it.  The matching of a cyclic
-quotient is then read off the upstairs one, one orbit representative at a
-time, and checked cell by cell.
+permuting coordinates.  The upstairs field is stored by coordinate set,
+as the complex is: it classifies each set's ascending tuple, whose partner
+changes one coordinate, a swap (old, new), and keeps only that swap, or
+None, under the set's key.  The partner of any ordering is the same swap
+made in its own places (``classes`` reads it on demand).  The ascending
+cell's one-place rotation, the deck generator of the cyclic quotient, is
+classified directly as a check on that translation, and the involution is
+checked once per set, on the table.  The matching of a cyclic quotient is
+then read off the upstairs swaps, one orbit representative at a time, and
+checked to pair back.
 
 The 0-cells and the 1-cells matched with them form a maximal forest, and
 each of its trees holds one critical 0-cell.  The flow follows it: a
@@ -42,16 +41,16 @@ the order.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
-from itertools import compress, permutations, repeat
+from itertools import chain, permutations
 from math import factorial
-from operator import is_, ne
+from operator import lt, ne
 from typing import Optional, Union
 
-from .complexes import Cell, CubeComplex, QuotientComplex, cell_dim
+from .complexes import Cell, CubeComplex, QuotientComplex, cell_dim, count_sets
 from .errors import InvalidParameterError, StructuralError
-from .graphs import Graph
+from .graphs import Coord, Graph
 from .perms import Perm, sorting_permutation
 
 KIND_CRITICAL = "critical"
@@ -114,29 +113,34 @@ def classify_cell(c: Cell, cx: CubeComplex) -> Optional[Cell]:
 
 
 Step = tuple[Cell, int]  # (1-cell, +1 along its orientation / -1 against)
+Swap = tuple[Coord, Coord]  # (old, new): the partner has new in old's place
 
 
 class GradientField:
     """A discrete gradient field as its matching: ``classes`` maps every cell
     to its partner, or to None when the cell is critical.  ``critical``
     holds the critical cells of each dimension in ``cells_by_dim`` order,
-    as ``build_field`` finds them."""
+    as ``build_field`` finds them.  ``swaps`` is the upstairs table that
+    ``build_field`` reads the matching off, on either level."""
 
     def __init__(
         self,
         cx: Union[CubeComplex, QuotientComplex],
-        classes: dict[Cell, Optional[Cell]],
+        classes: Mapping[Cell, Optional[Cell]],
         critical: Mapping[int, Iterable[Cell]],
+        swaps: Optional[dict[int, Optional[Swap]]] = None,
     ):
         self.complex = cx
         self.classes = classes
+        self.swaps = swaps
         self._critical = {d: tuple(cells) for d, cells in critical.items()}
         # The memoised steps of the matched 0-cells, and the sink of each
         # 0-cell walked from; a critical 0-cell maps to itself, so a flow
-        # ends on the complex's own tuple.
+        # ends on the field's own tuple.
         self._steps: dict[Cell, tuple[Cell, int, Cell]] = {}
-        self._sinks = {c: c for c in self.critical(0)}
-        self._most = len(cx.cells_by_dim[0])  # no flow is longer
+        self._ends = {c: c for c in self.critical(0)}
+        self._sinks = dict(self._ends)
+        self._most = cx.num_cells(0)  # no flow is longer
 
     def kind(self, cell: Cell) -> str:
         return _kind(self.classes[cell], cell_dim(cell))
@@ -155,33 +159,41 @@ class GradientField:
                 out[key] = out.get(key, 0) + 1
         return out
 
+    def is_forest_edge(self, edge: Cell) -> bool:
+        """Whether the 1-cell is matched with a 0-cell.  A cell of either
+        level is an upstairs cell, and it is when its set's swap trades it
+        for a vertex: one lookup in ``swaps``."""
+        swap = self.swaps.get(self.complex.set_key(edge))
+        return swap is not None and swap[1].__class__ is int
+
     def _step(self, v: Cell) -> tuple[Cell, int, Cell]:
-        """The matched 0-cell v's partner edge, the sign that leaves v along
-        it, and the edge's other end."""
         step = self._steps.get(v)
         if step is None:
-            edge = self.classes[v]
-            src, tgt = self.complex.edge_endpoints(edge)
-            if v == src:
-                step = (edge, 1, tgt)
-            elif v == tgt:
-                step = (edge, -1, src)
-            else:
-                raise StructuralError(f"{v!r} is not an end of its partner {edge!r}")
-            self._steps[v] = step
+            step = self._steps[v] = self._leave(v)
         return step
+
+    def _leave(self, v: Cell) -> tuple[Cell, int, Cell]:
+        """The matched 0-cell v's partner edge, the sign that leaves v along
+        it, and the edge's other end."""
+        edge = self.classes[v]
+        src, tgt = self.complex.edge_endpoints(edge)
+        if v == src:
+            return edge, 1, tgt
+        if v == tgt:
+            return edge, -1, src
+        raise StructuralError(f"{v!r} is not an end of its partner {edge!r}")
 
     def flow(self, v: Cell) -> tuple[list[Step], Cell]:
         """The steps from the 0-cell v down the forest to its sink, and the
         sink, a critical 0-cell.  A field from ``build_field`` descends at
         every step, so its flows end; a longer one is refused."""
-        classes, steps = self.classes, []
-        while classes[v] is not None:
+        ends, steps = self._ends, []
+        while v not in ends:
             if len(steps) == self._most:
                 raise StructuralError(f"the flow from {v!r} does not end")
             edge, sign, v = self._step(v)
             steps.append((edge, sign))
-        return steps, self._sinks[v]
+        return steps, ends[v]
 
     def sink(self, v: Cell) -> Cell:
         """The critical 0-cell that v flows to, memoised for every 0-cell on
@@ -196,6 +208,47 @@ class GradientField:
         return sinks[v]
 
 
+class _Partners(Mapping):
+    """Each ordered cell's partner, read off its coordinate set's swap: the
+    same swap made in the cell's own places.  Raises KeyError on a tuple
+    that is not a cell."""
+
+    def __init__(self, cx: CubeComplex, swaps: dict[int, Optional[Swap]]):
+        self._cx = cx
+        self._bit = cx.bit.__getitem__
+        self._swaps = swaps
+
+    def __getitem__(self, cell: Cell) -> Optional[Cell]:
+        if len(cell) != self._cx.m:
+            raise KeyError(cell)
+        swap = self._swaps[sum(map(self._bit, cell))]
+        if swap is None:
+            return None
+        r = cell.index(swap[0])
+        return cell[:r] + (swap[1],) + cell[r + 1:]
+
+    def __iter__(self) -> Iterator[Cell]:
+        return self._cx.all_cells()
+
+    def __len__(self) -> int:
+        return factorial(self._cx.m) * len(self._swaps)
+
+
+class _SetField(GradientField):
+    """The upstairs field, read off the swap of each coordinate set."""
+
+    def _leave(self, v: Cell) -> tuple[Cell, int, Cell]:
+        """The swap's edge, leaving v from its old vertex toward that
+        vertex's neighbour along it (``_check_descent`` checked the ends)."""
+        old, new = self.swaps[self.complex.set_key(v)]
+        r = v.index(old)
+        head, tail = v[:r], v[r + 1:]
+        e = self.complex.graph.edge_by_name[new]
+        if old == e.lo:
+            return head + (new,) + tail, 1, head + (e.hi,) + tail
+        return head + (new,) + tail, -1, head + (e.lo,) + tail
+
+
 def _kind(partner: Optional[Cell], d: int) -> str:
     """The kind of a d-cell matched with ``partner``."""
     if partner is None:
@@ -203,54 +256,77 @@ def _kind(partner: Optional[Cell], d: int) -> str:
     return KIND_REDUNDANT if cell_dim(partner) > d else KIND_COLLAPSIBLE
 
 
-def _check_involution(
-    classes: dict[Cell, Optional[Cell]], cells_by_dim: Mapping[int, Iterable[Cell]]
-) -> None:
-    """Each listed cell's partner pairs back with it, one dimension away."""
-    for d, cells in cells_by_dim.items():
-        for c in cells:
-            partner = classes[c]
-            if partner is not None and (
-                classes.get(partner) != c or abs(cell_dim(partner) - d) != 1
+def _check_sets(cx: CubeComplex) -> None:
+    """Each dimension lists as many coordinate sets as the closed form
+    counts, each strictly ascending, and the list strictly increasing in
+    sort order (compared by ``rank``, which keeps the key order)."""
+    rank, expected = cx.rank.__getitem__, dict(enumerate(count_sets(cx.graph, cx.m)))
+    for d in expected.keys() | cx.sets_by_dim.keys():
+        sets = cx.sets_by_dim.get(d, ())
+        if len(sets) != expected.get(d, 0):
+            raise StructuralError(
+                f"the {d}-cells are not every ordering of their coordinate sets: "
+                f"{len(sets)} sets, {expected.get(d, 0)} by the closed form"
+            )
+        last: tuple[int, ...] = ()
+        for c in sets:
+            ranks = tuple(map(rank, c))
+            if ranks <= last or not all(map(lt, ranks, ranks[1:])):
+                raise StructuralError(
+                    f"the {d}-cells are not every ordering of their coordinate sets: {c!r} is out of order"
+                )
+            last = ranks
+
+
+def _check_swaps(cx: CubeComplex, swaps: dict[int, Optional[Swap]]) -> None:
+    """The involution, checked on the table: each set's partner set is in
+    it and swaps back, and the swap trades a vertex for an edge or back."""
+    bit = cx.bit
+    for key, swap in swaps.items():
+        if swap is not None:
+            old, new = swap
+            if (
+                new not in bit
+                or swaps.get(key - bit[old] + bit[new]) != (new, old)
+                or (old.__class__ is int) is (new.__class__ is int)
             ):
+                c = tuple(coord for coord, b in bit.items() if key & b)
                 raise StructuralError(f"matching is not an involution at {c!r}")
 
 
-def _match_orderings(c: Cell, cx: CubeComplex, out: dict[Cell, Optional[Cell]]) -> None:
-    """Classify the ascending cell c, and enter every ordering of its
-    coordinate set into ``out`` with its partner.
-
-    The ordering act(sigma, c) pairs with act(sigma, partner), which is that
-    ordering with the swapped coordinate replaced in its own place, so the
-    permutations of c and of its partner, taken in step, list the pairs.
-    """
+def _classify_set(c: Cell, cx: CubeComplex) -> Optional[Swap]:
+    """Classify the ascending cell c: the swap (old, new) that makes its
+    partner, or None when it is critical.  Its rotation is classified too
+    and must get the same swap in its own places."""
     partner = classify_cell(c, cx)
-    if partner is None:
-        out.update(zip(permutations(c), repeat(None)))
-    elif len(partner) == len(c) and sum(map(ne, c, partner)) == 1:
-        out.update(zip(permutations(c), permutations(partner)))
-    else:
-        raise StructuralError(f"matching is not an involution at {c!r}")
+    swap = None
+    if partner is not None:
+        changed = list(map(ne, c, partner))
+        if len(partner) != len(c) or changed.count(True) != 1:
+            raise StructuralError(f"matching is not an involution at {c!r}")
+        r = changed.index(True)
+        swap = c[r], partner[r]
     rotated = c[1:] + c[:1]
-    if classify_cell(rotated, cx) != out[rotated]:
+    if classify_cell(rotated, cx) != (partner and partner[1:] + partner[:1]):
         raise StructuralError(f"matching is not equivariant at {rotated!r}")
+    return swap
 
 
-def _check_descent(cx: CubeComplex, ascending: Iterable[Cell], classes: Mapping[Cell, Optional[Cell]]) -> None:
-    """Each matched ascending 0-cell's partner is an edge at one of its
-    coordinates' places, with that coordinate as one end and an end of
-    smaller ``tree_order.number`` as the other."""
-    number, edge_by_name = cx.graph.tree_order.number, cx.graph.edge_by_name
-    for c in ascending:
-        partner = classes[c]
-        if partner is None:
+def _check_descent(cx: CubeComplex, swaps: dict[int, Optional[Swap]]) -> None:
+    """Each matched ascending 0-cell's swap (old, new) puts an edge in
+    place of one of its vertices, with that vertex old as one end and an
+    end of smaller ``tree_order.number`` as the other."""
+    number, edge_by_name, key = cx.graph.tree_order.number, cx.graph.edge_by_name, cx.set_key
+    for c in cx.sets_by_dim[0]:
+        swap = swaps[key(c)]
+        if swap is None:
             continue
-        r = next(i for i, (old, new) in enumerate(zip(c, partner)) if old != new)
-        edge = edge_by_name.get(partner[r])
-        if edge is None or c[r] not in (edge.lo, edge.hi):
-            raise StructuralError(f"{c!r} is not an end of its partner {partner!r}")
-        other = edge.hi if c[r] == edge.lo else edge.lo
-        if number[other] >= number[c[r]]:
+        old, new = swap
+        edge = edge_by_name.get(new)
+        if edge is None or old not in (edge.lo, edge.hi):
+            r = c.index(old)
+            raise StructuralError(f"{c!r} is not an end of its partner {c[:r] + (new,) + c[r + 1:]!r}")
+        if number[edge.hi if old == edge.lo else edge.lo] >= number[old]:
             raise StructuralError(f"the flow from {c!r} does not move toward the root")
 
 
@@ -259,37 +335,43 @@ def build_field(
 ) -> GradientField:
     """Match every cell; a quotient's matching is induced from the upstairs one.
 
-    On a configuration complex only one ordering per coordinate set goes
-    through ``classify_cell``: the first in ``cells_by_dim`` order, which is
-    the ascending one.  Its partner must differ from it in one place, a swap
-    (old, new), and every other ordering of the set pairs with itself with
-    ``old`` replaced in its own place (``_match_orderings``).  The ascending
-    cell's one-place rotation ``c[1:] + c[:1]``, the deck generator of the
-    cyclic quotient, is classified too and must get that translated
-    partner; otherwise the matching is not equivariant and this raises
-    ``StructuralError``.  On a quotient the orbit takes the orbit of its
-    representative's partner in ``upstairs``, the field of ``cx.fm``, which
-    is built here when not given; no cell is classified again.  The
-    critical cells of each dimension are listed as the matching is filled.
+    On a configuration complex only the coordinate sets go through
+    ``classify_cell``, each as its ascending tuple.  Its partner must differ
+    from it in one place, a swap (old, new), and the field keeps only that
+    swap, under the set's ``set_key``; every ordering of the set pairs with
+    itself with ``old`` replaced in its own place (``_Partners``).  The
+    ascending cell's one-place rotation ``c[1:] + c[:1]``, the deck
+    generator of the cyclic quotient, is classified too and must get that
+    translated partner; otherwise the matching is not equivariant and this
+    raises ``StructuralError``.  The critical cells of each dimension are
+    the orderings of the critical sets, in sort order.  On a quotient each
+    representative takes the orbit of its partner in ``upstairs``, the
+    field of ``cx.fm``, which is built here when not given; no cell is
+    classified again.
 
     Both matchings are checked to be involutions on cells one dimension
-    apart.  The quotient's is checked cell by cell, which also tests
-    ``project``, the minimal rotation that names each partner's orbit; a
-    partner that is not a cell upstairs is refused.  The upstairs one is
-    checked once per coordinate set, in two parts:
+    apart.  The upstairs one is checked once per coordinate set, in two
+    parts:
 
-    1. Closure count: each dimension holds distinct cells, m! per ascending
-       cell.  Every cell is an ordering of some ascending cell, so every
-       coordinate set is present in all m! orderings, with distinct
-       coordinates.
-    2. Ascending check: each ascending cell c with partner p has
-       ``classes[p] == c``, and their dimensions differ by one.
+    1. Set check (``_check_sets``): each dimension lists S_d sets, the
+       closed form of ``count_sets``, each strictly ascending, in strictly
+       increasing sort order.  So no set is repeated, and ``classify_cell``
+       refuses a tuple that is not a cell; so the lists hold every
+       coordinate set once, and a missing set leaves the count short.  The
+       ordered cells are every ordering of these sets, by construction.
+    2. Table check (``_check_swaps``): each set's swap (old, new) trades a
+       vertex for an edge or back, and the set with new in old's place is
+       in the table with the swap (new, old).  So each ascending cell c
+       with partner p has ``classes[p] == c``, one dimension away.
 
     That is enough.  By construction ``classes[sigma c] == sigma p`` for
     every permutation sigma, and p is ``tau c'`` for the ascending cell c'
-    of its own set, whose orderings are all cells by the count.  So
-    ``classes[sigma p] == sigma classes[p] == sigma c``, and sigma c and
-    sigma p have the dimensions of c and p.
+    of its own set.  So ``classes[sigma p] == sigma classes[p] == sigma c``,
+    and sigma c and sigma p have the dimensions of c and p.  The quotient's
+    matching is checked representative by representative: each partner
+    must pair back, which also tests ``project``, the minimal rotation that
+    names each partner's orbit; a partner is one dimension away because its
+    upstairs swap is.  A partner that is not a cell upstairs is refused.
 
     The flow (``GradientField.flow``) is checked once per coordinate set as
     well (``_check_descent``).  Let s(v) be the sum of ``tree_order.number``
@@ -321,47 +403,45 @@ def build_field(
     1-skeleton as a tree.  That is as strong as a check that V - 1 edges
     reach every 0-cell, without a walk over every 0-cell.
     """
-    classes: dict[Cell, Optional[Cell]] = {}
-    critical: dict[int, list[Cell]] = {}
     if isinstance(cx, QuotientComplex):
         if upstairs is None:
             upstairs = build_field(cx.fm)
-        elif upstairs.complex is not cx.fm:
-            raise InvalidParameterError("upstairs field is not on the quotient's complex")
-        up, project = upstairs.classes, cx.project_near
+        elif upstairs.complex is not cx.fm or upstairs.swaps is None:
+            raise InvalidParameterError("upstairs field is not build_field's field of the quotient's complex")
+        classes: dict[Cell, Optional[Cell]] = {}
+        critical: dict[int, list[Cell]] = {}
+        swaps, bit, project = upstairs.swaps, cx.fm.bit.__getitem__, cx.project_near
         try:
             for d in sorted(cx.cells_by_dim):
                 found = critical[d] = []
                 for rep in cx.cells_by_dim[d]:
-                    partner = up[rep]
-                    if partner is None:
+                    swap = swaps[sum(map(bit, rep))]  # set_key(rep), inline in this hot loop
+                    if swap is None:
                         classes[rep] = None
                         found.append(rep)
                     else:
-                        classes[rep] = project(rep, partner)
+                        r = rep.index(swap[0])
+                        classes[rep] = project(rep, rep[:r] + (swap[1],) + rep[r + 1:])
         except KeyError as missing:
             raise StructuralError(f"{missing.args[0]!r} is not a cell of the upstairs complex") from None
-        _check_involution(classes, cx.cells_by_dim)
-    else:
-        per_set = factorial(cx.m)
-        ascending: dict[int, list[Cell]] = {}
-        for d in sorted(cx.cells_by_dim):
-            cells = cx.cells_by_dim[d]
-            orderings: dict[Cell, Optional[Cell]] = {}
-            firsts = ascending[d] = []
-            for c in cells:
-                if c not in orderings:  # the first ordering of its set in sort order: ascending
-                    _match_orderings(c, cx, orderings)
-                    firsts.append(c)
-            size = len(classes)  # the closure count: classes grows by distinct cells, m! per set
-            partners = list(map(orderings.__getitem__, cells))
-            classes.update(zip(cells, partners))
-            if not len(classes) - size == len(cells) == per_set * len(firsts):
-                raise StructuralError(f"the {d}-cells are not every ordering of their coordinate sets")
-            critical[d] = list(compress(cells, map(is_, partners, repeat(None))))
-        _check_involution(classes, ascending)
-        _check_descent(cx, ascending[0], classes)
-    return GradientField(cx, classes, critical)
+        for rep, partner in classes.items():
+            if partner is not None and classes.get(partner) != rep:
+                raise StructuralError(f"matching is not an involution at {rep!r}")
+        return GradientField(cx, classes, critical, swaps)
+    _check_sets(cx)
+    swaps: dict[int, Optional[Swap]] = {}
+    key, critical_sets = cx.set_key, {}
+    for d, sets in cx.sets_by_dim.items():
+        found = critical_sets[d] = []
+        for c in sets:
+            swap = swaps[key(c)] = _classify_set(c, cx)
+            if swap is None:
+                found.append(c)
+    _check_swaps(cx, swaps)
+    _check_descent(cx, swaps)
+    return _SetField(cx, _Partners(cx, swaps), {
+        d: sorted(chain.from_iterable(map(permutations, sets)), key=cx.sort_key) for d, sets in critical_sets.items()
+    }, swaps)
 
 
 # -- critical edges --------------------------------------------------------

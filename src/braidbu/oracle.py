@@ -25,9 +25,7 @@ Verdict = tuple[str, bool, str]
 
 def chi_oracle(cx) -> int:
     """Alternating sum of raw cell counts; independent of the gradient field."""
-    return sum(
-        (1 if d % 2 == 0 else -1) * len(cells) for d, cells in cx.cells_by_dim.items()
-    )
+    return sum((1 if d % 2 == 0 else -1) * cx.num_cells(d) for d in cx.cells_by_dim)
 
 
 class _Level(NamedTuple):
@@ -134,7 +132,7 @@ def _check_trees(m: int) -> list[Verdict]:
     for lv in _levels(m):
         sinks, selected = lv.field.critical(0), lv.level.selected
         ok = len(selected) == len(sinks) - 1 and lv.level.parents.keys() == set(sinks)
-        edges = len(lv.level.complex.cells_by_dim[0]) - len(sinks) + len(selected)
+        edges = lv.level.complex.num_cells(0) - len(sinks) + len(selected)
         out.append((f"trees.m{m}.{lv.label}", ok, f"{edges} edges"))
     return out
 

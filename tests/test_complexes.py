@@ -32,6 +32,32 @@ TARGETS = [(make_lollipop(m), m) for m in (2, 3, 4)] + [
 TARGET_IDS = [f"lollipop-m{m}" for m in (2, 3, 4)] + [f"star({l},{k})-n{n}" for l, k, n in STAR_TARGETS]
 
 
+def _ordered_walk(graph, m):
+    """Every cell of the m-particle complex by dimension, and the rotation
+    representatives, in sort order: the depth-first walk over every ordering
+    that built the complex before it was stored by coordinate set."""
+    keys, masks = graph.coord_keys, graph.closure_masks
+    steps = [(c, masks[c], isinstance(c, str)) for c in sorted(keys, key=keys.__getitem__)]
+    cells, reps = {}, {}
+
+    def extend(prefix, used, dim, low, high):
+        if len(prefix) == m:
+            cells.setdefault(dim, []).append(prefix)
+            if high is not None:
+                reps.setdefault(dim, []).append(prefix)
+            return
+        for c, mask, is_edge in low:
+            if not used & mask:
+                extend(prefix + (c,), used | mask, dim + is_edge, steps, None)
+        for c, mask, is_edge in high or ():
+            if not used & mask:
+                extend(prefix + (c,), used | mask, dim + is_edge, low, high)
+
+    for j, (c, mask, is_edge) in enumerate(steps):
+        extend((c,), mask, is_edge, steps[:j], steps[j + 1:])
+    return cells, reps
+
+
 @pytest.fixture(scope="module")
 def f2():
     return build_dconf(make_lollipop(2), 2)
@@ -69,6 +95,16 @@ class TestBuild:
 
     def test_base_cell(self, f3):
         assert f3.base == (0, 1, 2)
+
+    @pytest.mark.parametrize("graph, m", TARGETS, ids=TARGET_IDS)
+    def test_listing_equals_the_ordered_walk(self, graph, m):
+        cells, reps = _ordered_walk(graph, m)
+        cx = build_dconf(graph, m)
+        assert {d: list(listing) for d, listing in cx.cells_by_dim.items()} == cells
+        assert {d: list(r) for d, r in cx.representatives.items()} == reps
+        ascending = {d: [c for c in cs if list(cx.sort_key(c)) == sorted(cx.sort_key(c))] for d, cs in cells.items()}
+        assert {d: list(sets) for d, sets in cx.sets_by_dim.items()} == ascending
+        assert all(cx.num_cells(d) == len(cs) for d, cs in cells.items())
 
     @pytest.mark.parametrize("graph, m", TARGETS, ids=TARGET_IDS)
     def test_cells_come_out_in_sort_order(self, graph, m):
@@ -224,7 +260,7 @@ class TestQuotient:
     def test_representatives_are_the_complex_own_cells(self, graph, m):
         cx = build_dconf(graph, m)
         q = build_quotient(cx, m)
-        own = {id(c) for c in cx.all_cells()}
+        own = {id(c) for reps in cx.representatives.values() for c in reps}
         for reps in q.cells_by_dim.values():
             assert all(id(rep) in own for rep in reps)
             for rep in reps:
@@ -236,16 +272,16 @@ class TestQuotient:
             QuotientComplex(f2, 3)
 
     def test_complex_not_closed_under_rotation_is_refused(self, f2):
-        # (0, 2) stays, its rotation (2, 0) goes: the count refuses it.
-        cells = {**f2.cells_by_dim, 0: tuple(c for c in f2.cells_by_dim[0] if c != (2, 0))}
+        # The set {0, 2} goes, its representative (0, 2) stays: the count refuses it.
+        sets = {**f2.sets_by_dim, 0: tuple(c for c in f2.sets_by_dim[0] if c != (0, 2))}
         with pytest.raises(StructuralError, match="not free rotation orbits"):
-            build_quotient(CubeComplex(f2.graph, 2, cells, f2.representatives), 2)
+            build_quotient(CubeComplex(f2.graph, 2, sets, f2.representatives), 2)
 
     def test_non_free_orbit_is_refused(self, f2):
-        # (0, 0) is its own rotation: closed, but an orbit of size 1.
-        cells = {**f2.cells_by_dim, 0: f2.cells_by_dim[0] + ((0, 0),)}
+        # (0, 0) is its own rotation: an orbit of size 1, with no representative.
+        sets = {**f2.sets_by_dim, 0: f2.sets_by_dim[0] + ((0, 0),)}
         with pytest.raises(StructuralError, match="not free rotation orbits"):
-            build_quotient(CubeComplex(f2.graph, 2, cells, f2.representatives), 2)
+            build_quotient(CubeComplex(f2.graph, 2, sets, f2.representatives), 2)
 
     def test_project_refuses_a_non_cell(self, f2):
         q = build_quotient(f2, 2)

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidbu import complexes, decide
 from braidbu.complexes import build_dconf, build_quotient, components
 from braidbu.covering import (
     Covering,
@@ -171,7 +172,7 @@ class TestCoveringContract:
     def test_parents_hold_the_complexs_own_vertices(self, name):
         system = COVERINGS[name]()
         for level in (system.up, system.down):
-            own = {id(v) for v in level.complex.cells_by_dim[0]}
+            own = {id(v) for v in level.field.critical(0)}
             assert all(id(v) in own for v in level.parents)
             assert all(id(entry[2]) in own for entry in level.parents.values() if entry is not None)
 
@@ -279,6 +280,26 @@ class TestMorseTree:
             for v, steps in _spanning_tree_paths(level).items():
                 path = level.path_to(v)
                 assert (path.start, path.steps, path.end) == (level.complex.base, steps, v)
+
+    @pytest.mark.parametrize("level_name", ["up", "down"])
+    @pytest.mark.parametrize("fault", ["off-the-chain", "wrong-end"])
+    def test_broken_memoised_path_is_refused(self, level_name, fault):
+        # A fresh system memoises only the root's path at first.  Break it:
+        # a path made from it later is checked when made, and the join of
+        # the root's path with a flow is checked on every call.
+        system = BraidSystem(3)
+        level = getattr(system, level_name)
+        cx, root = level.complex, next(s for s, entry in level.parents.items() if entry is None)
+        path = level._paths[root]
+        if fault == "off-the-chain":
+            letter = next(e for e in level.letters if cx.edge_endpoints(e)[0] != path.end)
+            level._paths[root] = EdgePath(path.start, path.steps + ((letter, 1),), path.end)
+            v = next(s for s, entry in level.parents.items() if entry is not None)
+        else:
+            level._paths[root] = EdgePath(path.start, path.steps, None)
+            v = root
+        with pytest.raises((StructuralError, InvalidParameterError)):
+            level.path_to(v)
 
     @pytest.mark.parametrize("name", sorted(COVERINGS))
     def test_tree_edges_are_the_forest_and_the_selected_edges(self, name):
@@ -540,3 +561,29 @@ class TestRewriting:
         monkeypatch.setattr(sys2, "theta_closed_form", lambda gen: 0)
         with pytest.raises(StructuralError):
             sys2.rs_rewrite(FreeWord.gen(sys2.z))
+
+
+class TestM5:
+    def test_fresh_m5_system(self):
+        system = BraidSystem(5)
+        assert (len(system.basis_fm), len(system.basis_q)) == (481, 97)
+        for field, c0, c1 in ((system.field_fm, 120, 600), (system.field_q, 24, 120)):
+            assert (len(field.critical(0)), len(field.critical(1))) == (c0, c1)
+            cx = field.complex
+            assert not any(field.critical(d) for d in range(2, cx.top_dim + 1))
+            assert sum((-1) ** d * cx.num_cells(d) for d in range(cx.top_dim + 1)) == c0 - c1
+
+
+def test_builds_and_decisions_never_list_the_ordered_cells(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the ordered cells were listed")
+
+    monkeypatch.setattr(complexes._Orderings, "__iter__", refuse)
+    monkeypatch.setattr(complexes._Orderings, "__getitem__", refuse)
+    get_system.cache_clear()
+    decide._tree_system_cached.cache_clear()
+    assert len(get_system(4).basis_fm) == 73
+    for legs, length, n in STAR_COVERINGS.values():
+        graph = make_star(legs, length)
+        tree_system(graph, n)
+        assert not decide.decide_tree(graph, n, decide.ActionData(n, 1, (1,))).holds

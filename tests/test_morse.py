@@ -320,6 +320,14 @@ class TestInvolution:
         with pytest.raises(StructuralError, match="not an involution"):
             _field_with(monkeypatch, {(0, 1): (1, 0), (1, 0): (0, 1)})
 
+    def test_swap_of_two_vertices_is_refused(self, monkeypatch):
+        # (0, 1) and (0, 2) swap one vertex for the other and pair back in
+        # every ordering; (0, 'a2'), the partner (0, 2) had, turns critical.
+        matching = {(0, 1): (0, 2), (0, 2): (0, 1), (0, "a2"): None}
+        overrides = {**matching, **{c[::-1]: p and p[::-1] for c, p in matching.items()}}
+        with pytest.raises(StructuralError, match="not an involution"):
+            _field_with(monkeypatch, overrides)
+
 
 class TestDescent:
     """Every flow step must move a vertex toward the root; with the
@@ -352,7 +360,11 @@ class TestInvolutionPerSet:
         field_fm = build_field(fm)
         field_q = build_field(build_quotient(fm, m), field_fm)
         for field in (field_fm, field_q):
-            morse._check_involution(field.classes, field.complex.cells_by_dim)
+            for d, cells in field.complex.cells_by_dim.items():
+                for c in cells:
+                    partner = field.classes[c]
+                    if partner is not None:
+                        assert field.classes.get(partner) == c and abs(cell_dim(partner) - d) == 1
 
     def test_equivariant_wrong_partner_is_refused(self, monkeypatch):
         # Every ordering of {0, 1, 3} pairs with itself with 3 replaced by 'a4'
@@ -371,14 +383,16 @@ class TestInvolutionPerSet:
 
     @pytest.mark.parametrize("duplicate", [False, True], ids=["missing", "duplicated-in-its-place"])
     def test_coordinate_set_without_every_ordering_is_refused(self, duplicate):
-        # The reverse of a 3-cell is not one of its rotations, so nothing
-        # classifies it directly; only the closure count can see it gone.
+        # A set left out is never classified, so none of its orderings has a
+        # partner; only the count against the closed form sees it gone, and
+        # only the order check sees the set before it listed in its place.
         fm = build_dconf(make_lollipop(3), 3)
-        first = fm.cells_by_dim[1][0]
-        cells = [c for c in fm.cells_by_dim[1] if c != first[::-1]]
+        sets = list(fm.sets_by_dim[1])
+        gone = sets.pop(5)
         if duplicate:
-            cells.append(first)
-        hand_built = CubeComplex(fm.graph, 3, {**fm.cells_by_dim, 1: tuple(cells)}, fm.representatives)
+            sets.insert(5, sets[4])
+        assert gone not in sets
+        hand_built = CubeComplex(fm.graph, 3, {**fm.sets_by_dim, 1: tuple(sets)}, fm.representatives)
         with pytest.raises(StructuralError, match="not every ordering"):
             build_field(hand_built)
 
@@ -494,13 +508,27 @@ class TestQuotientField:
             assert field.classes[rep] == (None if partner is None else q.project(partner))
 
     def test_representative_paired_outside_the_complex_is_refused(self):
+        # A redundant representative's set swaps its vertex for the other
+        # vertex instead, so its partner (0, 0) repeats a coordinate.
         fm = build_dconf(make_lollipop(2), 2)
         q = build_quotient(fm, 2)
         field = build_field(fm)
         rep = next(c for c in q.all_cells() if field.kind(c) == KIND_REDUNDANT)
-        altered = GradientField(fm, {**field.classes, rep: (0, 0)}, {d: field.critical(d) for d in fm.cells_by_dim})
+        swaps = field.swaps
+        old = swaps[fm.set_key(rep)][0]
+        swaps[fm.set_key(rep)] = (old, next(c for c in rep if c != old))
         with pytest.raises(StructuralError, match="not a cell"):
-            build_field(q, altered)
+            build_field(q, field)
+
+    def test_partner_that_does_not_pair_back_is_refused(self, monkeypatch):
+        # A projection naming the wrong orbit: each partner is the first
+        # representative of its dimension.
+        fm = build_dconf(make_lollipop(3), 3)
+        q = build_quotient(fm, 3)
+        field = build_field(fm)
+        monkeypatch.setattr(q, "project_near", lambda rep, cell: q.cells_by_dim[cell_dim(cell)][0])
+        with pytest.raises(StructuralError, match="not an involution"):
+            build_field(q, field)
 
     def test_field_of_another_complex_is_refused(self):
         fm = build_dconf(make_lollipop(2), 2)
