@@ -78,7 +78,7 @@ def cmd_dconf_stats(args) -> int:
     graph = _load_graph(args.graph)
     cx = build_dconf(graph, args.m)
     report = Report(command=f"dconf stats --m {args.m}" + (" --quotient" if args.quotient else ""))
-    target = build_quotient(cx, args.m) if args.quotient else cx
+    target = build_quotient(cx) if args.quotient else cx
     for d in sorted(target.cells_by_dim):
         report.records.append((f"cells.dim{d}", str(target.num_cells(d))))
     report.records.append(("chi", str(chi_oracle(target))))

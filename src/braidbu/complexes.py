@@ -7,6 +7,8 @@ its endpoints.  The symmetric group acts by permuting coordinates, and
 whether a tuple is a cell does not depend on the order of its coordinates.
 So the complex is stored by coordinate set: ``sets_by_dim`` lists each set
 once, as its ascending tuple, and ``set_key`` names the set of any ordering.
+Constructing a complex checks that listing against the closed-form set
+counts of ``count_sets``, so every complex a caller holds has passed it.
 The ordered cells, every ordering of every set, are listed only on demand
 (``cells_by_dim``).  The cyclic subgroup generated by the full rotation
 acts freely on cells, since their coordinates are distinct.  The quotient
@@ -21,6 +23,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from itertools import permutations
 from math import comb, factorial
+from operator import lt
 from typing import Iterator, Optional, Union
 
 from .errors import InvalidParameterError, PreconditionError, StructuralError
@@ -80,7 +83,8 @@ class CubeComplex(_CellComplex):
     ``cells_by_dim`` lists every ordering of the sets, in sort order, when
     iterated; its lengths are counts.  ``rank`` numbers the graph cells in
     key order, ``bit`` gives each the bit of its rank, and ``set_key`` adds
-    the bits of a cell's coordinates.
+    the bits of a cell's coordinates.  ``counts`` is ``count_sets(graph, m)``,
+    which construction checks the sets against (``_check_sets``).
     """
 
     def __init__(
@@ -89,15 +93,39 @@ class CubeComplex(_CellComplex):
         m: int,
         sets_by_dim: dict[int, tuple[Cell, ...]],
         representatives: dict[int, tuple[Cell, ...]],
+        counts: Sequence[int],
     ):
         self.graph = graph
         self.m = m
-        self.sets_by_dim = sets_by_dim
-        self.representatives = representatives
-        self.base: Cell = sets_by_dim[0][0]  # the smallest 0-cell in sort order
         keys = graph.coord_keys
         self.rank = {c: i for i, c in enumerate(sorted(keys, key=keys.__getitem__))}
         self.bit = {c: 1 << i for c, i in self.rank.items()}
+        self.sets_by_dim = sets_by_dim
+        self.representatives = representatives
+        self._check_sets(counts)
+        self.base: Cell = sets_by_dim[0][0]  # the smallest 0-cell in sort order
+
+    def _check_sets(self, counts: Sequence[int]) -> None:
+        """Each dimension lists ``counts[d]`` sets, each strictly ascending,
+        and the list strictly increasing in sort order (compared by
+        ``rank``, which keeps the key order).  So no set is listed twice,
+        and a missing set leaves its dimension's count short."""
+        rank, expected = self.rank.__getitem__, dict(enumerate(counts))
+        for d in expected.keys() | self.sets_by_dim.keys():
+            sets = self.sets_by_dim.get(d, ())
+            if len(sets) != expected.get(d, 0):
+                raise StructuralError(
+                    f"the {d}-cells are not every ordering of their coordinate sets: "
+                    f"{len(sets)} sets, {expected.get(d, 0)} by the closed form"
+                )
+            last: tuple[int, ...] = ()
+            for c in sets:
+                ranks = tuple(map(rank, c))
+                if ranks <= last or not all(map(lt, ranks, ranks[1:])):
+                    raise StructuralError(
+                        f"the {d}-cells are not every ordering of their coordinate sets: {c!r} is out of order"
+                    )
+                last = ranks
 
     @property
     def cells_by_dim(self) -> dict[int, Sequence[Cell]]:
@@ -163,13 +191,15 @@ def build_dconf(graph: Graph, m: int) -> CubeComplex:
     in key order (each later in ``high`` than the last, tracked as
     ``last``) is its set's ascending tuple; so the sets come out in sort
     order too, as the same tuples.  Complexes of more than ``MAX_CELLS``
-    ordered cells are refused, counted first.
+    ordered cells are refused, counted first by ``count_sets``, whose counts
+    the complex is then checked against.
     """
     if m < 1:
         raise InvalidParameterError(f"need m >= 1, got {m}")
     if not is_sufficiently_subdivided(graph, m):
         raise PreconditionError(f"graph is not sufficiently subdivided for {m} particles")
-    total = count_cells(graph, m)
+    counts = count_sets(graph, m)
+    total = sum(counts) * factorial(m)
     if total > MAX_CELLS:
         raise PreconditionError(f"the {m}-particle complex has {total} cells, more than the {MAX_CELLS} allowed")
     keys = graph.coord_keys
@@ -199,7 +229,7 @@ def build_dconf(graph: Graph, m: int) -> CubeComplex:
     if not sets[0]:
         raise PreconditionError(f"no room for {m} particles on this graph")
     dims = [d for d in range(m + 1) if sets[d]]
-    return CubeComplex(graph, m, {d: tuple(sets[d]) for d in dims}, {d: tuple(reps[d]) for d in dims})
+    return CubeComplex(graph, m, {d: tuple(sets[d]) for d in dims}, {d: tuple(reps[d]) for d in dims}, counts)
 
 
 def count_sets(graph: Graph, m: int) -> list[int]:
@@ -310,12 +340,10 @@ class QuotientComplex(_CellComplex):
     representatives against its sets.
     """
 
-    def __init__(self, fm: CubeComplex, m: int):
-        if fm.m != m:
-            raise InvalidParameterError("particle count mismatch")
+    def __init__(self, fm: CubeComplex):
         self.fm = fm
         self.graph = fm.graph
-        self.m = m
+        self.m = m = fm.m
         reps, per_set = fm.representatives, factorial(m - 1)
         for d in fm.sets_by_dim.keys() | reps.keys():
             sets, found = len(fm.sets_by_dim.get(d, ())), len(reps.get(d, ()))
@@ -412,8 +440,8 @@ class _Orbits(Mapping):
         return len(self._reps)
 
 
-def build_quotient(fm: CubeComplex, m: int) -> QuotientComplex:
-    return QuotientComplex(fm, m)
+def build_quotient(fm: CubeComplex) -> QuotientComplex:
+    return QuotientComplex(fm)
 
 
 Complex = Union[CubeComplex, QuotientComplex]

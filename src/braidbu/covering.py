@@ -84,7 +84,7 @@ def make_path(cx, start: Cell, steps: Iterable[Step]) -> EdgePath:
     return EdgePath(start, steps, cur)
 
 
-def concat(cx, *paths: EdgePath) -> EdgePath:
+def concat(*paths: EdgePath) -> EdgePath:
     out = paths[0]
     for p in paths[1:]:
         if p.start != out.end:
@@ -320,7 +320,7 @@ class Level:
         to_start, to_end = self.path_to(path.start), self.path_to(path.end)
         if to_start.start != self.complex.base or to_end.start != self.complex.base:
             raise StructuralError("tree paths do not start at the base")
-        return concat(self.complex, to_start, path, reverse_path(to_end))
+        return concat(to_start, path, reverse_path(to_end))
 
     def loop(self, letter) -> EdgePath:
         """The based loop that reads the single letter."""
@@ -340,13 +340,13 @@ def build_fields(graph: Graph, n: int) -> tuple[GradientField, GradientField]:
     and of its quotient.  A field with critical cells of dimension two or
     more leaves the letters no free basis; it is refused before the quotient
     is built, whose critical cells are the orbits of these."""
-    field_fm = build_field(build_dconf(graph, n))
+    field_fm = build_field(build_dconf(graph, n), None)
     fm = field_fm.complex
     if any(field_fm.critical(d) for d in range(2, fm.top_dim + 1)):
         raise PreconditionError(
             f"braid group of the tree has no free basis for n={n}: critical cells of dimension >= 2"
         )
-    return field_fm, build_field(build_quotient(fm, n), field_fm)
+    return field_fm, build_field(build_quotient(fm), field_fm)
 
 
 class Covering:

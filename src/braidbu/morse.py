@@ -25,9 +25,11 @@ None, under the set's key.  The partner of any ordering is the same swap
 made in its own places (``classes`` reads it on demand).  The ascending
 cell's one-place rotation, the deck generator of the cyclic quotient, is
 classified directly as a check on that translation, and the involution is
-checked once per set, on the table.  The matching of a cyclic quotient is
-then read off the upstairs swaps, one orbit representative at a time, and
-checked to pair back.
+checked once per set, on the table; the sets themselves were checked
+against their closed-form counts when the complex was made.  The matching
+of a cyclic quotient is then read off the upstairs swaps, one orbit
+representative at a time, and checked to pair back.  One field class
+holds either matching, with the swap table it was read off.
 
 The 0-cells and the 1-cells matched with them form a maximal forest, and
 each of its trees holds one critical 0-cell.  The flow follows it: a
@@ -45,10 +47,10 @@ from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
 from itertools import chain, permutations
 from math import factorial
-from operator import lt, ne
+from operator import ne
 from typing import Optional, Union
 
-from .complexes import Cell, CubeComplex, QuotientComplex, cell_dim, count_sets
+from .complexes import Cell, CubeComplex, QuotientComplex, cell_dim
 from .errors import InvalidParameterError, StructuralError
 from .graphs import Coord, Graph
 from .perms import Perm, sorting_permutation
@@ -128,7 +130,7 @@ class GradientField:
         cx: Union[CubeComplex, QuotientComplex],
         classes: Mapping[Cell, Optional[Cell]],
         critical: Mapping[int, Iterable[Cell]],
-        swaps: Optional[dict[int, Optional[Swap]]] = None,
+        swaps: dict[int, Optional[Swap]],
     ):
         self.complex = cx
         self.classes = classes
@@ -174,7 +176,8 @@ class GradientField:
 
     def _leave(self, v: Cell) -> tuple[Cell, int, Cell]:
         """The matched 0-cell v's partner edge, the sign that leaves v along
-        it, and the edge's other end."""
+        it, and the edge's other end, read off ``classes`` and the complex's
+        ``edge_endpoints`` on either level."""
         edge = self.classes[v]
         src, tgt = self.complex.edge_endpoints(edge)
         if v == src:
@@ -234,48 +237,11 @@ class _Partners(Mapping):
         return factorial(self._cx.m) * len(self._swaps)
 
 
-class _SetField(GradientField):
-    """The upstairs field, read off the swap of each coordinate set."""
-
-    def _leave(self, v: Cell) -> tuple[Cell, int, Cell]:
-        """The swap's edge, leaving v from its old vertex toward that
-        vertex's neighbour along it (``_check_descent`` checked the ends)."""
-        old, new = self.swaps[self.complex.set_key(v)]
-        r = v.index(old)
-        head, tail = v[:r], v[r + 1:]
-        e = self.complex.graph.edge_by_name[new]
-        if old == e.lo:
-            return head + (new,) + tail, 1, head + (e.hi,) + tail
-        return head + (new,) + tail, -1, head + (e.lo,) + tail
-
-
 def _kind(partner: Optional[Cell], d: int) -> str:
     """The kind of a d-cell matched with ``partner``."""
     if partner is None:
         return KIND_CRITICAL
     return KIND_REDUNDANT if cell_dim(partner) > d else KIND_COLLAPSIBLE
-
-
-def _check_sets(cx: CubeComplex) -> None:
-    """Each dimension lists as many coordinate sets as the closed form
-    counts, each strictly ascending, and the list strictly increasing in
-    sort order (compared by ``rank``, which keeps the key order)."""
-    rank, expected = cx.rank.__getitem__, dict(enumerate(count_sets(cx.graph, cx.m)))
-    for d in expected.keys() | cx.sets_by_dim.keys():
-        sets = cx.sets_by_dim.get(d, ())
-        if len(sets) != expected.get(d, 0):
-            raise StructuralError(
-                f"the {d}-cells are not every ordering of their coordinate sets: "
-                f"{len(sets)} sets, {expected.get(d, 0)} by the closed form"
-            )
-        last: tuple[int, ...] = ()
-        for c in sets:
-            ranks = tuple(map(rank, c))
-            if ranks <= last or not all(map(lt, ranks, ranks[1:])):
-                raise StructuralError(
-                    f"the {d}-cells are not every ordering of their coordinate sets: {c!r} is out of order"
-                )
-            last = ranks
 
 
 def _check_swaps(cx: CubeComplex, swaps: dict[int, Optional[Swap]]) -> None:
@@ -330,10 +296,11 @@ def _check_descent(cx: CubeComplex, swaps: dict[int, Optional[Swap]]) -> None:
             raise StructuralError(f"the flow from {c!r} does not move toward the root")
 
 
-def build_field(
-    cx: Union[CubeComplex, QuotientComplex], upstairs: Optional[GradientField] = None
-) -> GradientField:
+def build_field(cx: Union[CubeComplex, QuotientComplex], upstairs: Optional[GradientField]) -> GradientField:
     """Match every cell; a quotient's matching is induced from the upstairs one.
+
+    ``upstairs`` is the field of ``cx.fm`` when cx is a quotient, and None
+    when cx is a configuration complex.
 
     On a configuration complex only the coordinate sets go through
     ``classify_cell``, each as its ascending tuple.  Its partner must differ
@@ -345,20 +312,20 @@ def build_field(
     translated partner; otherwise the matching is not equivariant and this
     raises ``StructuralError``.  The critical cells of each dimension are
     the orderings of the critical sets, in sort order.  On a quotient each
-    representative takes the orbit of its partner in ``upstairs``, the
-    field of ``cx.fm``, which is built here when not given; no cell is
-    classified again.
+    representative takes the orbit of its partner in ``upstairs``; no cell
+    is classified again.
 
     Both matchings are checked to be involutions on cells one dimension
     apart.  The upstairs one is checked once per coordinate set, in two
     parts:
 
-    1. Set check (``_check_sets``): each dimension lists S_d sets, the
-       closed form of ``count_sets``, each strictly ascending, in strictly
-       increasing sort order.  So no set is repeated, and ``classify_cell``
-       refuses a tuple that is not a cell; so the lists hold every
-       coordinate set once, and a missing set leaves the count short.  The
-       ordered cells are every ordering of these sets, by construction.
+    1. The complex's invariant, checked when it was made
+       (``CubeComplex``): each dimension lists S_d sets, the closed form of
+       ``count_sets``, each strictly ascending, in strictly increasing sort
+       order.  So no set is repeated, and ``classify_cell`` refuses a tuple
+       that is not a cell; so the lists hold every coordinate set once, and
+       a missing set leaves the count short.  The ordered cells are every
+       ordering of these sets, by construction.
     2. Table check (``_check_swaps``): each set's swap (old, new) trades a
        vertex for an edge or back, and the set with new in old's place is
        in the table with the swap (new, old).  So each ascending cell c
@@ -404,9 +371,7 @@ def build_field(
     reach every 0-cell, without a walk over every 0-cell.
     """
     if isinstance(cx, QuotientComplex):
-        if upstairs is None:
-            upstairs = build_field(cx.fm)
-        elif upstairs.complex is not cx.fm or upstairs.swaps is None:
+        if upstairs is None or upstairs.complex is not cx.fm:
             raise InvalidParameterError("upstairs field is not build_field's field of the quotient's complex")
         classes: dict[Cell, Optional[Cell]] = {}
         critical: dict[int, list[Cell]] = {}
@@ -428,7 +393,8 @@ def build_field(
             if partner is not None and classes.get(partner) != rep:
                 raise StructuralError(f"matching is not an involution at {rep!r}")
         return GradientField(cx, classes, critical, swaps)
-    _check_sets(cx)
+    if upstairs is not None:
+        raise InvalidParameterError("a configuration complex's field is built without an upstairs field")
     swaps: dict[int, Optional[Swap]] = {}
     key, critical_sets = cx.set_key, {}
     for d, sets in cx.sets_by_dim.items():
@@ -439,7 +405,7 @@ def build_field(
                 found.append(c)
     _check_swaps(cx, swaps)
     _check_descent(cx, swaps)
-    return _SetField(cx, _Partners(cx, swaps), {
+    return GradientField(cx, _Partners(cx, swaps), {
         d: sorted(chain.from_iterable(map(permutations, sets)), key=cx.sort_key) for d, sets in critical_sets.items()
     }, swaps)
 

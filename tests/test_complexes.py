@@ -6,10 +6,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from test_fuzz import trees
 
+import braidbu.complexes as complexes
 from braidbu.complexes import (
     MAX_CELLS,
     CubeComplex,
-    QuotientComplex,
     act,
     build_dconf,
     build_quotient,
@@ -17,7 +17,9 @@ from braidbu.complexes import (
     chi_by_component,
     components,
     count_cells,
+    count_sets,
 )
+from braidbu.covering import build_fields
 from braidbu.errors import InvalidParameterError, PreconditionError, StructuralError
 from braidbu.graphs import make_cycle, make_lollipop, make_path, make_star, parse_graph_text
 from braidbu.oracle import chi_oracle
@@ -159,6 +161,19 @@ class TestCount:
         with pytest.raises(PreconditionError, match="7490160"):
             build_dconf(make_lollipop(6), 6)
 
+    def test_set_counts_are_computed_once_per_cold_build(self, monkeypatch):
+        # build_dconf's size guard and the complex's set check read one list.
+        calls = []
+        original = complexes._matching_counts
+
+        def counting(graph, top):
+            calls.append(top)
+            return original(graph, top)
+
+        monkeypatch.setattr(complexes, "_matching_counts", counting)
+        build_fields(make_star(4, 3), 3)
+        assert calls == [3]
+
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(trees())
     def test_count_equals_enumeration_on_random_graphs(self, text):
@@ -214,7 +229,7 @@ class TestAction:
 
 class TestQuotient:
     def test_critical_edge_orbits_m2(self, f2):
-        q = build_quotient(f2, 2)
+        q = build_quotient(f2)
         assert q.project(("a", 2)) == q.project((2, "a"))
         assert q.project((0, "a")) == q.project(("a", 0))
         assert q.project(("a", 2)) != q.project((0, "a"))
@@ -224,7 +239,7 @@ class TestQuotient:
     @pytest.mark.parametrize("m", [2, 3])
     def test_orbit_sizes(self, m):
         cx = build_dconf(make_lollipop(m), m)
-        q = build_quotient(cx, m)
+        q = build_quotient(cx)
         for rep, members in q.members_of.items():
             assert len(set(members)) == m
             assert q.project(rep) == rep
@@ -232,7 +247,7 @@ class TestQuotient:
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_representatives(self, m):
         cx = build_dconf(make_lollipop(m), m)
-        q = build_quotient(cx, m)
+        q = build_quotient(cx)
         c1 = Perm.cycle(1, m)
         for rep, members in q.members_of.items():
             assert members == tuple(act(c1 ** t, rep) for t in range(m))
@@ -244,11 +259,11 @@ class TestQuotient:
     @pytest.mark.parametrize("m", [2, 3])
     def test_quotient_chi(self, m):
         cx = build_dconf(make_lollipop(m), m)
-        q = build_quotient(cx, m)
+        q = build_quotient(cx)
         assert chi_oracle(q) * m == chi_oracle(cx)
 
     def test_projection_is_m_to_one_and_onto(self, f3):
-        q = build_quotient(f3, 3)
+        q = build_quotient(f3)
         total = sum(len(cells) for cells in f3.cells_by_dim.values())
         orbits = sum(len(cells) for cells in q.cells_by_dim.values())
         assert total == 3 * orbits
@@ -259,7 +274,7 @@ class TestQuotient:
     @pytest.mark.parametrize("graph, m", TARGETS, ids=TARGET_IDS)
     def test_representatives_are_the_complex_own_cells(self, graph, m):
         cx = build_dconf(graph, m)
-        q = build_quotient(cx, m)
+        q = build_quotient(cx)
         own = {id(c) for reps in cx.representatives.values() for c in reps}
         for reps in q.cells_by_dim.values():
             assert all(id(rep) in own for rep in reps)
@@ -267,31 +282,29 @@ class TestQuotient:
                 assert all(q.project(member) is rep for member in q.members_of[rep])
         assert len(q.members_of) == sum(map(len, q.cells_by_dim.values()))
 
-    def test_particle_count_mismatch_is_refused(self, f2):
-        with pytest.raises(InvalidParameterError, match="particle count mismatch"):
-            QuotientComplex(f2, 3)
-
     def test_complex_not_closed_under_rotation_is_refused(self, f2):
-        # The set {0, 2} goes, its representative (0, 2) stays: the count refuses it.
-        sets = {**f2.sets_by_dim, 0: tuple(c for c in f2.sets_by_dim[0] if c != (0, 2))}
+        # The representative (0, 2) goes, the set {0, 2} stays: the orbit of
+        # (0, 2) and (2, 0) has no member listed, and the count refuses it.
+        reps = {**f2.representatives, 0: tuple(c for c in f2.representatives[0] if c != (0, 2))}
         with pytest.raises(StructuralError, match="not free rotation orbits"):
-            build_quotient(CubeComplex(f2.graph, 2, sets, f2.representatives), 2)
+            build_quotient(CubeComplex(f2.graph, 2, f2.sets_by_dim, reps, count_sets(f2.graph, 2)))
 
     def test_non_free_orbit_is_refused(self, f2):
-        # (0, 0) is its own rotation: an orbit of size 1, with no representative.
-        sets = {**f2.sets_by_dim, 0: f2.sets_by_dim[0] + ((0, 0),)}
+        # (0, 0) is its own rotation: an orbit of size 1, listed as a
+        # representative of no coordinate set.
+        reps = {**f2.representatives, 0: f2.representatives[0] + ((0, 0),)}
         with pytest.raises(StructuralError, match="not free rotation orbits"):
-            build_quotient(CubeComplex(f2.graph, 2, sets, f2.representatives), 2)
+            build_quotient(CubeComplex(f2.graph, 2, f2.sets_by_dim, reps, count_sets(f2.graph, 2)))
 
     def test_project_refuses_a_non_cell(self, f2):
-        q = build_quotient(f2, 2)
+        q = build_quotient(f2)
         for cell in ((0, 0), (0, 1, 2), ("a", "a1")):
             with pytest.raises(KeyError):
                 q.project(cell)
             assert not q.has(cell)
 
     def test_projection_commutes_with_facets(self, f2):
-        q = build_quotient(f2, 2)
+        q = build_quotient(f2)
         for cell in f2.all_cells():
             lhs = sorted(map(q.sort_key, q.facets(q.project(cell))))
             rhs = sorted(map(q.sort_key, (q.project(f) for f in f2.facets(cell))))

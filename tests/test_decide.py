@@ -112,11 +112,12 @@ class TestTree:
     def test_star_free_bases(self, legs, length, n):
         system = dec.tree_system(make_star(legs, length), n)
         ranks = []
-        for cx, letters, critical0 in (
-            (system.fm, system.up.letters, math.factorial(n)),
-            (system.quotient, system.down.letters, math.factorial(n - 1)),
+        field_fm = build_field(system.fm, None)
+        for field, letters, critical0 in (
+            (field_fm, system.up.letters, math.factorial(n)),
+            (build_field(system.quotient, field_fm), system.down.letters, math.factorial(n - 1)),
         ):
-            field = build_field(cx)
+            cx = field.complex
             assert len(field.critical(0)) == critical0
             assert not any(field.critical(d) for d in range(2, cx.top_dim + 1))
             assert len(letters) == 1 - chi_oracle(cx)
@@ -127,9 +128,9 @@ class TestTree:
         quotients = []
         original = covering.build_quotient
 
-        def recording(fm, n):
-            quotients.append(n)
-            return original(fm, n)
+        def recording(fm):
+            quotients.append(fm.m)
+            return original(fm)
 
         monkeypatch.setattr(covering, "build_quotient", recording)
         with pytest.raises(PreconditionError, match="no free basis"):

@@ -119,10 +119,10 @@ class TestSkeleton:
     def test_forest_and_critical_edges_give_the_components(self, name):
         graph, m, count = SKELETONS[name]
         fm = build_dconf(graph, m)
-        field = build_field(fm)
+        field = build_field(fm, None)
         _, roots, _ = skeleton(field)
         assert len(set(roots.values())) == components(fm) == count
-        q = build_quotient(fm, m)
+        q = build_quotient(fm)
         _, roots, _ = skeleton(build_field(q, field))
         assert len(set(roots.values())) == components(q)
 
@@ -142,7 +142,7 @@ class TestCoveringContract:
     @pytest.mark.parametrize("name", sorted(COVERINGS))
     def test_letters_and_selected_edges_partition_critical_edges(self, name):
         system = COVERINGS[name]()
-        field_fm = build_field(system.fm)
+        field_fm = build_field(system.fm, None)
         for field, level in ((field_fm, system.up), (build_field(system.quotient, field_fm), system.down)):
             assert level.selected | set(level.letters) == set(field.critical(1))
             assert not level.selected & set(level.letters)
@@ -380,7 +380,7 @@ class TestExpressLoop:
 
     def test_concatenation_multiplies(self, sys2):
         g1, g2 = sys2.basis_fm[0], sys2.basis_fm[1]
-        path = concat(sys2.fm, sys2.up.loop(g1), sys2.up.loop(g2))
+        path = concat(sys2.up.loop(g1), sys2.up.loop(g2))
         assert sys2.up.express(path) == FreeWord.gen(g1) * FreeWord.gen(g2)
 
     def test_open_path_rejected(self, sys2):

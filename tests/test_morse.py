@@ -12,6 +12,7 @@ from braidbu.complexes import (
     build_quotient,
     cell_dim,
     count_cells,
+    count_sets,
 )
 from braidbu.covering import make_path as make_edge_path
 from braidbu.errors import InvalidParameterError, StructuralError
@@ -92,7 +93,7 @@ class TestClassification:
 
     def test_path_census(self):
         # Two particles on a 3-vertex path: two contractible components.
-        field = build_field(build_dconf(make_path(3), 2))
+        field = build_field(build_dconf(make_path(3), 2), None)
         assert field.census() == {
             (0, "critical"): 2,
             (0, "redundant"): 4,
@@ -101,7 +102,7 @@ class TestClassification:
         assert [field.kind(c) for c in ((0, 1), (1, 0), (2, 0))] == ["critical", "critical", "redundant"]
 
     def test_path_m3_criticals_are_one_per_component(self):
-        field = build_field(build_dconf(make_path(5), 3))
+        field = build_field(build_dconf(make_path(5), 3), None)
         critical = {key: count for key, count in field.census().items() if key[1] == "critical"}
         assert critical == {(0, "critical"): math.factorial(3)}
 
@@ -255,11 +256,11 @@ class TestForest:
     def test_star_forests(self, legs, length, n):
         # Labels come from the depth-first numbering, not the raw vertex ids.
         fm = build_dconf(make_star(legs, length), n)
-        field = build_field(fm)
+        field = build_field(fm, None)
         trees = _flow_trees(field)
         assert len(trees) == math.factorial(n)
         assert len({_label(sink, fm) for sink in trees}) == len(trees)
-        q = build_quotient(fm, n)
+        q = build_quotient(fm)
         qtrees = _flow_trees(build_field(q, field))
         assert len(qtrees) == math.factorial(n - 1)
         assert len({_label(sink, q) for sink in qtrees}) == len(qtrees)
@@ -275,8 +276,8 @@ class TestForest:
     @FIELD_CASES
     def test_every_0_cell_carries_its_sinks_label(self, graph, m):
         fm = build_dconf(graph, m)
-        field_fm = build_field(fm)
-        for field in (field_fm, build_field(build_quotient(fm, m), field_fm)):
+        field_fm = build_field(fm, None)
+        for field in (field_fm, build_field(build_quotient(fm), field_fm)):
             cx = field.complex
             for v in cx.cells_by_dim[0]:
                 steps, sink = field.flow(v)
@@ -292,7 +293,7 @@ class TestForest:
         # is matched with ('a3', 0) and leads back.
         field = sys2.field_fm
         altered = GradientField(
-            sys2.fm, {**field.classes, (2, 0): partner}, {d: field.critical(d) for d in (0, 1, 2)}
+            sys2.fm, {**field.classes, (2, 0): partner}, {d: field.critical(d) for d in (0, 1, 2)}, field.swaps
         )
         for walk in (altered.flow, altered.sink):
             with pytest.raises(StructuralError, match=error):
@@ -306,7 +307,7 @@ def _field_with(monkeypatch, overrides):
     monkeypatch.setattr(
         morse, "classify_cell", lambda c, cx: overrides[c] if c in overrides else original(c, cx)
     )
-    return build_field(build_dconf(make_lollipop(2), 2))
+    return build_field(build_dconf(make_lollipop(2), 2), None)
 
 
 class TestInvolution:
@@ -357,8 +358,8 @@ class TestInvolutionPerSet:
     @FIELD_CASES
     def test_per_cell_check_passes_on_both_fields(self, graph, m):
         fm = build_dconf(graph, m)
-        field_fm = build_field(fm)
-        field_q = build_field(build_quotient(fm, m), field_fm)
+        field_fm = build_field(fm, None)
+        field_q = build_field(build_quotient(fm), field_fm)
         for field in (field_fm, field_q):
             for d, cells in field.complex.cells_by_dim.items():
                 for c in cells:
@@ -379,22 +380,22 @@ class TestInvolutionPerSet:
 
         monkeypatch.setattr(morse, "classify_cell", wrong)
         with pytest.raises(StructuralError, match="not an involution"):
-            build_field(build_dconf(make_lollipop(3), 3))
+            build_field(build_dconf(make_lollipop(3), 3), None)
 
     @pytest.mark.parametrize("duplicate", [False, True], ids=["missing", "duplicated-in-its-place"])
     def test_coordinate_set_without_every_ordering_is_refused(self, duplicate):
-        # A set left out is never classified, so none of its orderings has a
-        # partner; only the count against the closed form sees it gone, and
-        # only the order check sees the set before it listed in its place.
+        # A set left out would never be classified, so none of its orderings
+        # would have a partner.  The complex refuses it when it is made: only
+        # the count against the closed form sees it gone, and only the order
+        # check sees the set before it listed in its place.
         fm = build_dconf(make_lollipop(3), 3)
         sets = list(fm.sets_by_dim[1])
         gone = sets.pop(5)
         if duplicate:
             sets.insert(5, sets[4])
         assert gone not in sets
-        hand_built = CubeComplex(fm.graph, 3, {**fm.sets_by_dim, 1: tuple(sets)}, fm.representatives)
         with pytest.raises(StructuralError, match="not every ordering"):
-            build_field(hand_built)
+            CubeComplex(fm.graph, 3, {**fm.sets_by_dim, 1: tuple(sets)}, fm.representatives, count_sets(fm.graph, 3))
 
 
 class TestSymmetricField:
@@ -404,13 +405,13 @@ class TestSymmetricField:
     @FIELD_CASES
     def test_every_ordered_cell_matches_its_classification(self, graph, m):
         fm = build_dconf(graph, m)
-        classes = build_field(fm).classes
+        classes = build_field(fm, None).classes
         wrong = [c for c in fm.all_cells() if classify_cell(c, fm) != classes[c]]
         assert not wrong
 
     def test_sampled_ordered_cells_match_at_m5(self):
         fm = build_dconf(make_lollipop(5), 5)
-        classes = build_field(fm).classes
+        classes = build_field(fm, None).classes
         sample = random.Random(5).sample(list(fm.all_cells()), 2000)
         wrong = [c for c in sample if classify_cell(c, fm) != classes[c]]
         assert not wrong
@@ -480,7 +481,7 @@ class TestSymmetricCensus:
         assert total * per_set == count_cells(graph, m)
         assert chi * per_set == (critical[0] - critical[1]) * per_set == (1 - m) * per_set
         if m == 4:
-            ordered = build_field(build_dconf(graph, m)).census()
+            ordered = build_field(build_dconf(graph, m), None).census()
             assert {d: n * per_set for d, n in critical.items()} == {
                 d: n for (d, kind), n in ordered.items() if kind == "critical"
             }
@@ -493,7 +494,7 @@ class TestQuotientField:
         q = system.quotient
         classes = {c: classify_cell(c, system.fm) for c in system.fm.all_cells()}
         critical = {d: [c for c in cells if classes[c] is None] for d, cells in system.fm.cells_by_dim.items()}
-        fresh = GradientField(system.fm, classes, critical)
+        fresh = GradientField(system.fm, classes, critical, system.field_fm.swaps)
         for rep in q.all_cells():
             kinds = {fresh.kind(member) for member in q.members_of[rep]}
             assert kinds == {system.field_q.kind(rep)}
@@ -501,8 +502,8 @@ class TestQuotientField:
     @FIELD_CASES
     def test_derived_classes_match_representatives(self, graph, m):
         fm = build_dconf(graph, m)
-        q = build_quotient(fm, m)
-        field = build_field(q, build_field(fm))
+        q = build_quotient(fm)
+        field = build_field(q, build_field(fm, None))
         for rep in q.all_cells():
             partner = classify_cell(rep, fm)
             assert field.classes[rep] == (None if partner is None else q.project(partner))
@@ -511,8 +512,8 @@ class TestQuotientField:
         # A redundant representative's set swaps its vertex for the other
         # vertex instead, so its partner (0, 0) repeats a coordinate.
         fm = build_dconf(make_lollipop(2), 2)
-        q = build_quotient(fm, 2)
-        field = build_field(fm)
+        q = build_quotient(fm)
+        field = build_field(fm, None)
         rep = next(c for c in q.all_cells() if field.kind(c) == KIND_REDUNDANT)
         swaps = field.swaps
         old = swaps[fm.set_key(rep)][0]
@@ -524,17 +525,17 @@ class TestQuotientField:
         # A projection naming the wrong orbit: each partner is the first
         # representative of its dimension.
         fm = build_dconf(make_lollipop(3), 3)
-        q = build_quotient(fm, 3)
-        field = build_field(fm)
+        q = build_quotient(fm)
+        field = build_field(fm, None)
         monkeypatch.setattr(q, "project_near", lambda rep, cell: q.cells_by_dim[cell_dim(cell)][0])
         with pytest.raises(StructuralError, match="not an involution"):
             build_field(q, field)
 
     def test_field_of_another_complex_is_refused(self):
         fm = build_dconf(make_lollipop(2), 2)
-        other = build_field(build_dconf(make_lollipop(2), 2))
+        other = build_field(build_dconf(make_lollipop(2), 2), None)
         with pytest.raises(InvalidParameterError):
-            build_field(build_quotient(fm, 2), other)
+            build_field(build_quotient(fm), other)
 
     def test_braid_system_classifies_each_cell_once(self, monkeypatch):
         calls = []
@@ -552,6 +553,16 @@ class TestQuotientField:
 
     def test_build_field_on_fresh_quotient(self):
         cx = build_dconf(make_lollipop(2), 2)
-        field = build_field(build_quotient(cx, 2))
+        q = build_quotient(cx)
+        field = build_field(q, build_field(cx, None))
         assert len(field.critical(0)) == 1
         assert len(field.critical(1)) == 2
+
+    def test_field_levels_must_match_the_complex(self):
+        # A quotient's field needs the upstairs one; an upstairs field takes none.
+        cx = build_dconf(make_lollipop(2), 2)
+        field = build_field(cx, None)
+        with pytest.raises(InvalidParameterError, match="upstairs field"):
+            build_field(build_quotient(cx), None)
+        with pytest.raises(InvalidParameterError, match="upstairs field"):
+            build_field(cx, field)

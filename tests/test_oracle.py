@@ -11,7 +11,7 @@ class TestChiOracle:
     def test_lollipop_two_particles(self):
         cx = build_dconf(make_lollipop(2), 2)
         assert chi_oracle(cx) == -2
-        assert chi_oracle(build_quotient(cx, 2)) == -1
+        assert chi_oracle(build_quotient(cx)) == -1
 
     def test_path(self):
         assert chi_oracle(build_dconf(make_path(3), 2)) == 2
