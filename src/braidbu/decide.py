@@ -84,6 +84,10 @@ class BUVerdict:
     witness: Optional[Witness] = None
 
 
+# The one verdict of every target where the property holds; frozen, so shared.
+_HOLDS = BUVerdict(True, None)
+
+
 @dataclass(frozen=True)
 class VerifyResult:
     ok: bool
@@ -246,7 +250,7 @@ def _verified_failure(
 
 def decide_interval() -> BUVerdict:
     """Maps to an interval always collapse some orbit."""
-    return BUVerdict(True, None)
+    return _HOLDS
 
 
 def decide_tree(graph: Graph, n: int, action: ActionData) -> BUVerdict:
@@ -263,9 +267,10 @@ def decide_tree(graph: Graph, n: int, action: ActionData) -> BUVerdict:
 
 
 def tree_system(graph: Graph, n: int) -> Covering:
-    """The covering of a tree target's configuration complex, built once per
-    (graph, n).  Refusals, in order: not a tree, an interval, then those of
-    ``build_dconf``, no free basis (before the quotient), and disconnected."""
+    """The covering of a tree target's configuration complex, kept for the
+    eight most recently used (graph, n).  Refusals, in order: not a tree, an
+    interval, then those of ``build_dconf``, no free basis (before the
+    quotient), and disconnected."""
     if not graph.is_tree:
         raise InvalidParameterError("target must be a tree")
     if not graph.essential_vertices:
@@ -273,7 +278,10 @@ def tree_system(graph: Graph, n: int) -> Covering:
     return _tree_system_cached(graph, n)
 
 
-@lru_cache(maxsize=None)
+# Unlike ``get_system``'s m, the key here (any tree, any n) has no bound, so
+# the cache keeps only the most recently used coverings.  Eight keeps all
+# seven stars of the ``tree-targets`` benchmark workload within one pass.
+@lru_cache(maxsize=8)
 def _tree_system_cached(graph: Graph, n: int) -> Covering:
     return Covering(*build_fields(graph, n))
 
@@ -292,17 +300,21 @@ def decide_circle(cls: Sequence[int], n: int, m: int) -> BUVerdict:
     if len(cls) != n * m + 1:
         raise InvalidParameterError(f"class tuple must have length {n * m + 1}")
     p = cls[0]
-    blocks = [tuple(cls[1 + (j - 1) * n: 1 + j * n]) for j in range(1, m + 1)]
-    fails = p % n == 1 % n and all(len(set(block)) == 1 for block in blocks)
-    if not fails:
-        return BUVerdict(True, None)
+    if p % n != 1 % n:
+        return _HOLDS
+    # ks[j - 1] is the first entry of block j; cls[1 + i::n] lists entry i of
+    # every block, so all blocks are constant exactly when each equals ks.
+    ks = cls[1::n]
+    for i in range(1, n):
+        if cls[1 + i::n] != ks:
+            return _HOLDS
     # psi sends y1 to d = p and each y_(j+1) to n*k_j; phi divides by n.
     psi_images: dict[object, Union[FreeWord, int]] = {x_letter(1): p}
     phi_images: dict[object, Union[FreeWord, int]] = {"e1": p}
-    for j, block in enumerate(blocks, start=1):
-        psi_images[x_letter(j + 1)] = n * block[0]
+    for j, k in enumerate(ks, start=1):
+        psi_images[x_letter(j + 1)] = n * k
         for i in range(1, n + 1):
-            phi_images[e_letter(i, j)] = block[0]
+            phi_images[e_letter(i, j)] = k
     return BUVerdict(False, Witness(GroupHom(phi_images), GroupHom(psi_images)))
 
 
@@ -312,13 +324,22 @@ def circle_solver(cls: Sequence[int], n: int, m: int) -> bool:
     psi(y_(j+1)) = n*k_j.  Through the diagram phi(e1) = psi(y1^n)/n = d and
     phi(e_(i,j)) = ((i-1)d + n*k_j - (i-1)d)/n = k_j, so each unknown fixes
     its own part of the class and is searched on its own, over the range of
-    the class's entries.  True when the property fails (a solution exists)."""
+    the class's entries.  True when the property fails (a solution exists);
+    the search stops at the first unknown without one."""
+    if n < 2 or m < 0:
+        raise InvalidParameterError("need n >= 2 and m >= 0")
     if len(cls) != n * m + 1:
         raise InvalidParameterError(f"class tuple must have length {n * m + 1}")
-    window = range(min(cls), max(cls) + 1)
-    blocks = [tuple(cls[1 + j * n: 1 + (j + 1) * n]) for j in range(m)]
-    d_found = any(d % n == 1 % n and d == cls[0] for d in window)
-    return d_found and all(any(block == (k,) * n for k in window) for block in blocks)
+    lo, hi = min(cls), max(cls)
+    # The candidates for d are the window's values that are 1 mod n.
+    if cls[0] not in range(lo + (1 - lo) % n, hi + 1, n):
+        return False
+    window = range(lo, hi + 1)
+    # phi(e_(i,j)) = k_j for every i exactly when k_j occurs n times in block j.
+    for start in range(1, n * m + 1, n):
+        if n not in map(cls[start:start + n].count, window):
+            return False
+    return True
 
 
 def decide_wedge(k: int, m: int, action: ActionData) -> BUVerdict:

@@ -209,5 +209,9 @@ class BraidSystem(Covering):
 
 @lru_cache(maxsize=None)
 def get_system(m: int) -> BraidSystem:
+    """The lollipop system for m particles, built once per process.  The
+    cache needs no bound: ``build_dconf`` refuses a complex of more than
+    ``complexes.MAX_CELLS`` cells, which stops m at 5, so at most one
+    system per m = 2..5 is ever kept."""
     return BraidSystem(m)
 

@@ -238,6 +238,13 @@ def _check_theta_relations(m: int) -> list[Verdict]:
 
 
 def _check_circle(n: int) -> list[Verdict]:
+    """Compare the closed form ``decide_circle`` with the brute-force search
+    ``circle_solver`` on every one-block class (m = 1) with entries in
+    [-5, 5], 11^(n+1) classes.  Each class is decided by both functions, and
+    every class where they differ counts as a disagreement.  The two share no
+    test (one reads the residue and block constancy off the class, the other
+    searches the window for each unknown), so a fault in either one shows
+    here."""
     bad = 0
     total = 0
     for cls in itertools.product(range(-5, 6), repeat=n + 1):

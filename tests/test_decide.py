@@ -124,6 +124,29 @@ class TestTree:
             ranks.append(len(letters))
         assert tuple(ranks) == STAR_RANKS[legs, length, n]
 
+    def test_system_cache_is_bounded(self, monkeypatch):
+        cache = dec._tree_system_cached
+        # STAR_RANKS holds the seven stars of the tree-targets benchmark workload.
+        assert cache.cache_info().maxsize >= len(STAR_RANKS)
+        # Stand-ins make each covering cheap; the cache keys on (graph, n).
+        monkeypatch.setattr(dec, "build_fields", lambda graph, n: (graph, n))
+        monkeypatch.setattr(dec, "Covering", lambda graph, n: object())
+        cache.cache_clear()
+        try:
+            size = cache.cache_info().maxsize
+            first = cache("tree-0", 2)
+            for i in range(1, size):
+                cache(f"tree-{i}", 2)
+            assert cache("tree-0", 2) is first  # now the most recently used
+            cache(f"tree-{size}", 2)  # evicts tree-1, the least recently used
+            assert cache.cache_info().currsize == size
+            assert cache("tree-0", 2) is first
+            misses = cache.cache_info().misses
+            cache("tree-1", 2)
+            assert cache.cache_info().misses == misses + 1
+        finally:
+            cache.cache_clear()
+
     def test_non_free_tree_refused_before_quotient(self, monkeypatch):
         quotients = []
         original = covering.build_quotient
@@ -233,6 +256,48 @@ class TestCircle:
         assert dec.decide_circle((1, 4, 3, -3, -3), 2, 2).holds
         assert dec.circle_solver((1, 4, 4, -3, -3), 2, 2)
         assert not dec.circle_solver((1, 4, 3, -3, -3), 2, 2)
+
+    @pytest.mark.parametrize("decide", [dec.decide_circle, dec.circle_solver], ids=["closed", "solver"])
+    @pytest.mark.parametrize("cls, n, m", [((1,), 0, 0), ((1, 5), 1, 1), ((1,), 2, -1)], ids=["n0", "n1", "m-1"])
+    def test_bad_parameters_refused(self, decide, cls, n, m):
+        with pytest.raises(InvalidParameterError, match=r"^need n >= 2 and m >= 0$"):
+            decide(cls, n, m)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_no_blocks(self, n):
+        for p in range(-7, 8):
+            verdict = dec.decide_circle((p,), n, 0)
+            assert verdict.holds == (p % n != 1)
+            assert dec.circle_solver((p,), n, 0) == (not verdict.holds)
+            if not verdict.holds:
+                assert verdict.witness.psi.images == {x(1): p}
+                assert verdict.witness.phi.images == {"e1": p}
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (2, 2), (3, 1)])
+    def test_list_input_decides_as_tuple(self, n, m):
+        for cls in product(range(-2, 3), repeat=n * m + 1):
+            as_tuple, as_list = dec.decide_circle(cls, n, m), dec.decide_circle(list(cls), n, m)
+            assert as_list == as_tuple
+            assert dec.circle_solver(list(cls), n, m) == dec.circle_solver(cls, n, m)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_witness_images_on_the_suite_box(self, n):
+        failing = 0
+        for cls in product(range(-5, 6), repeat=n + 1):
+            verdict = dec.decide_circle(cls, n, 1)
+            if verdict.holds:
+                assert verdict.witness is None
+                continue
+            failing += 1
+            p, k = cls[0], cls[1]
+            assert verdict.witness.psi.images == {x(1): p, x(2): n * k}
+            assert verdict.witness.phi.images == {"e1": p, **{dec.e_letter(i, 1): k for i in range(1, n + 1)}}
+        # p = 1 mod n in [-5, 5] and one constant block of 11 values.
+        assert failing == len(range(-5, 6)[(1 + 5) % n::n]) * 11
+
+    def test_holds_verdicts_are_one_object(self):
+        holding = [dec.decide_circle(cls, 2, 1) for cls in [(2, 5, 5), (1, 4, 5), (0, 0, 0)]]
+        assert all(verdict is dec.decide_interval() for verdict in holding)
 
 
 class TestWedge:

@@ -1,5 +1,10 @@
+import __future__
+import inspect
+import textwrap
+
 import pytest
 
+import braidbu.decide as dec
 import braidbu.oracle as oracle
 from braidbu.complexes import build_dconf, build_quotient
 from braidbu.errors import InvalidParameterError
@@ -63,6 +68,36 @@ class TestSuite:
         assert "RuntimeError" in text
         assert "test_oracle.py:" in text and "in exploding_circle_check" in text
 
+    @pytest.mark.parametrize(
+        "name, fault",
+        [
+            # every block counts as constant
+            ("decide_circle", ("if cls[1 + i::n] != ks:", "if False:")),
+            # any window value solves for d, whatever its residue
+            ("circle_solver", ("range(lo + (1 - lo) % n, hi + 1, n)", "range(lo, hi + 1)")),
+        ],
+        ids=["decide_circle-block-constancy", "circle_solver-residue"],
+    )
+    def test_broken_circle_decider_fails_circle_check(self, monkeypatch, name, fault):
+        monkeypatch.setattr(dec, name, _mutant(getattr(dec, name), *fault))
+        detail = {cid: (ok, text) for cid, ok, text in run_suite("quick").checks}
+        ok, text = detail["circle.n2"]
+        assert not ok
+        disagreements = int(text.split(", ")[1].split()[0])
+        assert text.startswith("1331 classes, ") and disagreements > 0
+
     def test_unknown_level_rejected(self):
         with pytest.raises(InvalidParameterError):
             run_suite("paranoid")
+
+
+def _mutant(func, old, new):
+    """func recompiled from its own source with the one occurrence of old
+    replaced by new, reading a copy of its module's globals."""
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, f"{func.__name__} no longer contains {old!r}"
+    code = compile(source.replace(old, new), inspect.getsourcefile(func), "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    namespace = dict(func.__globals__)
+    exec(code, namespace)
+    return namespace[func.__name__]
