@@ -10,7 +10,7 @@ once, as its ascending tuple, and ``set_key`` names the set of any ordering.
 Constructing a complex checks that listing against the closed-form set
 counts of ``count_sets``, so every complex a caller holds has passed it.
 The ordered cells, every ordering of every set, are listed only on demand
-(``cells_by_dim``).  The cyclic subgroup generated by the full rotation
+(``cells_by_dim``, sorted; ``cells_unsorted``, streamed set by set).  The cyclic subgroup generated by the full rotation
 acts freely on cells, since their coordinates are distinct.  The quotient
 complex keeps one representative per orbit, the rotation whose first
 coordinate has the smallest key: ``build_dconf``'s walk lists them beside
@@ -21,13 +21,13 @@ demand.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from itertools import permutations
+from itertools import chain, permutations
 from math import comb, factorial
 from operator import lt
 from typing import Iterator, Optional, Union
 
 from .errors import InvalidParameterError, PreconditionError, StructuralError
-from .graphs import Coord, Graph, is_sufficiently_subdivided, union_find
+from .graphs import Coord, Graph, find, is_sufficiently_subdivided, join
 from .perms import Perm
 
 Cell = tuple[Coord, ...]
@@ -67,6 +67,10 @@ class _CellComplex:
 
     def num_cells(self, dim: int) -> int:
         return len(self.cells_by_dim.get(dim, ()))
+
+    def cells_unsorted(self, dim: int) -> Iterator[Cell]:
+        """The cells of the dimension, in no particular order."""
+        return iter(self.cells_by_dim.get(dim, ()))
 
     @property
     def top_dim(self) -> int:
@@ -130,6 +134,11 @@ class CubeComplex(_CellComplex):
     @property
     def cells_by_dim(self) -> dict[int, Sequence[Cell]]:
         return {d: _Orderings(self, sets) for d, sets in self.sets_by_dim.items()}
+
+    def cells_unsorted(self, dim: int) -> Iterator[Cell]:
+        """Every ordering of the dimension's sets, one set at a time, made
+        as it is read and not sorted."""
+        return chain.from_iterable(map(permutations, self.sets_by_dim.get(dim, ())))
 
     def set_key(self, cell: Cell) -> int:
         """The name of the cell's coordinate set, whatever their order: the
@@ -448,8 +457,12 @@ Complex = Union[CubeComplex, QuotientComplex]
 
 
 def _component_roots(cx: Complex) -> dict[Cell, Cell]:
-    edges = {e: cx.edge_endpoints(e) for e in cx.cells_by_dim.get(1, ())}
-    return union_find(cx.cells_by_dim[0], edges)[0]
+    """The root of each 0-cell's component of the 1-skeleton.  The 1-cells
+    are read unsorted, one at a time, and not kept."""
+    parent = {v: v for v in cx.cells_unsorted(0)}
+    for edge in cx.cells_unsorted(1):
+        join(parent, *cx.edge_endpoints(edge))
+    return {v: find(parent, v) for v in parent}
 
 
 def components(cx: Complex) -> int:
@@ -462,9 +475,9 @@ def chi_by_component(cx: Complex) -> dict[Cell, int]:
     """Euler characteristic of each component, keyed by a root 0-cell."""
     roots = _component_roots(cx)
     out: dict[Cell, int] = {}
-    for d, cells in cx.cells_by_dim.items():
+    for d in cx.cells_by_dim:
         sign = 1 if d % 2 == 0 else -1
-        for cell in cells:
+        for cell in cx.cells_unsorted(d):
             corner = tuple(
                 c if isinstance(c, int) else cx.graph.edge_by_name[c].lo for c in cell
             )

@@ -46,8 +46,7 @@ vertices are 0-cells, edges are 1-cells with a (source, target) orientation.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .complexes import Cell, QuotientComplex, act, build_dconf, build_quotient
 from .errors import InvalidParameterError, PreconditionError, StructuralError
@@ -56,8 +55,7 @@ from .morse import GradientField, Step, build_field
 from .perms import Perm
 from .words import FreeWord
 
-@dataclass(frozen=True)
-class EdgePath:
+class EdgePath(NamedTuple):
     start: Cell
     steps: tuple[Step, ...]
     end: Cell

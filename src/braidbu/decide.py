@@ -16,12 +16,12 @@ surjection theta_tau onto Z_n classifying the covering.  Targets:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .covering import Covering, build_fields
 from .errors import InvalidParameterError, StructuralError
+from .frozen import Frozen
 from .fundgroup import GeneratorId, get_system
 from .graphs import Graph
 from .perms import Perm
@@ -32,22 +32,37 @@ def x_letter(i: int) -> str:
     return f"x{i}"
 
 
-@dataclass(frozen=True)
-class ActionData:
+class ActionData(Frozen):
     """Covering data of a free Z_n action: theta[i] is the image of the i-th
-    free generator of the quotient's fundamental group."""
+    free generator of the quotient's fundamental group.  Equality and hash
+    are those of the tuple ``(n, r, theta)``."""
 
-    n: int
-    r: int
-    theta: tuple[int, ...]
+    __slots__ = ("n", "r", "theta")
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise InvalidParameterError(f"need n >= 2, got {self.n}")
-        if self.r < 1 or len(self.theta) != self.r:
+    def __init__(self, n: int, r: int, theta: tuple[int, ...]) -> None:
+        if n < 2:
+            raise InvalidParameterError(f"need n >= 2, got {n}")
+        if r < 1 or len(theta) != r:
             raise InvalidParameterError("theta must list one value per generator")
-        if math.gcd(self.n, *(t % self.n for t in self.theta)) != 1:
+        if math.gcd(n, *(t % n for t in theta)) != 1:
             raise InvalidParameterError("theta is not surjective onto Z_n")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "theta", theta)
+
+    def __reduce__(self):
+        return ActionData, (self.n, self.r, self.theta)
+
+    def __repr__(self) -> str:
+        return f"ActionData(n={self.n!r}, r={self.r!r}, theta={self.theta!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.r, self.theta) == (other.n, other.r, other.theta)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.r, self.theta))
 
     @property
     def chi(self) -> int:
@@ -57,8 +72,7 @@ class ActionData:
         return self.theta[int(letter[1:]) - 1] % self.n
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(NamedTuple):
     """A homomorphism given on a free basis; images are words or integers."""
 
     images: Mapping[object, Union[FreeWord, int]]
@@ -72,14 +86,12 @@ class GroupHom:
         )
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     phi: GroupHom  # on a free basis of the total space's fundamental group
     psi: GroupHom  # on the free basis x1..xr of the quotient's
 
 
-@dataclass(frozen=True)
-class BUVerdict:
+class BUVerdict(NamedTuple):
     holds: bool
     witness: Optional[Witness] = None
 
@@ -88,8 +100,7 @@ class BUVerdict:
 _HOLDS = BUVerdict(True, None)
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     ok: bool
     failures: tuple[str, ...] = ()
 

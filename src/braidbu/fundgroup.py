@@ -31,7 +31,6 @@ must agree with it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -40,6 +39,7 @@ from .covering import Covering, build_fields
 # Bound here as well: perfbench/tracing.py patches it by looking up fundgroup.maximal_tree.
 from .covering import maximal_tree  # noqa: F401
 from .errors import InvalidParameterError, StructuralError
+from .frozen import Frozen
 from .graphs import make_lollipop
 from .morse import GradientField, edge_data, type_tuple
 from .perms import Perm, cyclic_canonical
@@ -49,17 +49,34 @@ SPACE_FM = "fm"
 SPACE_QUOTIENT = "quotient"
 
 
-@dataclass(frozen=True)
-class GeneratorId:
+class GeneratorId(Frozen):
     """A basis element: the critical edge act(sigma, O_b) of its space.
 
     ``sigma`` is the sorting permutation of the edge's source vertex; for the
     quotient it is the canonical coset representative (sigma(1) == 1).
+    Equality and hash are those of the tuple ``(space, sigma, type_b)``.
     """
 
-    space: str
-    sigma: Perm
-    type_b: int
+    __slots__ = ("space", "sigma", "type_b")
+
+    def __init__(self, space: str, sigma: Perm, type_b: int) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "type_b", type_b)
+
+    def __reduce__(self):
+        return GeneratorId, (self.space, self.sigma, self.type_b)
+
+    def __repr__(self) -> str:
+        return f"GeneratorId(space={self.space!r}, sigma={self.sigma!r}, type_b={self.type_b!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.space, self.sigma, self.type_b) == (other.space, other.sigma, other.type_b)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.sigma, self.type_b))
 
     @property
     def m(self) -> int:

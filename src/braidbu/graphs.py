@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping, Optional, Union
+from typing import Hashable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import InvalidParameterError
+from .frozen import Frozen
 
 ORD_INF = math.inf
 
@@ -35,25 +35,29 @@ def union_find(vertices: Iterable, edges: Mapping[Hashable, tuple]) -> tuple[dic
     close a cycle).
     """
     parent = {v: v for v in vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    closing = []
-    for e, (u, v) in edges.items():
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            closing.append(e)
-        else:
-            parent[ru] = rv
-    return {v: find(v) for v in parent}, closing
+    closing = [e for e, (u, v) in edges.items() if not join(parent, u, v)]
+    return {v: find(parent, v) for v in parent}, closing
 
 
-@dataclass(frozen=True)
-class Edge:
+def find(parent: dict, x):
+    """The root of x in the forest ``parent``, halving its path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def join(parent: dict, u, v) -> bool:
+    """Join the trees of u and v in the forest ``parent``; False when they
+    were one tree already."""
+    ru, rv = find(parent, u), find(parent, v)
+    if ru == rv:
+        return False
+    parent[ru] = rv
+    return True
+
+
+class Edge(NamedTuple):
     name: str
     lo: int
     hi: int
@@ -61,8 +65,7 @@ class Edge:
     in_tree: bool
 
 
-@dataclass(frozen=True)
-class TreeOrder:
+class TreeOrder(NamedTuple):
     """The spanning tree rooted at the graph's smallest leaf, numbered depth-first.
 
     ``number[v]`` is v's place in a depth-first walk over tree edges that
@@ -78,12 +81,16 @@ class TreeOrder:
     child_end: Mapping[str, int]
 
 
-@dataclass(frozen=True)
-class Graph:
-    num_vertices: int
-    edges: tuple[Edge, ...]
+class Graph(Frozen):
+    """A graph on the vertices 0..num_vertices-1, checked when made.
 
-    def __post_init__(self) -> None:
+    Equality and hash are those of the tuple ``(num_vertices, edges)``.  The
+    lookup tables below are computed once, into the instance's ``__dict__``.
+    """
+
+    def __init__(self, num_vertices: int, edges: tuple[Edge, ...]) -> None:
+        object.__setattr__(self, "num_vertices", num_vertices)
+        object.__setattr__(self, "edges", edges)
         if self.num_vertices < 1:
             raise InvalidParameterError("graph needs at least one vertex")
         names = set()
@@ -111,6 +118,17 @@ class Graph:
         if closing:
             raise InvalidParameterError("tree edges contain a cycle")
         # V-1 acyclic edges on V vertices are automatically spanning.
+
+    def __repr__(self) -> str:
+        return f"Graph(num_vertices={self.num_vertices!r}, edges={self.edges!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.num_vertices, self.edges) == (other.num_vertices, other.edges)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.num_vertices, self.edges))
 
     # -- lookups ---------------------------------------------------------
 

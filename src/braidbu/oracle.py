@@ -6,9 +6,7 @@ import itertools
 import math
 import os
 import random
-import traceback
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import decide as dec
 from .complexes import build_dconf, components
@@ -305,11 +303,23 @@ def _check_adapt(count: int = 100, seed: int = 20240810) -> list[Verdict]:
 # -- reports and the suite -----------------------------------------------------
 
 
-@dataclass
 class Report:
-    command: str
-    records: list[tuple[str, str]] = field(default_factory=list)
-    checks: list[Verdict] = field(default_factory=list)
+    """A command's output: its records and its checks, rendered in either format."""
+
+    def __init__(
+        self, command: str, records: Optional[list[tuple[str, str]]] = None, checks: Optional[list[Verdict]] = None
+    ) -> None:
+        self.command = command
+        self.records = [] if records is None else records
+        self.checks = [] if checks is None else checks
+
+    def __repr__(self) -> str:
+        return f"Report(command={self.command!r}, records={self.records!r}, checks={self.checks!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.command, self.records, self.checks) == (other.command, other.records, other.checks)
+        return NotImplemented
 
     @property
     def all_pass(self) -> bool:
@@ -374,8 +384,11 @@ def run_suite(level: str = "quick") -> Report:
         try:
             report.checks.extend(run())
         except Exception as exc:  # a crashed group is a failed check
-            frame = traceback.extract_tb(exc.__traceback__)[-1]
-            where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
+            tb = exc.__traceback__
+            while tb.tb_next is not None:  # the frame that raised
+                tb = tb.tb_next
+            code = tb.tb_frame.f_code
+            where = f"{os.path.basename(code.co_filename)}:{tb.tb_lineno} in {code.co_name}"
             detail = f"exception {type(exc).__name__} at {where}: {exc!r}"
             report.checks.append((group_id, False, detail))
     report.checks.sort(key=lambda v: v[0])

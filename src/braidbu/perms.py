@@ -7,21 +7,49 @@ the coordinate action on configuration cells, so that the action law
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations as _itertools_permutations
 from typing import Iterator, Sequence
 
+from .frozen import Frozen
 
-@dataclass(frozen=True, order=True)
-class Perm:
-    """A permutation of {1, ..., n}, stored by its tuple of images."""
 
-    images: tuple[int, ...]
+class Perm(Frozen):
+    """A permutation of {1, ..., n}, stored by its tuple of images.
 
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images!r}")
+    Equality, hash and order are those of the tuple ``(images,)``.
+    """
+
+    __slots__ = ("images",)
+
+    def __init__(self, images: tuple[int, ...]) -> None:
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {images!r}")
+        object.__setattr__(self, "images", images)
+
+    def __reduce__(self):
+        return Perm, (self.images,)
+
+    def __repr__(self) -> str:
+        return f"Perm(images={self.images!r})"
+
+    def __eq__(self, other):
+        return (self.images,) == (other.images,) if other.__class__ is self.__class__ else NotImplemented
+
+    def __lt__(self, other):
+        return (self.images,) < (other.images,) if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other):
+        return (self.images,) <= (other.images,) if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other):
+        return (self.images,) > (other.images,) if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other):
+        return (self.images,) >= (other.images,) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
 
     @staticmethod
     def identity(n: int) -> "Perm":

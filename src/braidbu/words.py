@@ -8,8 +8,9 @@ O(|k| * |w|); ``FreeWord.product(ws)`` is O(total length of ws), one pass.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
+
+from .frozen import Frozen
 
 Letter = Hashable
 Syllable = tuple[Any, int]  # (letter, +1 or -1)
@@ -27,15 +28,30 @@ def _reduced(pairs: Iterable[Syllable]) -> tuple[Syllable, ...]:
     return tuple(stack)
 
 
-@dataclass(frozen=True)
-class FreeWord:
+class FreeWord(Frozen):
     """A freely reduced word: a sequence of (letter, sign) with sign in {1, -1}.
 
     The field constructor trusts its tuple to be reduced; build words from
-    raw syllables with ``of``.
+    raw syllables with ``of``.  Equality and hash are those of the tuple
+    ``(letters,)``.
     """
 
-    letters: tuple[Syllable, ...] = field(default=())
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[Syllable, ...] = ()) -> None:
+        object.__setattr__(self, "letters", letters)
+
+    def __reduce__(self):
+        return FreeWord, (self.letters,)
+
+    def __repr__(self) -> str:
+        return f"FreeWord(letters={self.letters!r})"
+
+    def __eq__(self, other):
+        return (self.letters,) == (other.letters,) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
 
     @staticmethod
     def of(pairs: Iterable[Syllable]) -> "FreeWord":

@@ -259,6 +259,19 @@ class TestBadInput:
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
+class TestStartup:
+    def test_fresh_import_leaves_out_slow_modules(self):
+        """`dataclasses` (with `inspect`) and `traceback` cost a fresh process
+        tens of milliseconds; the package imports none of them.  `-S` keeps
+        the environment's own `site` imports out of the count."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        code = "import sys, braidbu.cli; print(*sorted({'dataclasses', 'inspect', 'traceback'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
+
+
 class TestInternalError:
     def test_structural_error_exits_3_on_one_line(self, capsys, monkeypatch):
         def broken_decide_wedge(k, m, action):
