@@ -9,19 +9,23 @@ So the complex is stored by coordinate set: ``sets_by_dim`` lists each set
 once, as its ascending tuple, and ``set_key`` names the set of any ordering.
 Constructing a complex checks that listing against the closed-form set
 counts of ``count_sets``, so every complex a caller holds has passed it.
-The ordered cells, every ordering of every set, are listed only on demand
-(``cells_by_dim``, sorted; ``cells_unsorted``, streamed set by set).  The cyclic subgroup generated by the full rotation
-acts freely on cells, since their coordinates are distinct.  The quotient
-complex keeps one representative per orbit, the rotation whose first
-coordinate has the smallest key: ``build_dconf``'s walk lists them beside
-the sets, ``project`` rotates a cell's smallest-key coordinate to the
-front, and an orbit's members are rotated out of its representative on
-demand.
+
+The cyclic subgroup generated by the full rotation acts freely on cells,
+since their coordinates are distinct, and exactly one rotation of a cell
+puts its smallest-key coordinate first: the orbit's representative.  So
+the quotient is a view of the same sets, with nothing of its own stored: its
+cells are the orderings of a set that keep the set's smallest coordinate
+first, ``project`` rotates a cell's smallest-key coordinate to the front,
+and an orbit's members are rotated out of its representative on demand.
+On both levels the cells are listed only on demand (``cells_by_dim``,
+sorted; ``cells_unsorted``, streamed set by set), one listing class that
+keeps a set's first ``fixed`` coordinates in place: none upstairs, one in
+the quotient.
 """
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from itertools import chain, permutations
+from itertools import permutations
 from math import comb, factorial
 from operator import lt
 from typing import Iterator, Optional, Union
@@ -32,11 +36,10 @@ from .perms import Perm
 
 Cell = tuple[Coord, ...]
 
-# build_dconf refuses complexes of more than MAX_CELLS ordered cells before
-# enumerating them: lollipop m=5 (234 240 cells) fits, m=6 (7 490 160) is
-# refused.  What is stored is less: the coordinate sets, 1/m! of the count,
-# and the rotation representatives, 1/m of it.
-MAX_CELLS = 1_000_000
+# build_dconf refuses complexes of more than MAX_SETS coordinate sets before
+# enumerating them, since what both levels store is one entry per set:
+# lollipop m=6 (10 403 sets) fits, m=7 (56 214) is refused.
+MAX_SETS = 20_000
 
 
 def cell_dim(cell: Cell) -> int:
@@ -51,61 +54,82 @@ def act(sigma: Perm, cell: Cell) -> Cell:
 class _CellComplex:
     """The cell API shared by a configuration complex and its quotient.
 
-    Subclasses set ``graph`` and ``cells_by_dim`` (cells of each dimension
-    in sort order), and answer ``has`` and ``set_key``.
+    Both are read off ``sets_by_dim``, each coordinate set of m graph cells
+    once, as its ascending tuple.  A cell is an ordering of a set that keeps
+    its first ``fixed`` coordinates in place, so each set has (m - fixed)!
+    cells.  Subclasses answer ``has`` and ``set_key``.
     """
 
     graph: Graph
-    cells_by_dim: Mapping[int, Sequence[Cell]]
+    m: int
+    fixed: int
+    sets_by_dim: dict[int, tuple[Cell, ...]]
 
     def sort_key(self, cell: Cell):
         return tuple(map(self.graph.coord_keys.__getitem__, cell))
 
+    @property
+    def cells_by_dim(self) -> dict[int, Sequence[Cell]]:
+        """The cells of each dimension, listed in sort order when iterated;
+        the lengths are counts."""
+        return {d: _Orderings(self, d) for d in self.sets_by_dim}
+
     def all_cells(self) -> Iterator[Cell]:
-        for d in sorted(self.cells_by_dim):
-            yield from self.cells_by_dim[d]
+        for d in sorted(self.sets_by_dim):
+            yield from _Orderings(self, d)
 
     def num_cells(self, dim: int) -> int:
-        return len(self.cells_by_dim.get(dim, ()))
+        return factorial(self.m - self.fixed) * len(self.sets_by_dim.get(dim, ()))
 
     def cells_unsorted(self, dim: int) -> Iterator[Cell]:
-        """The cells of the dimension, in no particular order."""
-        return iter(self.cells_by_dim.get(dim, ()))
+        """The cells of the dimension, one set at a time, made as they are
+        read and not sorted."""
+        fixed = self.fixed
+        return (s[:fixed] + rest for s in self.sets_by_dim.get(dim, ()) for rest in permutations(s[fixed:]))
 
     @property
     def top_dim(self) -> int:
-        return max(self.cells_by_dim)
+        return max(self.sets_by_dim)
+
+
+class _Orderings(Sequence):
+    """One dimension's cells on either level, listed in sort order when
+    iterated or indexed; its length is a count."""
+
+    def __init__(self, cx: _CellComplex, dim: int):
+        self._cx = cx
+        self._dim = dim
+
+    def __len__(self) -> int:
+        return self._cx.num_cells(self._dim)
+
+    def __iter__(self) -> Iterator[Cell]:
+        return iter(sorted(self._cx.cells_unsorted(self._dim), key=self._cx.sort_key))
+
+    def __getitem__(self, index):
+        return list(self)[index]
 
 
 class CubeComplex(_CellComplex):
     """The m-particle configuration complex of a graph, stored by coordinate set.
 
     ``sets_by_dim`` lists, per dimension and in sort order, each coordinate
-    set once, as its ascending tuple; ``representatives`` lists the cells
-    whose first coordinate has the smallest key.  Both are ``build_dconf``'s
-    walk's own tuples; the quotient reads the representatives.
-    ``cells_by_dim`` lists every ordering of the sets, in sort order, when
-    iterated; its lengths are counts.  ``rank`` numbers the graph cells in
-    key order, ``bit`` gives each the bit of its rank, and ``set_key`` adds
-    the bits of a cell's coordinates.  ``counts`` is ``count_sets(graph, m)``,
-    which construction checks the sets against (``_check_sets``).
+    set once, as its ascending tuple; the cells are every ordering of them
+    (``fixed`` is 0).  ``rank`` numbers the graph cells in key order,
+    ``bit`` gives each the bit of its rank, and ``set_key`` adds the bits
+    of a cell's coordinates.  ``counts`` is ``count_sets(graph, m)``, which
+    construction checks the sets against (``_check_sets``).
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        m: int,
-        sets_by_dim: dict[int, tuple[Cell, ...]],
-        representatives: dict[int, tuple[Cell, ...]],
-        counts: Sequence[int],
-    ):
+    fixed = 0
+
+    def __init__(self, graph: Graph, m: int, sets_by_dim: dict[int, tuple[Cell, ...]], counts: Sequence[int]):
         self.graph = graph
         self.m = m
         keys = graph.coord_keys
         self.rank = {c: i for i, c in enumerate(sorted(keys, key=keys.__getitem__))}
         self.bit = {c: 1 << i for c, i in self.rank.items()}
         self.sets_by_dim = sets_by_dim
-        self.representatives = representatives
         self._check_sets(counts)
         self.base: Cell = sets_by_dim[0][0]  # the smallest 0-cell in sort order
 
@@ -130,15 +154,6 @@ class CubeComplex(_CellComplex):
                         f"the {d}-cells are not every ordering of their coordinate sets: {c!r} is out of order"
                     )
                 last = ranks
-
-    @property
-    def cells_by_dim(self) -> dict[int, Sequence[Cell]]:
-        return {d: _Orderings(self, sets) for d, sets in self.sets_by_dim.items()}
-
-    def cells_unsorted(self, dim: int) -> Iterator[Cell]:
-        """Every ordering of the dimension's sets, one set at a time, made
-        as it is read and not sorted."""
-        return chain.from_iterable(map(permutations, self.sets_by_dim.get(dim, ())))
 
     def set_key(self, cell: Cell) -> int:
         """The name of the cell's coordinate set, whatever their order: the
@@ -186,59 +201,49 @@ class CubeComplex(_CellComplex):
 
 
 def build_dconf(graph: Graph, m: int) -> CubeComplex:
-    """Enumerate the coordinate sets of the m-particle complex and its
-    rotation representatives, never every ordering.
+    """Enumerate the coordinate sets of the m-particle complex, never an
+    ordering of one.
 
-    The depth-first walk lists the representatives, the cells whose first
-    coordinate has the smallest key: after the first coordinate it tries
-    only the graph cells of larger key (``high``), in ``coord_keys`` order.
-    Those keys are distinct, so the representatives come out in
+    The depth-first walk tries the graph cells in ``coord_keys`` order and,
+    after each, only those of larger key, so it lists each set once, as its
+    ascending tuple.  Those keys are distinct, so the sets come out in
     lexicographic key order, which is ``sort_key`` order within each
     dimension.  A prefix carries the union of its closures as a bit mask of
-    vertices, and its count of edge coordinates, so a finished cell goes
-    straight into its dimension.  A representative whose coordinates came
-    in key order (each later in ``high`` than the last, tracked as
-    ``last``) is its set's ascending tuple; so the sets come out in sort
-    order too, as the same tuples.  Complexes of more than ``MAX_CELLS``
-    ordered cells are refused, counted first by ``count_sets``, whose counts
-    the complex is then checked against.
+    vertices, and its count of edge coordinates, so a finished set goes
+    straight into its dimension.  Complexes of more than ``MAX_SETS``
+    coordinate sets are refused, counted first by ``count_sets``, whose
+    counts the complex is then checked against.
     """
     if m < 1:
         raise InvalidParameterError(f"need m >= 1, got {m}")
     if not is_sufficiently_subdivided(graph, m):
         raise PreconditionError(f"graph is not sufficiently subdivided for {m} particles")
     counts = count_sets(graph, m)
-    total = sum(counts) * factorial(m)
-    if total > MAX_CELLS:
-        raise PreconditionError(f"the {m}-particle complex has {total} cells, more than the {MAX_CELLS} allowed")
+    total = sum(counts)
+    if total > MAX_SETS:
+        raise PreconditionError(
+            f"the {m}-particle complex has {total} coordinate sets, more than the {MAX_SETS} allowed"
+        )
     keys = graph.coord_keys
     masks = graph.closure_masks
     steps = [(c, masks[c], c.__class__ is str) for c in sorted(keys, key=keys.__getitem__)]
     sets: list[list[Cell]] = [[] for _ in range(m + 1)]
-    reps: list[list[Cell]] = [[] for _ in range(m + 1)]
 
-    def extend(prefix: Cell, used: int, dim: int, high: list, last: int) -> None:
+    def extend(prefix: Cell, used: int, dim: int, start: int) -> None:
         if len(prefix) == m - 1:
-            for k, (c, mask, is_edge) in enumerate(high):
+            for c, mask, is_edge in steps[start:]:
                 if not used & mask:
-                    cell = prefix + (c,)
-                    reps[dim + is_edge].append(cell)
-                    if k > last:
-                        sets[dim + is_edge].append(cell)
+                    sets[dim + is_edge].append(prefix + (c,))
             return
-        for k, (c, mask, is_edge) in enumerate(high):
+        for k in range(start, len(steps)):
+            c, mask, is_edge = steps[k]
             if not used & mask:
-                extend(prefix + (c,), used | mask, dim + is_edge, high, k if k > last else len(high))
+                extend(prefix + (c,), used | mask, dim + is_edge, k + 1)
 
-    if m == 1:
-        extend((), 0, 0, steps, -1)  # every cell is its own orbit and its own set
-    else:
-        for j, (c, mask, is_edge) in enumerate(steps):
-            extend((c,), mask, is_edge, steps[j + 1:], -1)
+    extend((), 0, 0, 0)
     if not sets[0]:
         raise PreconditionError(f"no room for {m} particles on this graph")
-    dims = [d for d in range(m + 1) if sets[d]]
-    return CubeComplex(graph, m, {d: tuple(sets[d]) for d in dims}, {d: tuple(reps[d]) for d in dims}, counts)
+    return CubeComplex(graph, m, {d: tuple(cells) for d, cells in enumerate(sets) if cells}, counts)
 
 
 def count_sets(graph: Graph, m: int) -> list[int]:
@@ -331,122 +336,84 @@ def _tree_matchings(graph: Graph, top: int, deleted: tuple[int, ...]) -> list[in
 
 
 class QuotientComplex(_CellComplex):
-    """Quotient of a configuration complex by the cyclic rotation action.
+    """Quotient of a configuration complex by the cyclic rotation action,
+    read off the complex's coordinate sets with nothing of its own stored.
 
     The rotation act(c1, -) moves every coordinate one place left, so an
-    orbit is the m rotations of a cell.  A cell's coordinates have distinct
-    keys, so exactly one rotation puts the smallest-key coordinate first;
-    that rotation, the orbit member that comes first in sort order, is the
-    orbit's representative.  ``cells_by_dim`` lists the representatives in
-    sort order, as the configuration complex's own tuples, and a table over
-    them alone serves ``has`` and ``project``.  ``members_of[rep]`` lists the
-    orbit as rep rotated left by 0..m-1 places, made on demand.
-
-    The ordered cells are the orderings of coordinate sets of m distinct
-    graph cells, so no rotation but the identity fixes one, and every orbit
-    is free.  A set's m! orderings fall into (m-1)! orbits, each with one
-    representative, so a count per dimension checks the walk's
-    representatives against its sets.
+    orbit is the m rotations of a cell.  A cell's coordinates are distinct,
+    so no rotation but the identity fixes one, every orbit is free, and
+    exactly one rotation puts the smallest-key coordinate first; that
+    rotation, the orbit member that comes first in sort order, is the
+    orbit's representative.  A set's ascending tuple has its smallest-key
+    coordinate first, so the representatives of its (m-1)! orbits are that
+    coordinate followed by each ordering of the rest (``fixed`` is 1), and
+    ``cells_by_dim`` lists them in sort order.  ``has`` is a cell upstairs
+    whose first coordinate has the smallest rank, ``project`` the rotation
+    to that, and ``members_of[rep]`` lists the orbit as rep rotated left by
+    0..m-1 places, made on demand.
     """
+
+    fixed = 1
 
     def __init__(self, fm: CubeComplex):
         self.fm = fm
         self.graph = fm.graph
-        self.m = m = fm.m
-        reps, per_set = fm.representatives, factorial(m - 1)
-        for d in fm.sets_by_dim.keys() | reps.keys():
-            sets, found = len(fm.sets_by_dim.get(d, ())), len(reps.get(d, ()))
-            if found != per_set * sets:
-                raise StructuralError(
-                    f"the {d}-cells are not free rotation orbits: {sets} coordinate sets, {found} representatives"
-                )
-        self.cells_by_dim = reps
-        self._rep = {c: c for cells in reps.values() for c in cells}
+        self.m = fm.m
+        self.sets_by_dim = fm.sets_by_dim
         self._rank = fm.rank
         self.set_key = fm.set_key  # a representative is a cell upstairs
-        self.members_of: Mapping[Cell, tuple[Cell, ...]] = _Orbits(self._rep, m)
-        self.base: Cell = self.project(fm.base)
+        self.members_of: Mapping[Cell, tuple[Cell, ...]] = _Orbits(self)
+        self.base: Cell = fm.base  # ascending, so a representative
 
     def has(self, cell: Cell) -> bool:
         """Whether the tuple is an orbit's representative."""
-        return cell in self._rep
+        if not self.fm.has(cell):
+            return False
+        rank = self._rank
+        return min(map(rank.__getitem__, cell)) == rank[cell[0]]
 
     def project(self, cell: Cell) -> Cell:
         """The representative of the cell's orbit: the cell rotated to put
         its smallest-key coordinate first.  Raises KeyError on a non-cell."""
-        rep = self._rep.get(cell)
-        if rep is None:
-            rank = self._rank
-            ranks = [rank[c] for c in cell]
-            first = ranks.index(min(ranks))
-            rep = self._rep[cell[first:] + cell[:first]]
-        return rep
+        if not self.fm.has(cell):
+            raise KeyError(cell)
+        return self._rotate(cell)
 
-    def project_near(self, rep: Cell, cell: Cell) -> Cell:
-        """``project(cell)`` for a cell that is the representative rep with
-        one place changed, as a face or a partner of rep is.
-
-        Every coordinate of rep after the first has a larger key than the
-        first.  So when the changed place is not the first, the cell is a
-        representative, or its changed coordinate is now the smallest and
-        goes to the front; only a changed first coordinate needs the scan.
-        Any rotation found in the table is the cell's representative, so a
-        non-cell gives KeyError, never a wrong orbit.
-        """
-        found = self._rep.get(cell)
-        if found is not None:
-            return found
-        if cell[0] != rep[0] or len(cell) != len(rep):
-            return self.project(cell)
-        first = 1
-        while cell[first] == rep[first]:
-            first += 1
-        return self._rep[cell[first:] + cell[:first]]
+    def _rotate(self, cell: Cell) -> Cell:
+        """The cell rotated to put its smallest-key coordinate first, unchecked."""
+        ranks = list(map(self._rank.__getitem__, cell))
+        first = ranks.index(min(ranks))
+        return cell[first:] + cell[:first]
 
     def facets(self, cell: Cell) -> tuple[Cell, ...]:
         return tuple(self.project(f) for f in self.fm.facets(cell))
 
     def edge_endpoints(self, cell: Cell) -> tuple[Cell, Cell]:
+        """The projections of the upstairs ends.  Each end puts an end of the
+        edge coordinate in its place, inside its closure, so the ends of a
+        cell are cells and only the cell is checked."""
+        if not self.fm.has(cell):
+            raise KeyError(cell)
         src, tgt = self.fm.edge_endpoints(cell)
-        return (self.project_near(cell, src), self.project_near(cell, tgt))
-
-
-class _Orderings(Sequence):
-    """Every ordering of one dimension's coordinate sets, listed in sort
-    order when iterated or indexed; its length is a count."""
-
-    def __init__(self, cx: CubeComplex, sets: tuple[Cell, ...]):
-        self._cx = cx
-        self._sets = sets
-
-    def __len__(self) -> int:
-        return factorial(self._cx.m) * len(self._sets)
-
-    def __iter__(self) -> Iterator[Cell]:
-        cells = [c for s in self._sets for c in permutations(s)]
-        cells.sort(key=self._cx.sort_key)
-        return iter(cells)
-
-    def __getitem__(self, index):
-        return list(self)[index]
+        return (self._rotate(src), self._rotate(tgt))
 
 
 class _Orbits(Mapping):
     """Each representative's orbit, rotated out of it when asked for."""
 
-    def __init__(self, reps: dict[Cell, Cell], m: int):
-        self._reps = reps
-        self._m = m
+    def __init__(self, q: QuotientComplex):
+        self._q = q
 
     def __getitem__(self, rep: Cell) -> tuple[Cell, ...]:
-        rep = self._reps[rep]
-        return tuple(rep[t:] + rep[:t] for t in range(self._m))
+        if not self._q.has(rep):
+            raise KeyError(rep)
+        return tuple(rep[t:] + rep[:t] for t in range(len(rep)))
 
     def __iter__(self) -> Iterator[Cell]:
-        return iter(self._reps)
+        return self._q.all_cells()
 
     def __len__(self) -> int:
-        return len(self._reps)
+        return sum(map(self._q.num_cells, self._q.sets_by_dim))
 
 
 def build_quotient(fm: CubeComplex) -> QuotientComplex:

@@ -27,9 +27,11 @@ cell's one-place rotation, the deck generator of the cyclic quotient, is
 classified directly as a check on that translation, and the involution is
 checked once per set, on the table; the sets themselves were checked
 against their closed-form counts when the complex was made.  The matching
-of a cyclic quotient is then read off the upstairs swaps, one orbit
-representative at a time, and checked to pair back.  One field class
-holds either matching, with the swap table it was read off.
+of a cyclic quotient is read off the same table: a representative's
+partner is its set's swap made in its own places and rotated back to a
+representative.  Rotation permutes places, so that pairs back as the
+upstairs matching does, and nothing is classified or checked again.  One
+field class holds either matching, with the swap table it was read off.
 
 The 0-cells and the 1-cells matched with them form a maximal forest, and
 each of its trees holds one critical 0-cell.  The flow follows it: a
@@ -46,7 +48,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
 from itertools import chain, permutations
-from math import factorial
 from operator import ne
 from typing import Optional, Union
 
@@ -212,29 +213,41 @@ class GradientField:
 
 
 class _Partners(Mapping):
-    """Each ordered cell's partner, read off its coordinate set's swap: the
-    same swap made in the cell's own places.  Raises KeyError on a tuple
-    that is not a cell."""
+    """Each cell's partner on either level, read off its coordinate set's
+    swap: the same swap made in the cell's own places, and in a quotient
+    rotated back to its orbit's representative (``project``).  Raises
+    KeyError on a tuple that is not a cell of the level, and StructuralError
+    on a quotient partner that is not a cell upstairs."""
 
-    def __init__(self, cx: CubeComplex, swaps: dict[int, Optional[Swap]]):
+    def __init__(self, cx: Union[CubeComplex, QuotientComplex], swaps: dict[int, Optional[Swap]]):
         self._cx = cx
-        self._bit = cx.bit.__getitem__
         self._swaps = swaps
+        self._project = cx.project if isinstance(cx, QuotientComplex) else None
 
     def __getitem__(self, cell: Cell) -> Optional[Cell]:
-        if len(cell) != self._cx.m:
+        cx = self._cx
+        # The key lookup refuses m coordinates that order no set of the
+        # table (a repeated one carries and leaves fewer than m bits); a
+        # quotient cell must also be a representative.
+        if len(cell) != cx.m or (self._project is not None and not cx.has(cell)):
             raise KeyError(cell)
-        swap = self._swaps[sum(map(self._bit, cell))]
+        swap = self._swaps[cx.set_key(cell)]
         if swap is None:
             return None
         r = cell.index(swap[0])
-        return cell[:r] + (swap[1],) + cell[r + 1:]
+        partner = cell[:r] + (swap[1],) + cell[r + 1:]
+        if self._project is None:
+            return partner
+        try:
+            return self._project(partner)
+        except KeyError:
+            raise StructuralError(f"{partner!r} is not a cell of the upstairs complex") from None
 
     def __iter__(self) -> Iterator[Cell]:
         return self._cx.all_cells()
 
     def __len__(self) -> int:
-        return factorial(self._cx.m) * len(self._swaps)
+        return sum(map(self._cx.num_cells, self._cx.sets_by_dim))
 
 
 def _kind(partner: Optional[Cell], d: int) -> str:
@@ -311,9 +324,11 @@ def build_field(cx: Union[CubeComplex, QuotientComplex], upstairs: Optional[Grad
     generator of the cyclic quotient, is classified too and must get that
     translated partner; otherwise the matching is not equivariant and this
     raises ``StructuralError``.  The critical cells of each dimension are
-    the orderings of the critical sets, in sort order.  On a quotient each
-    representative takes the orbit of its partner in ``upstairs``; no cell
-    is classified again.
+    the orderings of the critical sets, in sort order.  On a quotient the
+    same table is read: a representative's partner is its set's swap made
+    in its own places, rotated back to a representative (``project``), and
+    its critical cells are the representatives among ``upstairs``'s, a
+    list already in sort order.  No cell is classified again.
 
     Both matchings are checked to be involutions on cells one dimension
     apart.  The upstairs one is checked once per coordinate set, in two
@@ -334,11 +349,21 @@ def build_field(cx: Union[CubeComplex, QuotientComplex], upstairs: Optional[Grad
     That is enough.  By construction ``classes[sigma c] == sigma p`` for
     every permutation sigma, and p is ``tau c'`` for the ascending cell c'
     of its own set.  So ``classes[sigma p] == sigma classes[p] == sigma c``,
-    and sigma c and sigma p have the dimensions of c and p.  The quotient's
-    matching is checked representative by representative: each partner
-    must pair back, which also tests ``project``, the minimal rotation that
-    names each partner's orbit; a partner is one dimension away because its
-    upstairs swap is.  A partner that is not a cell upstairs is refused.
+    and sigma c and sigma p have the dimensions of c and p.
+
+    The quotient's matching needs no check of its own.  A swap is made in
+    places, and a rotation rho permutes places, so the upstairs partner of
+    rho c is rho of c's partner.  Every upstairs cell c projects to a
+    rotation rho c of itself, so with ``classes_q[r] = project(classes[r])``
+    for a representative r,
+    ``classes_q[project(c)] == project(classes[rho c]) == project(rho
+    classes[c]) == project(classes[c])``.  For a representative r with
+    upstairs partner p, that gives ``classes_q[classes_q[r]] ==
+    classes_q[project(p)] == project(classes[p]) == project(r) == r``, and
+    ``project(p)``, a rotation of p, has p's dimension, one away from r's.
+    So the table check above gives the quotient involution too.  A partner
+    that is not a cell upstairs, from a table changed after the check, is
+    refused when it is read.
 
     The flow (``GradientField.flow``) is checked once per coordinate set as
     well (``_check_descent``).  Let s(v) be the sum of ``tree_order.number``
@@ -373,26 +398,8 @@ def build_field(cx: Union[CubeComplex, QuotientComplex], upstairs: Optional[Grad
     if isinstance(cx, QuotientComplex):
         if upstairs is None or upstairs.complex is not cx.fm:
             raise InvalidParameterError("upstairs field is not build_field's field of the quotient's complex")
-        classes: dict[Cell, Optional[Cell]] = {}
-        critical: dict[int, list[Cell]] = {}
-        swaps, bit, project = upstairs.swaps, cx.fm.bit.__getitem__, cx.project_near
-        try:
-            for d in sorted(cx.cells_by_dim):
-                found = critical[d] = []
-                for rep in cx.cells_by_dim[d]:
-                    swap = swaps[sum(map(bit, rep))]  # set_key(rep), inline in this hot loop
-                    if swap is None:
-                        classes[rep] = None
-                        found.append(rep)
-                    else:
-                        r = rep.index(swap[0])
-                        classes[rep] = project(rep, rep[:r] + (swap[1],) + rep[r + 1:])
-        except KeyError as missing:
-            raise StructuralError(f"{missing.args[0]!r} is not a cell of the upstairs complex") from None
-        for rep, partner in classes.items():
-            if partner is not None and classes.get(partner) != rep:
-                raise StructuralError(f"matching is not an involution at {rep!r}")
-        return GradientField(cx, classes, critical, swaps)
+        critical = {d: [c for c in upstairs.critical(d) if cx.has(c)] for d in cx.sets_by_dim}
+        return GradientField(cx, _Partners(cx, upstairs.swaps), critical, upstairs.swaps)
     if upstairs is not None:
         raise InvalidParameterError("a configuration complex's field is built without an upstairs field")
     swaps: dict[int, Optional[Swap]] = {}

@@ -8,8 +8,7 @@ from test_fuzz import trees
 
 import braidbu.complexes as complexes
 from braidbu.complexes import (
-    MAX_CELLS,
-    CubeComplex,
+    MAX_SETS,
     act,
     build_dconf,
     build_quotient,
@@ -20,7 +19,7 @@ from braidbu.complexes import (
     count_sets,
 )
 from braidbu.covering import build_fields
-from braidbu.errors import InvalidParameterError, PreconditionError, StructuralError
+from braidbu.errors import InvalidParameterError, PreconditionError
 from braidbu.graphs import make_cycle, make_lollipop, make_path, make_star, parse_graph_text
 from braidbu.oracle import chi_oracle
 from braidbu.perms import Perm, all_perms
@@ -103,7 +102,7 @@ class TestBuild:
         cells, reps = _ordered_walk(graph, m)
         cx = build_dconf(graph, m)
         assert {d: list(listing) for d, listing in cx.cells_by_dim.items()} == cells
-        assert {d: list(r) for d, r in cx.representatives.items()} == reps
+        assert {d: list(r) for d, r in build_quotient(cx).cells_by_dim.items()} == reps
         ascending = {d: [c for c in cs if list(cx.sort_key(c)) == sorted(cx.sort_key(c))] for d, cs in cells.items()}
         assert {d: list(sets) for d, sets in cx.sets_by_dim.items()} == ascending
         assert all(cx.num_cells(d) == len(cs) for d, cs in cells.items())
@@ -157,9 +156,11 @@ class TestCount:
         assert count_cells(make_lollipop(5), 5) == 234240
 
     def test_oversized_complex_refused_before_enumerating(self):
-        assert count_cells(make_lollipop(6), 6) > MAX_CELLS
-        with pytest.raises(PreconditionError, match="7490160"):
-            build_dconf(make_lollipop(6), 6)
+        # The bound counts what is stored, one entry per coordinate set.
+        assert sum(count_sets(make_lollipop(6), 6)) == 10403 <= MAX_SETS
+        assert sum(count_sets(make_lollipop(7), 7)) > MAX_SETS
+        with pytest.raises(PreconditionError, match="56214 coordinate sets"):
+            build_dconf(make_lollipop(7), 7)
 
     def test_set_counts_are_computed_once_per_cold_build(self, monkeypatch):
         # build_dconf's size guard and the complex's set check read one list.
@@ -272,36 +273,37 @@ class TestQuotient:
         assert set(images.values()) == {3}
 
     @pytest.mark.parametrize("graph, m", TARGETS, ids=TARGET_IDS)
-    def test_representatives_are_the_complex_own_cells(self, graph, m):
-        cx = build_dconf(graph, m)
-        q = build_quotient(cx)
-        own = {id(c) for reps in cx.representatives.values() for c in reps}
-        for reps in q.cells_by_dim.values():
-            assert all(id(rep) in own for rep in reps)
-            for rep in reps:
-                assert all(q.project(member) is rep for member in q.members_of[rep])
-        assert len(q.members_of) == sum(map(len, q.cells_by_dim.values()))
+    def test_every_member_projects_to_its_representative(self, graph, m):
+        q = build_quotient(build_dconf(graph, m))
+        for rep in q.all_cells():
+            assert q.has(rep) and all(q.project(member) == rep for member in q.members_of[rep])
+            assert not any(q.has(member) for member in q.members_of[rep][1:])
+        assert len(q.members_of) == sum(map(len, q.cells_by_dim.values())) == count_cells(graph, m) // m
 
-    def test_complex_not_closed_under_rotation_is_refused(self, f2):
-        # The representative (0, 2) goes, the set {0, 2} stays: the orbit of
-        # (0, 2) and (2, 0) has no member listed, and the count refuses it.
-        reps = {**f2.representatives, 0: tuple(c for c in f2.representatives[0] if c != (0, 2))}
-        with pytest.raises(StructuralError, match="not free rotation orbits"):
-            build_quotient(CubeComplex(f2.graph, 2, f2.sets_by_dim, reps, count_sets(f2.graph, 2)))
-
-    def test_non_free_orbit_is_refused(self, f2):
-        # (0, 0) is its own rotation: an orbit of size 1, listed as a
-        # representative of no coordinate set.
-        reps = {**f2.representatives, 0: f2.representatives[0] + ((0, 0),)}
-        with pytest.raises(StructuralError, match="not free rotation orbits"):
-            build_quotient(CubeComplex(f2.graph, 2, f2.sets_by_dim, reps, count_sets(f2.graph, 2)))
-
-    def test_project_refuses_a_non_cell(self, f2):
+    @pytest.mark.parametrize(
+        "cell",
+        [(0, 0), ("a2", "a2"), (1, "a2"), ("a2", "a3"), ("a", "a2"), (0,), (0, 2, 3), (0, "b"), (0, 7)],
+        ids=["repeated-vertex", "repeated-edge", "vertex-in-edge", "edges-share-a-vertex",
+             "loop-edge-shares-a-vertex", "short", "long", "unknown-edge", "unknown-vertex"],
+    )
+    def test_has_project_and_partners_refuse_a_non_cell(self, f2, cell):
         q = build_quotient(f2)
-        for cell in ((0, 0), (0, 1, 2), ("a", "a1")):
+        assert not q.has(cell)
+        with pytest.raises(KeyError):
+            q.project(cell)
+        for field in build_fields(f2.graph, 2):
             with pytest.raises(KeyError):
-                q.project(cell)
-            assert not q.has(cell)
+                field.classes[cell]
+            assert field.classes.get(cell) is None
+
+    def test_has_and_partners_refuse_a_cell_that_is_no_representative(self, f2):
+        # (2, 0) is a cell upstairs; its orbit's representative is (0, 2).
+        q = build_quotient(f2)
+        field_q = build_fields(f2.graph, 2)[1]
+        assert f2.has((2, 0)) and not q.has((2, 0)) and q.has((0, 2))
+        assert q.project((2, 0)) == (0, 2)
+        with pytest.raises(KeyError):
+            field_q.classes[(2, 0)]
 
     def test_projection_commutes_with_facets(self, f2):
         q = build_quotient(f2)

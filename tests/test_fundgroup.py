@@ -575,6 +575,8 @@ class TestM5:
 
 
 def test_builds_and_decisions_never_list_the_ordered_cells(monkeypatch):
+    # One listing class serves both levels, so this also proves that no
+    # build or decision lists the quotient's representatives.
     def refuse(*args):
         raise AssertionError("the ordered cells were listed")
 
@@ -582,8 +584,13 @@ def test_builds_and_decisions_never_list_the_ordered_cells(monkeypatch):
     monkeypatch.setattr(complexes._Orderings, "__getitem__", refuse)
     get_system.cache_clear()
     decide._tree_system_cached.cache_clear()
-    assert len(get_system(4).basis_fm) == 73
+    system = get_system(4)
+    assert (len(system.basis_fm), len(system.basis_q)) == (73, 19)
+    for cx in (system.fm, system.quotient):
+        with pytest.raises(AssertionError, match="were listed"):
+            list(cx.cells_by_dim[0])
     for legs, length, n in STAR_COVERINGS.values():
         graph = make_star(legs, length)
-        tree_system(graph, n)
+        covering = tree_system(graph, n)
+        assert all(type(cells) is complexes._Orderings for cells in covering.quotient.cells_by_dim.values())
         assert not decide.decide_tree(graph, n, decide.ActionData(n, 1, (1,))).holds
