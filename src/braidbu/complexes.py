@@ -36,10 +36,11 @@ from .perms import Perm
 
 Cell = tuple[Coord, ...]
 
-# build_dconf refuses complexes of more than MAX_SETS coordinate sets before
-# enumerating them, since what both levels store is one entry per set:
-# lollipop m=6 (10 403 sets) fits, m=7 (56 214) is refused.
-MAX_SETS = 20_000
+# build_dconf refuses complexes of more than MAX_CELLS ordered cells before
+# enumerating them.  The builds store one entry per coordinate set, but
+# `dconf stats` and the critical lists read every ordering, m! per set:
+# lollipop m=6 (7 490 160 cells) fits, m=7 (283 318 560) is refused.
+MAX_CELLS = 8_000_000
 
 
 def cell_dim(cell: Cell) -> int:
@@ -210,8 +211,8 @@ def build_dconf(graph: Graph, m: int) -> CubeComplex:
     lexicographic key order, which is ``sort_key`` order within each
     dimension.  A prefix carries the union of its closures as a bit mask of
     vertices, and its count of edge coordinates, so a finished set goes
-    straight into its dimension.  Complexes of more than ``MAX_SETS``
-    coordinate sets are refused, counted first by ``count_sets``, whose
+    straight into its dimension.  Complexes of more than ``MAX_CELLS``
+    ordered cells are refused, counted first by ``count_sets``, whose
     counts the complex is then checked against.
     """
     if m < 1:
@@ -219,11 +220,9 @@ def build_dconf(graph: Graph, m: int) -> CubeComplex:
     if not is_sufficiently_subdivided(graph, m):
         raise PreconditionError(f"graph is not sufficiently subdivided for {m} particles")
     counts = count_sets(graph, m)
-    total = sum(counts)
-    if total > MAX_SETS:
-        raise PreconditionError(
-            f"the {m}-particle complex has {total} coordinate sets, more than the {MAX_SETS} allowed"
-        )
+    total = sum(counts) * factorial(m)
+    if total > MAX_CELLS:
+        raise PreconditionError(f"the {m}-particle complex has {total} cells, more than the {MAX_CELLS} allowed")
     keys = graph.coord_keys
     masks = graph.closure_masks
     steps = [(c, masks[c], c.__class__ is str) for c in sorted(keys, key=keys.__getitem__)]
@@ -377,9 +376,9 @@ class QuotientComplex(_CellComplex):
         its smallest-key coordinate first.  Raises KeyError on a non-cell."""
         if not self.fm.has(cell):
             raise KeyError(cell)
-        return self._rotate(cell)
+        return self.rotate(cell)
 
-    def _rotate(self, cell: Cell) -> Cell:
+    def rotate(self, cell: Cell) -> Cell:
         """The cell rotated to put its smallest-key coordinate first, unchecked."""
         ranks = list(map(self._rank.__getitem__, cell))
         first = ranks.index(min(ranks))
@@ -395,7 +394,7 @@ class QuotientComplex(_CellComplex):
         if not self.fm.has(cell):
             raise KeyError(cell)
         src, tgt = self.fm.edge_endpoints(cell)
-        return (self._rotate(src), self._rotate(tgt))
+        return (self.rotate(src), self.rotate(tgt))
 
 
 class _Orbits(Mapping):

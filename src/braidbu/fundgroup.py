@@ -228,7 +228,7 @@ class BraidSystem(Covering):
 def get_system(m: int) -> BraidSystem:
     """The lollipop system for m particles, built once per process.  The
     cache needs no bound: ``build_dconf`` refuses a complex of more than
-    ``complexes.MAX_SETS`` coordinate sets, which stops m at 6, so at most
+    ``complexes.MAX_CELLS`` ordered cells, which stops m at 6, so at most
     one system per m = 2..6 is ever kept."""
     return BraidSystem(m)
 

@@ -213,41 +213,56 @@ class GradientField:
 
 
 class _Partners(Mapping):
-    """Each cell's partner on either level, read off its coordinate set's
-    swap: the same swap made in the cell's own places, and in a quotient
-    rotated back to its orbit's representative (``project``).  Raises
-    KeyError on a tuple that is not a cell of the level, and StructuralError
-    on a quotient partner that is not a cell upstairs."""
+    """Each cell's partner upstairs, read off its coordinate set's swap:
+    the same swap made in the cell's own places.  Raises KeyError on a
+    tuple that is not a cell."""
 
     def __init__(self, cx: Union[CubeComplex, QuotientComplex], swaps: dict[int, Optional[Swap]]):
         self._cx = cx
         self._swaps = swaps
-        self._project = cx.project if isinstance(cx, QuotientComplex) else None
 
     def __getitem__(self, cell: Cell) -> Optional[Cell]:
-        cx = self._cx
         # The key lookup refuses m coordinates that order no set of the
-        # table (a repeated one carries and leaves fewer than m bits); a
-        # quotient cell must also be a representative.
-        if len(cell) != cx.m or (self._project is not None and not cx.has(cell)):
+        # table (a repeated one carries and leaves fewer than m bits).
+        if len(cell) != self._cx.m:
             raise KeyError(cell)
-        swap = self._swaps[cx.set_key(cell)]
-        if swap is None:
-            return None
-        r = cell.index(swap[0])
-        partner = cell[:r] + (swap[1],) + cell[r + 1:]
-        if self._project is None:
-            return partner
-        try:
-            return self._project(partner)
-        except KeyError:
-            raise StructuralError(f"{partner!r} is not a cell of the upstairs complex") from None
+        swap = self._swaps[self._cx.set_key(cell)]
+        return None if swap is None else _swapped(cell, swap)
 
     def __iter__(self) -> Iterator[Cell]:
         return self._cx.all_cells()
 
     def __len__(self) -> int:
         return sum(map(self._cx.num_cells, self._cx.sets_by_dim))
+
+
+class _QuotientPartners(_Partners):
+    """Each representative's partner: its set's swap made in its own
+    places, rotated back to its orbit's representative.  Raises KeyError on
+    a tuple that is not a representative, and StructuralError on a partner
+    that is not a cell upstairs."""
+
+    def __getitem__(self, cell: Cell) -> Optional[Cell]:
+        cx = self._cx
+        if not cx.has(cell):
+            raise KeyError(cell)
+        key = cx.set_key(cell)
+        swap = self._swaps[key]
+        if swap is None:
+            return None
+        # The partner's set key trades old's bit for new's; a repeated
+        # coordinate carries, so it names no set of the table.
+        old, new = swap
+        bit = cx.fm.bit
+        if new not in bit or key - bit[old] + bit[new] not in self._swaps:
+            raise StructuralError(f"{_swapped(cell, swap)!r} is not a cell of the upstairs complex")
+        return cx.rotate(_swapped(cell, swap))
+
+
+def _swapped(cell: Cell, swap: Swap) -> Cell:
+    """The cell with the swap (old, new) made in old's place."""
+    r = cell.index(swap[0])
+    return cell[:r] + (swap[1],) + cell[r + 1:]
 
 
 def _kind(partner: Optional[Cell], d: int) -> str:
@@ -326,9 +341,10 @@ def build_field(cx: Union[CubeComplex, QuotientComplex], upstairs: Optional[Grad
     raises ``StructuralError``.  The critical cells of each dimension are
     the orderings of the critical sets, in sort order.  On a quotient the
     same table is read: a representative's partner is its set's swap made
-    in its own places, rotated back to a representative (``project``), and
-    its critical cells are the representatives among ``upstairs``'s, a
-    list already in sort order.  No cell is classified again.
+    in its own places, rotated back to a representative
+    (``_QuotientPartners``), and its critical cells are the representatives
+    among ``upstairs``'s, a list already in sort order.  No cell is
+    classified again.
 
     Both matchings are checked to be involutions on cells one dimension
     apart.  The upstairs one is checked once per coordinate set, in two
@@ -399,7 +415,7 @@ def build_field(cx: Union[CubeComplex, QuotientComplex], upstairs: Optional[Grad
         if upstairs is None or upstairs.complex is not cx.fm:
             raise InvalidParameterError("upstairs field is not build_field's field of the quotient's complex")
         critical = {d: [c for c in upstairs.critical(d) if cx.has(c)] for d in cx.sets_by_dim}
-        return GradientField(cx, _Partners(cx, upstairs.swaps), critical, upstairs.swaps)
+        return GradientField(cx, _QuotientPartners(cx, upstairs.swaps), critical, upstairs.swaps)
     if upstairs is not None:
         raise InvalidParameterError("a configuration complex's field is built without an upstairs field")
     swaps: dict[int, Optional[Swap]] = {}

@@ -8,7 +8,7 @@ from test_fuzz import trees
 
 import braidbu.complexes as complexes
 from braidbu.complexes import (
-    MAX_SETS,
+    MAX_CELLS,
     act,
     build_dconf,
     build_quotient,
@@ -156,11 +156,23 @@ class TestCount:
         assert count_cells(make_lollipop(5), 5) == 234240
 
     def test_oversized_complex_refused_before_enumerating(self):
-        # The bound counts what is stored, one entry per coordinate set.
-        assert sum(count_sets(make_lollipop(6), 6)) == 10403 <= MAX_SETS
-        assert sum(count_sets(make_lollipop(7), 7)) > MAX_SETS
-        with pytest.raises(PreconditionError, match="56214 coordinate sets"):
+        # The bound counts ordered cells, m! per coordinate set.
+        assert count_cells(make_lollipop(6), 6) == 7490160 <= MAX_CELLS
+        assert count_cells(make_lollipop(7), 7) > MAX_CELLS
+        with pytest.raises(PreconditionError, match="283318560 cells"):
             build_dconf(make_lollipop(7), 7)
+
+    def test_few_sets_with_many_orderings_refused_before_enumerating(self, monkeypatch):
+        # 181 coordinate sets, but 9! orderings of each.
+        graph = make_path(11)
+        assert sum(count_sets(graph, 9)) == 181
+
+        def enumerating(graph):
+            raise AssertionError("enumerated an oversized complex")
+
+        monkeypatch.setattr(type(graph), "closure_masks", property(enumerating))
+        with pytest.raises(PreconditionError, match="65681280 cells"):
+            build_dconf(graph, 9)
 
     def test_set_counts_are_computed_once_per_cold_build(self, monkeypatch):
         # build_dconf's size guard and the complex's set check read one list.

@@ -543,18 +543,27 @@ class TestQuotientField:
             oracle = [p and next(p[t:] + p[:t] for t in range(m) if p[t:] + p[:t] in listed) for p in partners]
             assert [field_q.classes[rep] for rep in cells] == oracle
 
-    def test_representative_paired_outside_the_complex_is_refused(self):
+    @pytest.mark.parametrize("outside", ["repeated", "overlapping", "unknown"])
+    def test_representative_paired_outside_the_complex_is_refused(self, outside):
         # A redundant representative's set swaps its vertex for the other
-        # vertex instead, so its partner (0, 0) repeats a coordinate.  The
-        # table is checked when the upstairs field is built; changed after
-        # that, the quotient refuses the partner when it reads it.
+        # vertex instead, so its partner (0, 0) repeats a coordinate; or for
+        # an edge at the other vertex, whose closure overlaps it; or for a
+        # coordinate of no graph.  The table is checked when the upstairs
+        # field is built; changed after that, the quotient refuses the
+        # partner when it reads it.
         fm = build_dconf(make_lollipop(2), 2)
         q = build_quotient(fm)
         field = build_field(fm, None)
         rep = next(c for c in q.all_cells() if field.kind(c) == KIND_REDUNDANT)
         swaps = field.swaps
         old = swaps[fm.set_key(rep)][0]
-        swaps[fm.set_key(rep)] = (old, next(c for c in rep if c != old))
+        other = next(c for c in rep if c != old)
+        new = {
+            "repeated": other,
+            "overlapping": next(e.name for e in fm.graph.edges if other in (e.lo, e.hi)),
+            "unknown": 999,
+        }[outside]
+        swaps[fm.set_key(rep)] = (old, new)
         field_q = build_field(q, field)
         with pytest.raises(StructuralError, match="not a cell"):
             field_q.classes[rep]
