@@ -12,6 +12,7 @@ from typing import Optional, Sequence
 
 from . import decide as dec
 from .complexes import build_dconf, build_quotient, components
+from .covering import skeleton
 from .errors import InvalidParameterError, PreconditionError, StructuralError
 from .fundgroup import get_system
 from .graphs import (
@@ -24,7 +25,7 @@ from .graphs import (
     make_star,
     parse_graph_text,
 )
-from .morse import edge_data
+from .morse import build_field, edge_data
 from .oracle import Report, chi_oracle, hom_table, run_suite
 from .words import FreeWord
 
@@ -74,6 +75,19 @@ def cmd_graph_check(args) -> int:
 # -- dconf ----------------------------------------------------------------------
 
 
+def _components(cx, target) -> int:
+    """Components of the 1-skeleton of ``target``, cx or its quotient, read
+    off the Morse complex (``skeleton``): the forest joins each 0-cell to its
+    sink (``build_field``).  A graph without a leaf has no field to root, so
+    its 1-skeleton is walked instead (``components``)."""
+    if 1 not in cx.graph.degrees:
+        return components(target)
+    field = build_field(cx, None)
+    if target is not cx:
+        field = build_field(target, field)
+    return len(set(skeleton(field)[1].values()))
+
+
 def cmd_dconf_stats(args) -> int:
     graph = _load_graph(args.graph)
     cx = build_dconf(graph, args.m)
@@ -82,7 +96,7 @@ def cmd_dconf_stats(args) -> int:
     for d in sorted(target.cells_by_dim):
         report.records.append((f"cells.dim{d}", str(target.num_cells(d))))
     report.records.append(("chi", str(chi_oracle(target))))
-    report.records.append(("components", str(components(target))))
+    report.records.append(("components", str(_components(cx, target))))
     if args.quotient:
         report.records.append(("orbits", str(sum(target.num_cells(d) for d in target.cells_by_dim))))
     sys.stdout.write(report.render(args.format))

@@ -37,9 +37,10 @@ from .perms import Perm
 Cell = tuple[Coord, ...]
 
 # build_dconf refuses complexes of more than MAX_CELLS ordered cells before
-# enumerating them.  The builds store one entry per coordinate set, but
-# `dconf stats` and the critical lists read every ordering, m! per set:
-# lollipop m=6 (7 490 160 cells) fits, m=7 (283 318 560) is refused.
+# enumerating them.  The builds store one entry per coordinate set, but the
+# upstairs critical lists hold every ordering, m! per set, and so does
+# `dconf stats`'s union-find on a graph without a leaf: lollipop m=6
+# (7 490 160 cells) fits, m=7 (283 318 560) is refused.
 MAX_CELLS = 8_000_000
 
 
@@ -360,7 +361,7 @@ class QuotientComplex(_CellComplex):
         self.m = fm.m
         self.sets_by_dim = fm.sets_by_dim
         self._rank = fm.rank
-        self.set_key = fm.set_key  # a representative is a cell upstairs
+        self.set_key, self.bit = fm.set_key, fm.bit  # a representative is a cell upstairs
         self.members_of: Mapping[Cell, tuple[Cell, ...]] = _Orbits(self)
         self.base: Cell = fm.base  # ascending, so a representative
 

@@ -37,11 +37,16 @@ The 0-cells and the 1-cells matched with them form a maximal forest, and
 each of its trees holds one critical 0-cell.  The flow follows it: a
 matched 0-cell steps along its partner edge to that edge's other end, and
 every 0-cell reaches its tree's critical 0-cell, its sink (``sink``,
-``flow``).  Steps are memoised, so the flow touches only the 0-cells it is
-asked about.  ``build_field`` checks that every step moves a vertex toward
-the root, which proves that the flow ends and that the forest is acyclic.
-On the lollipop the numbering is the identity and every tree edge respects
-the order.
+``flow``).  A step is read off the 0-cell's set's swap (old, new): old
+moves along the edge new to its other end, in its own place.  So the flow
+of every ordering of a set moves the same coordinates, and the sink is
+carried per 0-set: where each coordinate of the set ends, memoised for
+every 0-set on the way and shared by both levels, applied to the 0-cell's
+own coordinates in place (rotated to a representative in the quotient).
+``build_field`` checks that every step moves a vertex toward the root,
+which proves that the flow ends and that the forest is acyclic.  On the
+lollipop the numbering is the identity and every tree edge respects the
+order.
 """
 from __future__ import annotations
 
@@ -124,7 +129,8 @@ class GradientField:
     to its partner, or to None when the cell is critical.  ``critical``
     holds the critical cells of each dimension in ``cells_by_dim`` order,
     as ``build_field`` finds them.  ``swaps`` is the upstairs table that
-    ``build_field`` reads the matching off, on either level."""
+    ``build_field`` reads the matching off, on either level, and that the
+    flow reads its steps off."""
 
     def __init__(
         self,
@@ -137,13 +143,16 @@ class GradientField:
         self.classes = classes
         self.swaps = swaps
         self._critical = {d: tuple(cells) for d, cells in critical.items()}
-        # The memoised steps of the matched 0-cells, and the sink of each
-        # 0-cell walked from; a critical 0-cell maps to itself, so a flow
-        # ends on the field's own tuple.
-        self._steps: dict[Cell, tuple[Cell, int, Cell]] = {}
+        # A critical 0-cell maps to itself, so a flow ends on the field's
+        # own tuple.  ``_carried`` holds, by set key, where the coordinates
+        # of each 0-set walked from end in its sink set; a quotient field
+        # shares its upstairs field's, since both read one table.
         self._ends = {c: c for c in self.critical(0)}
-        self._sinks = dict(self._ends)
-        self._most = cx.num_cells(0)  # no flow is longer
+        self._carried: dict[int, dict[Coord, Coord]] = {}
+        self._most = len(cx.sets_by_dim[0])  # no flow visits a 0-set twice
+        # A cell's place on the level: its representative in the quotient,
+        # itself upstairs (``tuple`` of a tuple is the tuple).
+        self._place = cx.rotate if isinstance(cx, QuotientComplex) else tuple
 
     def kind(self, cell: Cell) -> str:
         return _kind(self.classes[cell], cell_dim(cell))
@@ -169,47 +178,93 @@ class GradientField:
         swap = self.swaps.get(self.complex.set_key(edge))
         return swap is not None and swap[1].__class__ is int
 
-    def _step(self, v: Cell) -> tuple[Cell, int, Cell]:
-        step = self._steps.get(v)
-        if step is None:
-            step = self._steps[v] = self._leave(v)
-        return step
+    def _enter(self, v: Cell) -> None:
+        """Refuse a tuple that is not a 0-cell of the level (in the
+        quotient, a representative): a flow checks where it starts, and
+        each step stays on the level."""
+        if not self.complex.has(v) or cell_dim(v):
+            raise InvalidParameterError(f"not a 0-cell of the complex: {v!r}")
 
-    def _leave(self, v: Cell) -> tuple[Cell, int, Cell]:
-        """The matched 0-cell v's partner edge, the sign that leaves v along
-        it, and the edge's other end, read off ``classes`` and the complex's
-        ``edge_endpoints`` on either level."""
-        edge = self.classes[v]
-        src, tgt = self.complex.edge_endpoints(edge)
-        if v == src:
-            return edge, 1, tgt
-        if v == tgt:
-            return edge, -1, src
-        raise StructuralError(f"{v!r} is not an end of its partner {edge!r}")
+    def _end(self, v: Cell) -> Cell:
+        """The field's own tuple for the critical 0-cell v; a flow that
+        ends anywhere else is refused."""
+        end = self._ends.get(v)
+        if end is None:
+            raise StructuralError(f"the flow ends at {v!r}, which is not a critical 0-cell")
+        return end
+
+    def _far(self, key: int, swap: Swap) -> tuple[Coord, int]:
+        """The 0-set's swap (old, new) moves old along the edge new: the
+        edge's other end, and the sign that leaves old along it."""
+        old, new = swap
+        edge = self.complex.graph.edge_by_name.get(new)
+        if edge is not None:
+            if old == edge.lo:
+                return edge.hi, 1
+            if old == edge.hi:
+                return edge.lo, -1
+        c = _set_of(self.complex.bit, key)
+        raise StructuralError(f"{c!r} is not an end of its partner {_swapped(c, swap)!r}")
+
+    def _leave(self, v: Cell) -> Optional[tuple[Cell, int, Cell]]:
+        """The step out of the 0-cell v, read off its set's swap (old, new):
+        the partner edge, new in old's place, the sign that leaves v along
+        it, and its other end, old moved along new; both placed on the level
+        (rotated to a representative in the quotient).  None when v's set
+        is critical."""
+        key = self.complex.set_key(v)
+        swap = self.swaps.get(key)
+        if swap is None:
+            return None
+        far, sign = self._far(key, swap)
+        r = v.index(swap[0])
+        place = self._place
+        return place(v[:r] + (swap[1],) + v[r + 1:]), sign, place(v[:r] + (far,) + v[r + 1:])
 
     def flow(self, v: Cell) -> tuple[list[Step], Cell]:
         """The steps from the 0-cell v down the forest to its sink, and the
         sink, a critical 0-cell.  A field from ``build_field`` descends at
         every step, so its flows end; a longer one is refused."""
-        ends, steps = self._ends, []
-        while v not in ends:
+        self._enter(v)
+        steps: list[Step] = []
+        while (step := self._leave(v)) is not None:
             if len(steps) == self._most:
                 raise StructuralError(f"the flow from {v!r} does not end")
-            edge, sign, v = self._step(v)
+            edge, sign, v = step
             steps.append((edge, sign))
-        return steps, ends[v]
+        return steps, self._end(v)
 
     def sink(self, v: Cell) -> Cell:
-        """The critical 0-cell that v flows to, memoised for every 0-cell on
-        the way."""
-        sinks, walked = self._sinks, []
-        while v not in sinks:
+        """The critical 0-cell that v flows to: v's own coordinates carried
+        in place to its sink set (``_carry``), placed on the level."""
+        self._enter(v)
+        carried = self._carry(self.complex.set_key(v))
+        return self._end(self._place(tuple(map(carried.get, v, v))))
+
+    def _carry(self, key: int) -> dict[Coord, Coord]:
+        """Where the coordinates of the 0-set ``key`` end in its sink set,
+        the unmoved ones left out, memoised for every 0-set on the way.
+        Every ordering of a set steps by the set's swap made in its own
+        places (``build_field``), so its flow carries the coordinates
+        alike."""
+        carried, swaps, bit = self._carried, self.swaps, self.complex.bit
+        walked = []
+        while key not in carried:
+            swap = swaps.get(key)
+            if swap is None:  # critical, or no 0-set, which the sink check refuses
+                carried[key] = {}
+                break
             if len(walked) == self._most:
-                raise StructuralError(f"the flow from {v!r} does not end")
-            walked.append(v)
-            v = self._step(v)[2]
-        sinks.update(dict.fromkeys(walked, sinks[v]))
-        return sinks[v]
+                raise StructuralError(f"the flow from {_set_of(bit, walked[0][0])!r} does not end")
+            far = self._far(key, swap)[0]
+            walked.append((key, swap[0], far))
+            key += bit[far] - bit[swap[0]]
+        moved = carried[key]
+        for key, old, far in reversed(walked):
+            moved = dict(moved)
+            moved[old] = moved.pop(far, far)
+            carried[key] = moved
+        return moved
 
 
 class _Partners(Mapping):
@@ -253,10 +308,15 @@ class _QuotientPartners(_Partners):
         # The partner's set key trades old's bit for new's; a repeated
         # coordinate carries, so it names no set of the table.
         old, new = swap
-        bit = cx.fm.bit
+        bit = cx.bit
         if new not in bit or key - bit[old] + bit[new] not in self._swaps:
             raise StructuralError(f"{_swapped(cell, swap)!r} is not a cell of the upstairs complex")
         return cx.rotate(_swapped(cell, swap))
+
+
+def _set_of(bit: dict[Coord, int], key: int) -> Cell:
+    """The coordinates named by a set key, in rank order."""
+    return tuple(coord for coord, b in bit.items() if key & b)
 
 
 def _swapped(cell: Cell, swap: Swap) -> Cell:
@@ -284,8 +344,7 @@ def _check_swaps(cx: CubeComplex, swaps: dict[int, Optional[Swap]]) -> None:
                 or swaps.get(key - bit[old] + bit[new]) != (new, old)
                 or (old.__class__ is int) is (new.__class__ is int)
             ):
-                c = tuple(coord for coord, b in bit.items() if key & b)
-                raise StructuralError(f"matching is not an involution at {c!r}")
+                raise StructuralError(f"matching is not an involution at {_set_of(bit, key)!r}")
 
 
 def _classify_set(c: Cell, cx: CubeComplex) -> Optional[Swap]:
@@ -410,12 +469,22 @@ def build_field(cx: Union[CubeComplex, QuotientComplex], upstairs: Optional[Grad
     tree (``covering.maximal_tree`` and ``covering.tree_parents``) span the
     1-skeleton as a tree.  That is as strong as a check that V - 1 edges
     reach every 0-cell, without a walk over every 0-cell.
+
+    The same two facts carry the sinks (``GradientField.sink``).  Upstairs
+    the flow of sigma c is sigma applied to c's flow, so sink(sigma c) ==
+    sigma sink(c): the sink of any ordering is its own coordinates, each
+    moved where the flow of its set moves it, in place.  In the quotient
+    each step is the projection of the upstairs one, so the sink of a
+    representative is its upstairs sink rotated to a representative.  Both
+    read the swap table alone, one walk per 0-set.
     """
     if isinstance(cx, QuotientComplex):
         if upstairs is None or upstairs.complex is not cx.fm:
             raise InvalidParameterError("upstairs field is not build_field's field of the quotient's complex")
         critical = {d: [c for c in upstairs.critical(d) if cx.has(c)] for d in cx.sets_by_dim}
-        return GradientField(cx, _QuotientPartners(cx, upstairs.swaps), critical, upstairs.swaps)
+        field = GradientField(cx, _QuotientPartners(cx, upstairs.swaps), critical, upstairs.swaps)
+        field._carried = upstairs._carried
+        return field
     if upstairs is not None:
         raise InvalidParameterError("a configuration complex's field is built without an upstairs field")
     swaps: dict[int, Optional[Swap]] = {}

@@ -8,9 +8,10 @@ import pytest
 import braidbu.decide as dec
 import braidbu.fundgroup as fundgroup
 import braidbu.morse as morse
-from braidbu.cli import main
+from braidbu.cli import _components, main
+from braidbu.complexes import build_dconf, build_quotient, components
 from braidbu.errors import StructuralError
-from braidbu.graphs import emit_graph_text, make_lollipop, make_star
+from braidbu.graphs import emit_graph_text, make_cycle, make_lollipop, make_path, make_star
 from braidbu.oracle import run_suite
 
 
@@ -82,6 +83,19 @@ class TestDconf:
         assert lines["chi"] == "-1"
         assert lines["orbits"] == "15"
 
+    @pytest.mark.parametrize(
+        "graph, m, count",
+        [(make_lollipop(3), 3, 1), (make_path(5), 3, 6), (make_cycle(6), 4, 6)],
+        ids=["lollipop-m3", "path(5)-m3", "cycle(6)-m4"],
+    )
+    def test_stats_components_equal_the_1_skeleton_walk(self, graph, m, count):
+        # Read off the Morse skeleton (tests/test_fundgroup.py::TestSkeleton
+        # runs that on more graphs); a cycle has no leaf to root a gradient
+        # field at, so its 1-skeleton is walked.
+        cx = build_dconf(graph, m)
+        q = build_quotient(cx)
+        assert _components(cx, cx) == components(cx) == count
+        assert _components(cx, q) == components(q)
 
 class TestMorseAndPi1:
     def test_critical_counts(self, capsys):

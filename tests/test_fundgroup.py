@@ -22,7 +22,7 @@ from braidbu.covering import (
 from braidbu.decide import tree_system
 from braidbu.errors import InvalidParameterError, StructuralError
 from braidbu.fundgroup import BraidSystem, GeneratorId, get_system
-from braidbu.graphs import make_path, make_star
+from braidbu.graphs import make_lollipop, make_path, make_star
 from braidbu.morse import build_field
 from braidbu.oracle import chi_oracle
 from braidbu.perms import Perm
@@ -102,15 +102,18 @@ class TestMaximalTrees:
             tree_parents(field.critical(0), ends, field.sink(sys3.fm.base))
 
 
-# (graph, particles, components of the 1-skeleton); the stars are the benchmark's tree targets.
+# (graph, particles, components of the 1-skeleton); the stars are the
+# benchmark's tree targets, and `dconf stats` reads its components this way.
 SKELETONS = {
     **{
         f"star({legs},{length})-n{n}": (make_star(legs, length), n, 1)
         for legs, length, n in ((3, 2, 2), (4, 3, 2), (5, 2, 2), (3, 2, 3), (4, 2, 3), (3, 3, 3), (5, 2, 3))
     },
+    **{f"lollipop-m{m}": (make_lollipop(m), m, 1) for m in (2, 3, 4, 5)},
     "claw-n3": (make_star(3, 1), 3, 6),
     "path(3)-m2": (make_path(3), 2, 2),
     "path(5)-m3": (make_path(5), 3, 6),
+    "path(7)-m4": (make_path(7), 4, 24),
 }
 
 

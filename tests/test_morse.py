@@ -295,19 +295,60 @@ class TestForest:
                 assert _label(v, cx) == _label(sink, cx)
 
     @pytest.mark.parametrize(
-        "partner, error", [(("a", 0), "not an end of its partner"), (("a3", 0), "does not end")],
-        ids=["off-its-partner", "cycle"],
+        "cell, swap, error",
+        [
+            ((0, 2), (2, "a"), "not an end of its partner"),
+            ((0, 2), (2, "a3"), "does not end"),
+            ((1, 2), (2, "a2"), "not a critical 0-cell"),
+        ],
+        ids=["off-its-partner", "cycle", "onto-a-repeat"],
     )
-    def test_flow_of_an_unchecked_matching_is_refused(self, sys2, partner, error):
-        # 'a' joins 1 and 3, not 2; 'a3' leads from (2, 0) to (3, 0), which
-        # is matched with ('a3', 0) and leads back.
-        field = sys2.field_fm
-        altered = GradientField(
-            sys2.fm, {**field.classes, (2, 0): partner}, {d: field.critical(d) for d in (0, 1, 2)}, field.swaps
-        )
-        for walk in (altered.flow, altered.sink):
-            with pytest.raises(StructuralError, match=error):
-                walk((2, 0))
+    @pytest.mark.parametrize("level", ["up", "down"])
+    def test_flow_of_an_unchecked_matching_is_refused(self, cell, swap, error, level):
+        # The set {0, 2} swaps its 2 for 'a', which joins 1 and 3, not 2;
+        # or for 'a3', which moves 2 to 3, and {0, 3} swaps its 3 for 'a3'
+        # and moves it back.  {1, 2} moves its 2 to 1, which it holds.  The
+        # table is checked when the field is built; changed after that, the
+        # flow refuses it as it walks.
+        field_fm, field_q = build_fields(make_lollipop(2), 2)
+        field_fm.swaps[field_fm.complex.set_key(cell)] = swap
+        field = field_fm if level == "up" else field_q
+        for v in (cell, cell[::-1]) if level == "up" else (cell,):
+            for walk in (field.flow, field.sink):
+                with pytest.raises(StructuralError, match=error):
+                    walk(v)
+
+    @pytest.mark.parametrize(
+        "level, v",
+        [("up", (0, 0)), ("up", (0, 9)), ("up", (0, "a2")), ("down", (2, 0)), ("down", (0, 0)), ("down", (0, "a2"))],
+        ids=["up-repeated", "up-unknown", "up-edge", "down-not-representative", "down-repeated", "down-edge"],
+    )
+    def test_flow_from_a_tuple_off_the_level_is_refused(self, level, v):
+        # Upstairs a 0-cell; in the quotient, a representative of one.
+        field = dict(zip(("up", "down"), build_fields(make_lollipop(2), 2)))[level]
+        for walk in (field.flow, field.sink):
+            with pytest.raises(InvalidParameterError, match="not a 0-cell"):
+                walk(v)
+
+    @QUOTIENT_CASES
+    def test_flow_equals_the_walk_one_0_cell_at_a_time(self, graph, m):
+        # The oracle walks one 0-cell at a time: each 0-cell's partner edge
+        # from ``classes``, then the edge's ends from the complex's
+        # ``edge_endpoints``.
+        for field in build_fields(graph, m):
+            cx, classes, steps = field.complex, field.classes, {}
+            for v in cx.cells_unsorted(0):
+                walk, cur = [], v
+                while classes[cur] is not None:
+                    if cur not in steps:
+                        edge = classes[cur]
+                        src, tgt = cx.edge_endpoints(edge)
+                        assert cur in (src, tgt)
+                        steps[cur] = (edge, 1, tgt) if cur == src else (edge, -1, src)
+                    edge, sign, cur = steps[cur]
+                    walk.append((edge, sign))
+                assert field.flow(v) == (walk, cur)
+                assert field.sink(v) == cur
 
 
 def _field_with(monkeypatch, overrides):
