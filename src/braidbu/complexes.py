@@ -15,12 +15,12 @@ since their coordinates are distinct, and exactly one rotation of a cell
 puts its smallest-key coordinate first: the orbit's representative.  So
 the quotient is a view of the same sets, with nothing of its own stored: its
 cells are the orderings of a set that keep the set's smallest coordinate
-first, ``project`` rotates a cell's smallest-key coordinate to the front,
-and an orbit's members are rotated out of its representative on demand.
-On both levels the cells are listed only on demand (``cells_by_dim``,
-sorted; ``cells_unsorted``, streamed set by set), one listing class that
-keeps a set's first ``fixed`` coordinates in place: none upstairs, one in
-the quotient.
+first, and an orbit's members are rotated out of its representative on
+demand.  So one class serves both levels, and the quotient differs only
+in where it puts a cell (``place``, ``project``) and which tuples it has.
+The cells are listed only on demand (``cells_by_dim``, sorted;
+``cells_unsorted``, streamed set by set), keeping a set's first ``fixed``
+coordinates in place: none upstairs, one in the quotient.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from collections.abc import Mapping, Sequence
 from itertools import permutations
 from math import comb, factorial
 from operator import lt
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .errors import InvalidParameterError, PreconditionError, StructuralError
 from .graphs import Coord, Graph, find, is_sufficiently_subdivided, join
@@ -37,10 +37,9 @@ from .perms import Perm
 Cell = tuple[Coord, ...]
 
 # build_dconf refuses complexes of more than MAX_CELLS ordered cells before
-# enumerating them.  The builds store one entry per coordinate set, but the
-# upstairs critical lists hold every ordering, m! per set, and so does
-# `dconf stats`'s union-find on a graph without a leaf: lollipop m=6
-# (7 490 160 cells) fits, m=7 (283 318 560) is refused.
+# enumerating them: the upstairs critical lists, and `dconf stats` on a graph
+# without a leaf, touch every ordering.  Lollipop m=6 (7 490 160 cells) fits;
+# m=7 is refused by its 0-cells alone (at least 17 297 280, ``check_room``).
 MAX_CELLS = 8_000_000
 
 
@@ -53,77 +52,27 @@ def act(sigma: Perm, cell: Cell) -> Cell:
     return tuple(cell[v - 1] for v in sigma.images)
 
 
-class _CellComplex:
-    """The cell API shared by a configuration complex and its quotient.
-
-    Both are read off ``sets_by_dim``, each coordinate set of m graph cells
-    once, as its ascending tuple.  A cell is an ordering of a set that keeps
-    its first ``fixed`` coordinates in place, so each set has (m - fixed)!
-    cells.  Subclasses answer ``has`` and ``set_key``.
-    """
-
-    graph: Graph
-    m: int
-    fixed: int
-    sets_by_dim: dict[int, tuple[Cell, ...]]
-
-    def sort_key(self, cell: Cell):
-        return tuple(map(self.graph.coord_keys.__getitem__, cell))
-
-    @property
-    def cells_by_dim(self) -> dict[int, Sequence[Cell]]:
-        """The cells of each dimension, listed in sort order when iterated;
-        the lengths are counts."""
-        return {d: _Orderings(self, d) for d in self.sets_by_dim}
-
-    def all_cells(self) -> Iterator[Cell]:
-        for d in sorted(self.sets_by_dim):
-            yield from _Orderings(self, d)
-
-    def num_cells(self, dim: int) -> int:
-        return factorial(self.m - self.fixed) * len(self.sets_by_dim.get(dim, ()))
-
-    def cells_unsorted(self, dim: int) -> Iterator[Cell]:
-        """The cells of the dimension, one set at a time, made as they are
-        read and not sorted."""
-        fixed = self.fixed
-        return (s[:fixed] + rest for s in self.sets_by_dim.get(dim, ()) for rest in permutations(s[fixed:]))
-
-    @property
-    def top_dim(self) -> int:
-        return max(self.sets_by_dim)
-
-
-class _Orderings(Sequence):
-    """One dimension's cells on either level, listed in sort order when
-    iterated or indexed; its length is a count."""
-
-    def __init__(self, cx: _CellComplex, dim: int):
-        self._cx = cx
-        self._dim = dim
-
-    def __len__(self) -> int:
-        return self._cx.num_cells(self._dim)
-
-    def __iter__(self) -> Iterator[Cell]:
-        return iter(sorted(self._cx.cells_unsorted(self._dim), key=self._cx.sort_key))
-
-    def __getitem__(self, index):
-        return list(self)[index]
-
-
-class CubeComplex(_CellComplex):
-    """The m-particle configuration complex of a graph, stored by coordinate set.
+class CubeComplex:
+    """The m-particle configuration complex of a graph, stored by coordinate
+    set; ``QuotientComplex`` is this class with another ``place``.
 
     ``sets_by_dim`` lists, per dimension and in sort order, each coordinate
-    set once, as its ascending tuple; the cells are every ordering of them
-    (``fixed`` is 0).  ``rank`` numbers the graph cells in key order,
-    ``bit`` gives each the bit of its rank, and ``set_key`` adds the bits
-    of a cell's coordinates.  ``counts`` is ``count_sets(graph, m)``, which
-    construction checks the sets against (``_check_sets``).
+    set once, as its ascending tuple.  A cell is an ordering of a set that
+    keeps its first ``fixed`` coordinates in place, so each set has
+    (m - fixed)! cells: every ordering here (``fixed`` is 0).  ``rank``
+    numbers the graph cells in key order, ``bit`` gives each the bit of its
+    rank, and ``set_key`` adds the bits of a cell's coordinates.  ``counts``
+    is ``count_sets(graph, m)``, which construction checks the sets against
+    (``_check_sets``).
+
+    ``place`` puts a cell on the level, unchecked, and ``project`` is the
+    covering map onto it, checked in the quotient: here both are the
+    identity, unchecked, since the flow reads upstairs ends on its hot path.
     """
 
     fixed = 0
+    # ``tuple`` of a tuple is the tuple, without a Python-level call.
+    place = project = staticmethod(tuple)
 
     def __init__(self, graph: Graph, m: int, sets_by_dim: dict[int, tuple[Cell, ...]], counts: Sequence[int]):
         self.graph = graph
@@ -157,6 +106,32 @@ class CubeComplex(_CellComplex):
                     )
                 last = ranks
 
+    def sort_key(self, cell: Cell):
+        return tuple(map(self.graph.coord_keys.__getitem__, cell))
+
+    @property
+    def cells_by_dim(self) -> dict[int, Sequence[Cell]]:
+        """The cells of each dimension, listed in sort order when iterated;
+        the lengths are counts."""
+        return {d: _Orderings(self, d) for d in self.sets_by_dim}
+
+    def all_cells(self) -> Iterator[Cell]:
+        for d in sorted(self.sets_by_dim):
+            yield from _Orderings(self, d)
+
+    def num_cells(self, dim: int) -> int:
+        return factorial(self.m - self.fixed) * len(self.sets_by_dim.get(dim, ()))
+
+    def cells_unsorted(self, dim: int) -> Iterator[Cell]:
+        """The cells of the dimension, one set at a time, made as they are
+        read and not sorted."""
+        fixed = self.fixed
+        return (s[:fixed] + rest for s in self.sets_by_dim.get(dim, ()) for rest in permutations(s[fixed:]))
+
+    @property
+    def top_dim(self) -> int:
+        return max(self.sets_by_dim)
+
     def set_key(self, cell: Cell) -> int:
         """The name of the cell's coordinate set, whatever their order: the
         sum of one bit per coordinate.  A repeated coordinate carries, so a
@@ -178,17 +153,21 @@ class CubeComplex(_CellComplex):
         return True
 
     def facets(self, cell: Cell) -> tuple[Cell, ...]:
-        """The 2d codimension-one faces, pairing each edge coordinate with its ends."""
-        out = []
+        """The 2d codimension-one faces of the cell's projection, pairing
+        each edge coordinate with its ends, placed on the level."""
+        cell, place, out = self.project(cell), self.place, []
         for r, coord in enumerate(cell):
             if isinstance(coord, str):
                 e = self.graph.edge_by_name[coord]
-                out.append(cell[:r] + (e.lo,) + cell[r + 1:])
-                out.append(cell[:r] + (e.hi,) + cell[r + 1:])
+                out.append(place(cell[:r] + (e.lo,) + cell[r + 1:]))
+                out.append(place(cell[:r] + (e.hi,) + cell[r + 1:]))
         return tuple(out)
 
     def edge_endpoints(self, cell: Cell) -> tuple[Cell, Cell]:
-        """(source, target) of a 1-cell, following the graph edge orientation."""
+        """(source, target) of a 1-cell's projection, following the graph
+        edge orientation, placed on the level.  The ends of a cell are cells,
+        so only the cell is checked, by the quotient's ``project``."""
+        cell = self.project(cell)
         r = -1
         for i, c in enumerate(cell):
             if c.__class__ is str:
@@ -197,9 +176,43 @@ class CubeComplex(_CellComplex):
                 r = i
         else:
             if r >= 0:
-                e = self.graph.edge_by_name[cell[r]]
-                return (cell[:r] + (e.lo,) + cell[r + 1:], cell[:r] + (e.hi,) + cell[r + 1:])
+                e, place = self.graph.edge_by_name[cell[r]], self.place
+                return (place(cell[:r] + (e.lo,) + cell[r + 1:]), place(cell[:r] + (e.hi,) + cell[r + 1:]))
         raise InvalidParameterError(f"not a 1-cell: {cell!r}")
+
+
+class _Orderings(Sequence):
+    """One dimension's cells on either level, listed in sort order when
+    iterated or indexed; its length is a count."""
+
+    def __init__(self, cx: CubeComplex, dim: int):
+        self._cx = cx
+        self._dim = dim
+
+    def __len__(self) -> int:
+        return self._cx.num_cells(self._dim)
+
+    def __iter__(self) -> Iterator[Cell]:
+        return iter(sorted(self._cx.cells_unsorted(self._dim), key=self._cx.sort_key))
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+
+def check_room(vertices: int, m: int) -> None:
+    """Refuse m particles on a graph of this many vertices when its ordered
+    0-cells alone, perm(vertices, m) since any m distinct vertices form one,
+    number more than ``MAX_CELLS``, or none.  The product stops as soon as
+    it passes the bound, so a huge m costs nothing."""
+    if m > vertices:
+        raise PreconditionError(f"no room for {m} particles on this graph")
+    count = 1
+    for factor in range(vertices, vertices - m, -1):
+        count *= factor
+        if count > MAX_CELLS:
+            raise PreconditionError(
+                f"the {m}-particle complex has at least {count} ordered 0-cells, more than {MAX_CELLS}"
+            )
 
 
 def build_dconf(graph: Graph, m: int) -> CubeComplex:
@@ -213,11 +226,13 @@ def build_dconf(graph: Graph, m: int) -> CubeComplex:
     dimension.  A prefix carries the union of its closures as a bit mask of
     vertices, and its count of edge coordinates, so a finished set goes
     straight into its dimension.  Complexes of more than ``MAX_CELLS``
-    ordered cells are refused, counted first by ``count_sets``, whose
-    counts the complex is then checked against.
+    ordered cells are refused: first by their 0-cells alone
+    (``check_room``), before any other work, then by every cell, counted by
+    ``count_sets``, whose counts the complex is then checked against.
     """
     if m < 1:
         raise InvalidParameterError(f"need m >= 1, got {m}")
+    check_room(graph.num_vertices, m)
     if not is_sufficiently_subdivided(graph, m):
         raise PreconditionError(f"graph is not sufficiently subdivided for {m} particles")
     counts = count_sets(graph, m)
@@ -241,8 +256,6 @@ def build_dconf(graph: Graph, m: int) -> CubeComplex:
                 extend(prefix + (c,), used | mask, dim + is_edge, k + 1)
 
     extend((), 0, 0, 0)
-    if not sets[0]:
-        raise PreconditionError(f"no room for {m} particles on this graph")
     return CubeComplex(graph, m, {d: tuple(cells) for d, cells in enumerate(sets) if cells}, counts)
 
 
@@ -335,7 +348,7 @@ def _tree_matchings(graph: Graph, top: int, deleted: tuple[int, ...]) -> list[in
     return total
 
 
-class QuotientComplex(_CellComplex):
+class QuotientComplex(CubeComplex):
     """Quotient of a configuration complex by the cyclic rotation action,
     read off the complex's coordinate sets with nothing of its own stored.
 
@@ -347,9 +360,10 @@ class QuotientComplex(_CellComplex):
     orbit's representative.  A set's ascending tuple has its smallest-key
     coordinate first, so the representatives of its (m-1)! orbits are that
     coordinate followed by each ordering of the rest (``fixed`` is 1), and
-    ``cells_by_dim`` lists them in sort order.  ``has`` is a cell upstairs
-    whose first coordinate has the smallest rank, ``project`` the rotation
-    to that, and ``members_of[rep]`` lists the orbit as rep rotated left by
+    ``cells_by_dim`` lists them in sort order.  ``place`` is the rotation
+    to that, ``project`` the same after checking the tuple is a cell
+    upstairs, ``has`` a cell upstairs whose first coordinate has the
+    smallest rank, and ``members_of[rep]`` the orbit as rep rotated left by
     0..m-1 places, made on demand.
     """
 
@@ -360,70 +374,61 @@ class QuotientComplex(_CellComplex):
         self.graph = fm.graph
         self.m = fm.m
         self.sets_by_dim = fm.sets_by_dim
-        self._rank = fm.rank
-        self.set_key, self.bit = fm.set_key, fm.bit  # a representative is a cell upstairs
+        self.rank, self.bit = fm.rank, fm.bit  # a representative is a cell upstairs
         self.members_of: Mapping[Cell, tuple[Cell, ...]] = _Orbits(self)
         self.base: Cell = fm.base  # ascending, so a representative
+
+    def place(self, cell: Cell) -> Cell:
+        """The cell rotated to put its smallest-key coordinate first: its
+        orbit's representative, unchecked."""
+        ranks = list(map(self.rank.__getitem__, cell))
+        first = ranks.index(min(ranks))
+        return cell[first:] + cell[:first]
+
+    def project(self, cell: Cell) -> Cell:
+        """The representative of the cell's orbit.  Raises KeyError on a
+        non-cell."""
+        if not self.fm.has(cell):
+            raise KeyError(cell)
+        return self.place(cell)
 
     def has(self, cell: Cell) -> bool:
         """Whether the tuple is an orbit's representative."""
         if not self.fm.has(cell):
             return False
-        rank = self._rank
+        rank = self.rank
         return min(map(rank.__getitem__, cell)) == rank[cell[0]]
 
-    def project(self, cell: Cell) -> Cell:
-        """The representative of the cell's orbit: the cell rotated to put
-        its smallest-key coordinate first.  Raises KeyError on a non-cell."""
-        if not self.fm.has(cell):
-            raise KeyError(cell)
-        return self.rotate(cell)
 
-    def rotate(self, cell: Cell) -> Cell:
-        """The cell rotated to put its smallest-key coordinate first, unchecked."""
-        ranks = list(map(self._rank.__getitem__, cell))
-        first = ranks.index(min(ranks))
-        return cell[first:] + cell[:first]
+class CellMap(Mapping):
+    """A mapping keyed by the cells of a level, its values made when asked
+    for; its length is a count."""
 
-    def facets(self, cell: Cell) -> tuple[Cell, ...]:
-        return tuple(self.project(f) for f in self.fm.facets(cell))
-
-    def edge_endpoints(self, cell: Cell) -> tuple[Cell, Cell]:
-        """The projections of the upstairs ends.  Each end puts an end of the
-        edge coordinate in its place, inside its closure, so the ends of a
-        cell are cells and only the cell is checked."""
-        if not self.fm.has(cell):
-            raise KeyError(cell)
-        src, tgt = self.fm.edge_endpoints(cell)
-        return (self.rotate(src), self.rotate(tgt))
-
-
-class _Orbits(Mapping):
-    """Each representative's orbit, rotated out of it when asked for."""
-
-    def __init__(self, q: QuotientComplex):
-        self._q = q
-
-    def __getitem__(self, rep: Cell) -> tuple[Cell, ...]:
-        if not self._q.has(rep):
-            raise KeyError(rep)
-        return tuple(rep[t:] + rep[:t] for t in range(len(rep)))
+    def __init__(self, cx: CubeComplex):
+        self._cx = cx
 
     def __iter__(self) -> Iterator[Cell]:
-        return self._q.all_cells()
+        return self._cx.all_cells()
 
     def __len__(self) -> int:
-        return sum(map(self._q.num_cells, self._q.sets_by_dim))
+        return sum(map(self._cx.num_cells, self._cx.sets_by_dim))
+
+
+class _Orbits(CellMap):
+    """Each representative's orbit, rotated out of it when asked for."""
+
+    def __getitem__(self, rep: Cell) -> tuple[Cell, ...]:
+        if not self._cx.has(rep):
+            raise KeyError(rep)
+        return tuple(rep[t:] + rep[:t] for t in range(len(rep)))
 
 
 def build_quotient(fm: CubeComplex) -> QuotientComplex:
     return QuotientComplex(fm)
 
 
-Complex = Union[CubeComplex, QuotientComplex]
 
-
-def _component_roots(cx: Complex) -> dict[Cell, Cell]:
+def _component_roots(cx: CubeComplex) -> dict[Cell, Cell]:
     """The root of each 0-cell's component of the 1-skeleton.  The 1-cells
     are read unsorted, one at a time, and not kept."""
     parent = {v: v for v in cx.cells_unsorted(0)}
@@ -432,23 +437,21 @@ def _component_roots(cx: Complex) -> dict[Cell, Cell]:
     return {v: find(parent, v) for v in parent}
 
 
-def components(cx: Complex) -> int:
+def components(cx: CubeComplex) -> int:
     """Number of connected components of the 1-skeleton."""
     roots = _component_roots(cx)
     return len(set(roots.values()))
 
 
-def chi_by_component(cx: Complex) -> dict[Cell, int]:
+def chi_by_component(cx: CubeComplex) -> dict[Cell, int]:
     """Euler characteristic of each component, keyed by a root 0-cell."""
     roots = _component_roots(cx)
     out: dict[Cell, int] = {}
     for d in cx.cells_by_dim:
         sign = 1 if d % 2 == 0 else -1
         for cell in cx.cells_unsorted(d):
-            corner = tuple(
+            corner = cx.place(tuple(
                 c if isinstance(c, int) else cx.graph.edge_by_name[c].lo for c in cell
-            )
-            if isinstance(cx, QuotientComplex):
-                corner = cx.project(corner)
+            ))
             out[roots[corner]] = out.get(roots[corner], 0) + sign
     return out

@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from typing import Optional
 
-from .complexes import Cell, act
+from .complexes import Cell, act, check_room
 from .covering import Covering, build_fields
 # Bound here as well: perfbench/tracing.py patches it by looking up fundgroup.maximal_tree.
 from .covering import maximal_tree  # noqa: F401
@@ -100,6 +100,7 @@ class BraidSystem(Covering):
     def __init__(self, m: int):
         if m < 2:
             raise InvalidParameterError(f"need m >= 2, got {m}")
+        check_room(2 * m, m)  # the lollipop has 2m vertices; refused before it is built
         self.field_fm, self.field_q = build_fields(make_lollipop(m), m)
         super().__init__(self.field_fm, self.field_q)
 
@@ -227,8 +228,9 @@ class BraidSystem(Covering):
 @lru_cache(maxsize=None)
 def get_system(m: int) -> BraidSystem:
     """The lollipop system for m particles, built once per process.  The
-    cache needs no bound: ``build_dconf`` refuses a complex of more than
-    ``complexes.MAX_CELLS`` ordered cells, which stops m at 6, so at most
-    one system per m = 2..6 is ever kept."""
+    cache needs no bound: ``BraidSystem`` refuses a complex of more than
+    ``complexes.MAX_CELLS`` ordered 0-cells before building anything
+    (``complexes.check_room``), which stops m at 6, so at most one system
+    per m = 2..6 is ever kept."""
     return BraidSystem(m)
 

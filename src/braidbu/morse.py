@@ -11,27 +11,29 @@ does.  A cell is redundant when its smallest unblocked vertex v lies below
 i(e) for every order-respecting edge e, and pairs with v grown into e(v).
 It is collapsible when its smallest order-respecting edge e has i(e) below
 every unblocked vertex, and pairs with e shrunk to i(e).  Every other cell
-is critical.  The field is stored as this matching (Forman, "Morse theory
-for cell complexes", Adv. Math. 134, 1998): each cell maps to its partner,
-or to None when critical, and a cell's kind is read off its partner's
-dimension.  Building a field checks that the matching is an involution on
-cells one dimension apart.
+is critical.  The field is this matching (Forman, "Morse theory for cell
+complexes", Adv. Math. 134, 1998): each cell maps to its partner, or to
+None when critical.  Building a field checks that the matching is an
+involution on cells one dimension apart.
 
 The rule reads a cell's coordinates, not their places, so it commutes with
-permuting coordinates.  The upstairs field is stored by coordinate set,
-as the complex is: it classifies each set's ascending tuple, whose partner
+permuting coordinates.  The upstairs field is stored by coordinate set, as
+the complex is: it classifies each set's ascending tuple, whose partner
 changes one coordinate, a swap (old, new), and keeps only that swap, or
 None, under the set's key.  The partner of any ordering is the same swap
-made in its own places (``classes`` reads it on demand).  The ascending
-cell's one-place rotation, the deck generator of the cyclic quotient, is
-classified directly as a check on that translation, and the involution is
-checked once per set, on the table; the sets themselves were checked
-against their closed-form counts when the complex was made.  The matching
-of a cyclic quotient is read off the same table: a representative's
-partner is its set's swap made in its own places and rotated back to a
-representative.  Rotation permutes places, so that pairs back as the
-upstairs matching does, and nothing is classified or checked again.  One
-field class holds either matching, with the swap table it was read off.
+made in its own places (``classes`` reads it on demand), and a cell's kind
+is its set's: redundant when the swap puts an edge in, collapsible when it
+takes one out (``kind``, ``census``).  The ascending cell's one-place
+rotation, the deck generator of the cyclic quotient, is classified directly
+as a check on that translation, and the involution is checked once per set,
+on the table; the sets themselves were checked against their closed-form
+counts when the complex was made.  The matching of a cyclic quotient is
+read off the same table: a representative's partner is its set's swap made
+in its own places and rotated back to a representative.  Rotation permutes
+places, so that pairs back as the upstairs matching does, and nothing is
+classified or checked again.  So one field class serves both levels, built
+from the table alone: they differ only in the complex's ``place``
+(``CubeComplex``).
 
 The 0-cells and the 1-cells matched with them form a maximal forest, and
 each of its trees holds one critical 0-cell.  The flow follows it: a
@@ -50,13 +52,14 @@ order.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Mapping
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import permutations
+from math import factorial
 from operator import ne
-from typing import Optional, Union
+from typing import Optional
 
-from .complexes import Cell, CubeComplex, QuotientComplex, cell_dim
+from .complexes import Cell, CellMap, CubeComplex, QuotientComplex, cell_dim
 from .errors import InvalidParameterError, StructuralError
 from .graphs import Coord, Graph
 from .perms import Perm, sorting_permutation
@@ -125,24 +128,22 @@ Swap = tuple[Coord, Coord]  # (old, new): the partner has new in old's place
 
 
 class GradientField:
-    """A discrete gradient field as its matching: ``classes`` maps every cell
-    to its partner, or to None when the cell is critical.  ``critical``
-    holds the critical cells of each dimension in ``cells_by_dim`` order,
-    as ``build_field`` finds them.  ``swaps`` is the upstairs table that
-    ``build_field`` reads the matching off, on either level, and that the
-    flow reads its steps off."""
+    """A discrete gradient field on either level, read off the upstairs swap
+    table ``swaps`` alone.  ``classes`` maps every cell of the level to its
+    partner, or to None, made on demand.  ``critical`` holds the critical
+    cells of each dimension in ``cells_by_dim`` order: the orderings of the
+    critical sets that keep their first ``fixed`` coordinates in place."""
 
-    def __init__(
-        self,
-        cx: Union[CubeComplex, QuotientComplex],
-        classes: Mapping[Cell, Optional[Cell]],
-        critical: Mapping[int, Iterable[Cell]],
-        swaps: dict[int, Optional[Swap]],
-    ):
+    def __init__(self, cx: CubeComplex, swaps: dict[int, Optional[Swap]]):
         self.complex = cx
-        self.classes = classes
         self.swaps = swaps
-        self._critical = {d: tuple(cells) for d, cells in critical.items()}
+        self.classes: Mapping[Cell, Optional[Cell]] = _Partners(cx, swaps)
+        fixed, critical = cx.fixed, {d: [] for d in cx.sets_by_dim}
+        for key, swap in swaps.items():
+            if swap is None:
+                s = _set_of(cx.bit, key)
+                critical[cell_dim(s)].extend(s[:fixed] + rest for rest in permutations(s[fixed:]))
+        self._critical = {d: tuple(sorted(cells, key=cx.sort_key)) for d, cells in critical.items()}
         # A critical 0-cell maps to itself, so a flow ends on the field's
         # own tuple.  ``_carried`` holds, by set key, where the coordinates
         # of each 0-set walked from end in its sink set; a quotient field
@@ -150,12 +151,13 @@ class GradientField:
         self._ends = {c: c for c in self.critical(0)}
         self._carried: dict[int, dict[Coord, Coord]] = {}
         self._most = len(cx.sets_by_dim[0])  # no flow visits a 0-set twice
-        # A cell's place on the level: its representative in the quotient,
-        # itself upstairs (``tuple`` of a tuple is the tuple).
-        self._place = cx.rotate if isinstance(cx, QuotientComplex) else tuple
 
     def kind(self, cell: Cell) -> str:
-        return _kind(self.classes[cell], cell_dim(cell))
+        """The cell's kind, read off its set's swap.  Raises KeyError on a
+        tuple that is not a cell of the level."""
+        if not self.complex.has(cell):
+            raise KeyError(cell)
+        return _kind(self.swaps[self.complex.set_key(cell)])
 
     def critical(self, dim: Optional[int] = None) -> tuple[Cell, ...]:
         if dim is not None:
@@ -163,12 +165,14 @@ class GradientField:
         return tuple(c for d in sorted(self._critical) for c in self._critical[d])
 
     def census(self) -> dict[tuple[int, str], int]:
-        out: dict[tuple[int, str], int] = {}
-        classes = self.classes
-        for d, cells in self.complex.cells_by_dim.items():
-            for c in cells:
-                key = (d, _kind(classes[c], d))
-                out[key] = out.get(key, 0) + 1
+        """The number of cells of each (dimension, kind): each set's kind,
+        (m - fixed)! times, without listing an ordering."""
+        cx, swaps, out = self.complex, self.swaps, {}
+        per_set = factorial(cx.m - cx.fixed)
+        for d, sets in cx.sets_by_dim.items():
+            for key in map(cx.set_key, sets):
+                kind = (d, _kind(swaps[key]))
+                out[kind] = out.get(kind, 0) + per_set
         return out
 
     def is_forest_edge(self, edge: Cell) -> bool:
@@ -218,7 +222,7 @@ class GradientField:
             return None
         far, sign = self._far(key, swap)
         r = v.index(swap[0])
-        place = self._place
+        place = self.complex.place
         return place(v[:r] + (swap[1],) + v[r + 1:]), sign, place(v[:r] + (far,) + v[r + 1:])
 
     def flow(self, v: Cell) -> tuple[list[Step], Cell]:
@@ -239,7 +243,7 @@ class GradientField:
         in place to its sink set (``_carry``), placed on the level."""
         self._enter(v)
         carried = self._carry(self.complex.set_key(v))
-        return self._end(self._place(tuple(map(carried.get, v, v))))
+        return self._end(self.complex.place(tuple(map(carried.get, v, v))))
 
     def _carry(self, key: int) -> dict[Coord, Coord]:
         """Where the coordinates of the 0-set ``key`` end in its sink set,
@@ -267,35 +271,16 @@ class GradientField:
         return moved
 
 
-class _Partners(Mapping):
-    """Each cell's partner upstairs, read off its coordinate set's swap:
-    the same swap made in the cell's own places.  Raises KeyError on a
-    tuple that is not a cell."""
+class _Partners(CellMap):
+    """Each cell's partner on its level, read off its coordinate set's swap:
+    the same swap made in the cell's own places, placed on the level
+    (rotated back to a representative in the quotient).  Raises KeyError on
+    a tuple that is not a cell of the level, and StructuralError on a
+    partner that is not a cell upstairs."""
 
-    def __init__(self, cx: Union[CubeComplex, QuotientComplex], swaps: dict[int, Optional[Swap]]):
-        self._cx = cx
+    def __init__(self, cx: CubeComplex, swaps: dict[int, Optional[Swap]]):
+        super().__init__(cx)
         self._swaps = swaps
-
-    def __getitem__(self, cell: Cell) -> Optional[Cell]:
-        # The key lookup refuses m coordinates that order no set of the
-        # table (a repeated one carries and leaves fewer than m bits).
-        if len(cell) != self._cx.m:
-            raise KeyError(cell)
-        swap = self._swaps[self._cx.set_key(cell)]
-        return None if swap is None else _swapped(cell, swap)
-
-    def __iter__(self) -> Iterator[Cell]:
-        return self._cx.all_cells()
-
-    def __len__(self) -> int:
-        return sum(map(self._cx.num_cells, self._cx.sets_by_dim))
-
-
-class _QuotientPartners(_Partners):
-    """Each representative's partner: its set's swap made in its own
-    places, rotated back to its orbit's representative.  Raises KeyError on
-    a tuple that is not a representative, and StructuralError on a partner
-    that is not a cell upstairs."""
 
     def __getitem__(self, cell: Cell) -> Optional[Cell]:
         cx = self._cx
@@ -311,7 +296,7 @@ class _QuotientPartners(_Partners):
         bit = cx.bit
         if new not in bit or key - bit[old] + bit[new] not in self._swaps:
             raise StructuralError(f"{_swapped(cell, swap)!r} is not a cell of the upstairs complex")
-        return cx.rotate(_swapped(cell, swap))
+        return cx.place(_swapped(cell, swap))
 
 
 def _set_of(bit: dict[Coord, int], key: int) -> Cell:
@@ -325,11 +310,12 @@ def _swapped(cell: Cell, swap: Swap) -> Cell:
     return cell[:r] + (swap[1],) + cell[r + 1:]
 
 
-def _kind(partner: Optional[Cell], d: int) -> str:
-    """The kind of a d-cell matched with ``partner``."""
-    if partner is None:
+def _kind(swap: Optional[Swap]) -> str:
+    """The kind of a cell whose set has this swap: redundant when the swap
+    puts an edge in place of a vertex, collapsible when the reverse."""
+    if swap is None:
         return KIND_CRITICAL
-    return KIND_REDUNDANT if cell_dim(partner) > d else KIND_COLLAPSIBLE
+    return KIND_REDUNDANT if swap[1].__class__ is str else KIND_COLLAPSIBLE
 
 
 def _check_swaps(cx: CubeComplex, swaps: dict[int, Optional[Swap]]) -> None:
@@ -383,7 +369,7 @@ def _check_descent(cx: CubeComplex, swaps: dict[int, Optional[Swap]]) -> None:
             raise StructuralError(f"the flow from {c!r} does not move toward the root")
 
 
-def build_field(cx: Union[CubeComplex, QuotientComplex], upstairs: Optional[GradientField]) -> GradientField:
+def build_field(cx: CubeComplex, upstairs: Optional[GradientField]) -> GradientField:
     """Match every cell; a quotient's matching is induced from the upstairs one.
 
     ``upstairs`` is the field of ``cx.fm`` when cx is a quotient, and None
@@ -397,13 +383,13 @@ def build_field(cx: Union[CubeComplex, QuotientComplex], upstairs: Optional[Grad
     ascending cell's one-place rotation ``c[1:] + c[:1]``, the deck
     generator of the cyclic quotient, is classified too and must get that
     translated partner; otherwise the matching is not equivariant and this
-    raises ``StructuralError``.  The critical cells of each dimension are
-    the orderings of the critical sets, in sort order.  On a quotient the
-    same table is read: a representative's partner is its set's swap made
-    in its own places, rotated back to a representative
-    (``_QuotientPartners``), and its critical cells are the representatives
-    among ``upstairs``'s, a list already in sort order.  No cell is
-    classified again.
+    raises ``StructuralError``.  On a quotient the same table is read, and
+    no cell is classified again.  On either level ``GradientField`` reads
+    the rest off the table: a cell's partner is its set's swap made in its
+    own places and put on the level with ``place`` (rotated back to a
+    representative in the quotient; ``_Partners``), and the critical cells
+    of each dimension are the orderings of the critical sets that keep
+    their first ``fixed`` coordinates in place, in sort order.
 
     Both matchings are checked to be involutions on cells one dimension
     apart.  The upstairs one is checked once per coordinate set, in two
@@ -429,8 +415,8 @@ def build_field(cx: Union[CubeComplex, QuotientComplex], upstairs: Optional[Grad
     The quotient's matching needs no check of its own.  A swap is made in
     places, and a rotation rho permutes places, so the upstairs partner of
     rho c is rho of c's partner.  Every upstairs cell c projects to a
-    rotation rho c of itself, so with ``classes_q[r] = project(classes[r])``
-    for a representative r,
+    rotation rho c of itself (``project``, which is ``place`` on a cell), so
+    with ``classes_q[r] = place(classes[r])`` for a representative r,
     ``classes_q[project(c)] == project(classes[rho c]) == project(rho
     classes[c]) == project(classes[c])``.  For a representative r with
     upstairs partner p, that gives ``classes_q[classes_q[r]] ==
@@ -438,7 +424,10 @@ def build_field(cx: Union[CubeComplex, QuotientComplex], upstairs: Optional[Grad
     ``project(p)``, a rotation of p, has p's dimension, one away from r's.
     So the table check above gives the quotient involution too.  A partner
     that is not a cell upstairs, from a table changed after the check, is
-    refused when it is read.
+    refused when it is read.  A representative is critical exactly when its
+    set is, so the quotient's critical cells are the representatives among
+    the upstairs ones: the orderings of the critical sets that keep their
+    smallest-key coordinate, the first of the ascending tuple, in place.
 
     The flow (``GradientField.flow``) is checked once per coordinate set as
     well (``_check_descent``).  Let s(v) be the sum of ``tree_order.number``
@@ -481,25 +470,21 @@ def build_field(cx: Union[CubeComplex, QuotientComplex], upstairs: Optional[Grad
     if isinstance(cx, QuotientComplex):
         if upstairs is None or upstairs.complex is not cx.fm:
             raise InvalidParameterError("upstairs field is not build_field's field of the quotient's complex")
-        critical = {d: [c for c in upstairs.critical(d) if cx.has(c)] for d in cx.sets_by_dim}
-        field = GradientField(cx, _QuotientPartners(cx, upstairs.swaps), critical, upstairs.swaps)
-        field._carried = upstairs._carried
-        return field
-    if upstairs is not None:
+        swaps = upstairs.swaps
+    elif upstairs is not None:
         raise InvalidParameterError("a configuration complex's field is built without an upstairs field")
-    swaps: dict[int, Optional[Swap]] = {}
-    key, critical_sets = cx.set_key, {}
-    for d, sets in cx.sets_by_dim.items():
-        found = critical_sets[d] = []
-        for c in sets:
-            swap = swaps[key(c)] = _classify_set(c, cx)
-            if swap is None:
-                found.append(c)
-    _check_swaps(cx, swaps)
-    _check_descent(cx, swaps)
-    return GradientField(cx, _Partners(cx, swaps), {
-        d: sorted(chain.from_iterable(map(permutations, sets)), key=cx.sort_key) for d, sets in critical_sets.items()
-    }, swaps)
+    else:
+        swaps = {}
+        key = cx.set_key
+        for sets in cx.sets_by_dim.values():
+            for c in sets:
+                swaps[key(c)] = _classify_set(c, cx)
+        _check_swaps(cx, swaps)
+        _check_descent(cx, swaps)
+    field = GradientField(cx, swaps)
+    if upstairs is not None:
+        field._carried = upstairs._carried
+    return field
 
 
 # -- critical edges --------------------------------------------------------

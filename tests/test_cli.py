@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -189,6 +190,8 @@ BAD_INPUTS = {
     "tree-not-subdivided": ("decide", "--target", "tree", "--graph", "{two_essential}", "--n", "5"),
     "wedge-rank-two": ("decide", "--target", "wedge", "--n", "2", "--k", "3", "--r", "2"),
     "too-many-cells": ("pi1", "basis", "--space", "fm", "--m", "7"),
+    "huge-m-basis": ("pi1", "basis", "--space", "fm", "--m", "1000000"),
+    "huge-n-wedge": ("decide", "--target", "wedge", "--n", "1000000", "--k", "1"),
     "tree-reads-no-m": ("decide", "--target", "tree", "--m", "3"),
     "circle-reads-no-r": ("decide", "--target", "circle", "--n", "3", "--class", "1,2,2,2", "--r", "5", "--theta", "7"),
     "wedge-n-differs-from-m": ("decide", "--target", "wedge", "--n", "3", "--m", "4", "--k", "1"),
@@ -261,6 +264,17 @@ class TestBadInput:
         assert "got 3 and 4" in capsys.readouterr().err
         main(list(BAD_INPUTS["interval-reads-no-n"]))
         assert "does not read --n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["huge-m-basis", "huge-n-wedge"])
+    def test_huge_particle_count_is_refused_at_once(self, case, capsys):
+        # The lollipop's ordered 0-cells alone pass the bound, counted with
+        # an early exit before the graph is built.
+        start = time.perf_counter()
+        code = main(list(BAD_INPUTS[case]))
+        seconds = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and "ordered 0-cells" in err
+        assert seconds < 2
 
     def test_fresh_process(self):
         src = Path(__file__).resolve().parent.parent / "src"

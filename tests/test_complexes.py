@@ -155,11 +155,26 @@ class TestCount:
     def test_m5_without_enumerating(self):
         assert count_cells(make_lollipop(5), 5) == 234240
 
+    def test_0_cells_alone_are_bounded_before_the_subdivision_test(self, monkeypatch):
+        # Any m distinct vertices form a 0-cell: perm(V, m) of them.
+        def testing(graph, m):
+            raise AssertionError("ran the subdivision test on an oversized complex")
+
+        monkeypatch.setattr(complexes, "is_sufficiently_subdivided", testing)
+        with pytest.raises(PreconditionError, match="ordered 0-cells"):
+            build_dconf(make_lollipop(7), 7)
+        with pytest.raises(PreconditionError, match="no room for 9 particles"):
+            build_dconf(make_path(8), 9)
+        complexes.check_room(12, 6)  # lollipop m=6: 665 280 0-cells, admitted
+        with pytest.raises(PreconditionError, match="ordered 0-cells"):
+            complexes.check_room(2 * 10**6, 10**6)
+
     def test_oversized_complex_refused_before_enumerating(self):
-        # The bound counts ordered cells, m! per coordinate set.
+        # The bound counts ordered cells, m! per coordinate set; the 0-cells
+        # alone, perm(14, 7), already pass it at m=7.
         assert count_cells(make_lollipop(6), 6) == 7490160 <= MAX_CELLS
         assert count_cells(make_lollipop(7), 7) > MAX_CELLS
-        with pytest.raises(PreconditionError, match="283318560 cells"):
+        with pytest.raises(PreconditionError, match="17297280"):
             build_dconf(make_lollipop(7), 7)
 
     def test_few_sets_with_many_orderings_refused_before_enumerating(self, monkeypatch):
@@ -171,7 +186,8 @@ class TestCount:
             raise AssertionError("enumerated an oversized complex")
 
         monkeypatch.setattr(type(graph), "closure_masks", property(enumerating))
-        with pytest.raises(PreconditionError, match="65681280 cells"):
+        # perm(11, 9) passes the bound after eight factors, 19 958 400.
+        with pytest.raises(PreconditionError, match="19958400"):
             build_dconf(graph, 9)
 
     def test_set_counts_are_computed_once_per_cold_build(self, monkeypatch):
@@ -301,12 +317,16 @@ class TestQuotient:
     def test_has_project_and_partners_refuse_a_non_cell(self, f2, cell):
         q = build_quotient(f2)
         assert not q.has(cell)
-        with pytest.raises(KeyError):
-            q.project(cell)
+        for read in (q.project, q.facets, q.edge_endpoints):
+            with pytest.raises(KeyError):
+                read(cell)
         for field in build_fields(f2.graph, 2):
             with pytest.raises(KeyError):
                 field.classes[cell]
             assert field.classes.get(cell) is None
+            with pytest.raises(KeyError) as refused:
+                field.kind(cell)
+            assert refused.value.args == (cell,)
 
     def test_has_and_partners_refuse_a_cell_that_is_no_representative(self, f2):
         # (2, 0) is a cell upstairs; its orbit's representative is (0, 2).
@@ -316,13 +336,23 @@ class TestQuotient:
         assert q.project((2, 0)) == (0, 2)
         with pytest.raises(KeyError):
             field_q.classes[(2, 0)]
+        with pytest.raises(KeyError):
+            field_q.kind((2, 0))
 
-    def test_projection_commutes_with_facets(self, f2):
-        q = build_quotient(f2)
-        for cell in f2.all_cells():
-            lhs = sorted(map(q.sort_key, q.facets(q.project(cell))))
-            rhs = sorted(map(q.sort_key, (q.project(f) for f in f2.facets(cell))))
-            assert lhs == rhs
+    @pytest.mark.parametrize("graph, m", TARGETS, ids=TARGET_IDS)
+    def test_projection_commutes_with_facets(self, graph, m):
+        # Both levels' faces are written once, over ``place``; the
+        # quotient's are the projections of the upstairs ones.
+        fm = build_dconf(graph, m)
+        q = build_quotient(fm)
+        for d in fm.sets_by_dim:
+            for cell in fm.cells_unsorted(d):
+                rep = q.project(cell)
+                lhs = sorted(map(q.sort_key, q.facets(rep)))
+                rhs = sorted(map(q.sort_key, (q.project(f) for f in fm.facets(cell))))
+                assert lhs == rhs
+                if d == 1:
+                    assert q.edge_endpoints(rep) == tuple(map(q.project, fm.edge_endpoints(cell)))
 
 
 class TestComponents:

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidbu import complexes, decide
+from braidbu import complexes, decide, fundgroup
 from braidbu.complexes import build_dconf, build_quotient, components
 from braidbu.covering import (
     Covering,
@@ -20,7 +20,7 @@ from braidbu.covering import (
     tree_parents,
 )
 from braidbu.decide import tree_system
-from braidbu.errors import InvalidParameterError, StructuralError
+from braidbu.errors import InvalidParameterError, PreconditionError, StructuralError
 from braidbu.fundgroup import BraidSystem, GeneratorId, get_system
 from braidbu.graphs import make_lollipop, make_path, make_star
 from braidbu.morse import build_field
@@ -575,6 +575,16 @@ class TestM5:
             cx = field.complex
             assert not any(field.critical(d) for d in range(2, cx.top_dim + 1))
             assert sum((-1) ** d * cx.num_cells(d) for d in range(cx.top_dim + 1)) == c0 - c1
+
+
+def test_oversized_system_is_refused_before_its_graph_is_built(monkeypatch):
+    def building(m):
+        raise AssertionError("built the graph of an oversized system")
+
+    monkeypatch.setattr(fundgroup, "make_lollipop", building)
+    for m in (7, 10**6):
+        with pytest.raises(PreconditionError, match="ordered 0-cells"):
+            BraidSystem(m)
 
 
 def test_builds_and_decisions_never_list_the_ordered_cells(monkeypatch):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import braidbu.complexes as complexes
 import braidbu.morse as morse
 from braidbu.complexes import (
     CubeComplex,
@@ -19,6 +20,8 @@ from braidbu.errors import InvalidParameterError, StructuralError
 from braidbu.fundgroup import BraidSystem, get_system
 from braidbu.graphs import make_cycle, make_lollipop, make_path, make_star
 from braidbu.morse import (
+    KIND_COLLAPSIBLE,
+    KIND_CRITICAL,
     KIND_REDUNDANT,
     GradientField,
     associated_permutation,
@@ -351,6 +354,13 @@ class TestForest:
                 assert field.sink(v) == cur
 
 
+def _partner_kind(partner, cell):
+    """The kind of a cell matched with ``partner``, by its dimension."""
+    if partner is None:
+        return KIND_CRITICAL
+    return KIND_REDUNDANT if cell_dim(partner) > cell_dim(cell) else KIND_COLLAPSIBLE
+
+
 def _field_with(monkeypatch, overrides):
     """The field of the m=2 lollipop complex, with ``classify_cell``
     answering ``overrides[cell]`` for the cells listed there."""
@@ -538,16 +548,49 @@ class TestSymmetricCensus:
             }
 
 
+class TestOneFieldClass:
+    """Both levels' fields are ``GradientField(cx, swaps)``, read off the
+    upstairs swap table alone."""
+
+    @FIELD_CASES
+    def test_census_reads_the_swap_table(self, graph, m, monkeypatch):
+        # The oracle counts every cell's kind through ``classes``; the
+        # census lists no ordering.
+        fields = build_fields(graph, m)
+        oracles = []
+        for field in fields:
+            cx, counts = field.complex, {}
+            for d in cx.sets_by_dim:
+                for c in cx.cells_unsorted(d):
+                    key = (d, _partner_kind(field.classes[c], c))
+                    counts[key] = counts.get(key, 0) + 1
+            oracles.append(counts)
+
+        def refuse(*args):
+            raise AssertionError("the ordered cells were listed")
+
+        monkeypatch.setattr(complexes._Orderings, "__iter__", refuse)
+        assert [field.census() for field in fields] == oracles
+
+    @QUOTIENT_CASES
+    def test_quotient_critical_cells_are_the_upstairs_representatives(self, graph, m):
+        field_fm, field_q = build_fields(graph, m)
+        q = field_q.complex
+        for d in q.sets_by_dim:
+            assert list(field_q.critical(d)) == [c for c in field_fm.critical(d) if q.has(c)]
+        assert GradientField(q, field_fm.swaps).critical() == field_q.critical()
+        assert GradientField(field_fm.complex, field_fm.swaps).critical() == field_fm.critical()
+
+
 class TestQuotientField:
     @pytest.mark.parametrize("m", [2, 3])
     def test_orbit_classification_matches_members(self, m):
+        # Each member classified on its own, its kind read off its
+        # partner's dimension, against the quotient's kind off the table.
         system = get_system(m)
         q = system.quotient
-        classes = {c: classify_cell(c, system.fm) for c in system.fm.all_cells()}
-        critical = {d: [c for c in cells if classes[c] is None] for d, cells in system.fm.cells_by_dim.items()}
-        fresh = GradientField(system.fm, classes, critical, system.field_fm.swaps)
         for rep in q.all_cells():
-            kinds = {fresh.kind(member) for member in q.members_of[rep]}
+            kinds = {_partner_kind(classify_cell(member, system.fm), member) for member in q.members_of[rep]}
             assert kinds == {system.field_q.kind(rep)}
 
     @FIELD_CASES
