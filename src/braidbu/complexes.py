@@ -17,7 +17,8 @@ the quotient is a view of the same sets, with nothing of its own stored: its
 cells are the orderings of a set that keep the set's smallest coordinate
 first, and an orbit's members are rotated out of its representative on
 demand.  So one class serves both levels, and the quotient differs only
-in where it puts a cell (``place``, ``project``) and which tuples it has.
+in where it puts a cell (``place``, ``project``, and ``_place_ends``, which
+places an edge's ends with one rank comparison each) and which tuples it has.
 The cells are listed only on demand (``cells_by_dim``, sorted;
 ``cells_unsorted``, streamed set by set), keeping a set's first ``fixed``
 coordinates in place: none upstairs, one in the quotient.
@@ -176,9 +177,14 @@ class CubeComplex:
                 r = i
         else:
             if r >= 0:
-                e, place = self.graph.edge_by_name[cell[r]], self.place
-                return (place(cell[:r] + (e.lo,) + cell[r + 1:]), place(cell[:r] + (e.hi,) + cell[r + 1:]))
+                e = self.graph.edge_by_name[cell[r]]
+                return self._place_ends(cell, r, e.lo, e.hi)
         raise InvalidParameterError(f"not a 1-cell: {cell!r}")
+
+    @staticmethod
+    def _place_ends(cell: Cell, r: int, lo: int, hi: int) -> tuple[Cell, Cell]:
+        """The cell with lo, then hi, in place r, placed on the level."""
+        return cell[:r] + (lo,) + cell[r + 1:], cell[:r] + (hi,) + cell[r + 1:]
 
 
 class _Orderings(Sequence):
@@ -391,6 +397,19 @@ class QuotientComplex(CubeComplex):
         if not self.fm.has(cell):
             raise KeyError(cell)
         return self.place(cell)
+
+    def _place_ends(self, rep: Cell, r: int, lo: int, hi: int) -> tuple[Cell, Cell]:
+        """``place`` of rep with lo, then hi, in place r.  rep's first
+        coordinate ranks lowest, so for r > 0 one rank comparison says
+        whether the new vertex goes first instead."""
+        if r == 0:
+            return self.place((lo,) + rep[1:]), self.place((hi,) + rep[1:])
+        rank, head, tail = self.rank, rep[:r], rep[r + 1:]
+        first = rank[rep[0]]
+        return (
+            (lo,) + tail + head if rank[lo] < first else head + (lo,) + tail,
+            (hi,) + tail + head if rank[hi] < first else head + (hi,) + tail,
+        )
 
     def has(self, cell: Cell) -> bool:
         """Whether the tuple is an orbit's representative."""

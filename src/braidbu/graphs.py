@@ -190,16 +190,32 @@ class Graph(Frozen):
         return len(self.edges) == self.num_vertices - 1
 
     @cached_property
-    def closures(self) -> dict[Coord, frozenset[int]]:
-        """Vertex set of the closed cell named by each graph cell."""
-        out: dict[Coord, frozenset[int]] = {v: frozenset((v,)) for v in range(self.num_vertices)}
-        out.update((e.name, frozenset((e.lo, e.hi))) for e in self.edges)
+    def closure_masks(self) -> dict[Coord, int]:
+        """Each graph cell's closure, the vertices of the closed cell it
+        names, as a bit mask."""
+        out = {v: 1 << v for v in range(self.num_vertices)}
+        out.update((e.name, 1 << e.lo | 1 << e.hi) for e in self.edges)
         return out
 
     @cached_property
-    def closure_masks(self) -> dict[Coord, int]:
-        """Each graph cell's closure as a bit mask over the vertices."""
-        return {c: sum(1 << v for v in vs) for c, vs in self.closures.items()}
+    def morse_rules(self) -> dict[Coord, tuple[int, int, int, Optional[int], Optional[Coord], int]]:
+        """The gradient field's rule per graph cell, as bit masks over the
+        vertices (``morse.classify_cell``): a plain tuple (closure, children
+        of the closure, own bit of a vertex or 0, key, swap, breaks).  The
+        key is the ``number`` of v or of i(e); the swap is ``up_edge[v]`` or
+        ``child_end[e]``, None where the cell never moves (the root, a
+        non-tree edge); breaks are the children of t(e) below i(e)."""
+        order, masks, size = self.tree_order, self.closure_masks, self.num_vertices
+        number, parent = order.number, order.parent
+        kids = [sum(1 << u for u in range(size) if parent[u] == v) for v in range(size)]
+        out = {v: (masks[v], kids[v], masks[v], number[v], order.up_edge[v], 0) for v in range(size)}
+        for e in self.edges:
+            i, key, breaks = order.child_end.get(e.name), None, 0  # no i(e) on a non-tree edge
+            if i is not None:
+                key, top = number[i], parent[i]
+                breaks = sum(1 << u for u in range(size) if parent[u] == top and number[u] < key)
+            out[e.name] = (masks[e.name], kids[e.lo] | kids[e.hi], 0, key, i, breaks)
+        return out
 
     @cached_property
     def coord_keys(self) -> dict[Coord, tuple[float, int]]:

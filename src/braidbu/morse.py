@@ -11,7 +11,11 @@ does.  A cell is redundant when its smallest unblocked vertex v lies below
 i(e) for every order-respecting edge e, and pairs with v grown into e(v).
 It is collapsible when its smallest order-respecting edge e has i(e) below
 every unblocked vertex, and pairs with e shrunk to i(e).  Every other cell
-is critical.  The field is this matching (Forman, "Morse theory for cell
+is critical.  ``classify_cell`` reads this as bit tests on a table made
+once per graph (``Graph.morse_rules``): v is unblocked unless it is the
+root or a child of some coordinate's closure, and e respects the order
+unless a vertex coordinate is among its breaks, the children of t(e) below
+i(e).  The field is this matching (Forman, "Morse theory for cell
 complexes", Adv. Math. 134, 1998): each cell maps to its partner, or to
 None when critical.  Building a field checks that the matching is an
 involution on cells one dimension apart.
@@ -69,58 +73,34 @@ KIND_REDUNDANT = "redundant"
 KIND_COLLAPSIBLE = "collapsible"
 
 
-def is_blocked(cell: Cell, r: int, graph: Graph) -> bool:
-    """Whether the vertex coordinate at 0-based position r is blocked.
-
-    The root is always blocked; any other vertex v is blocked when the far
-    end of e(v) lies in the closure of some other coordinate.
-    """
-    far = graph.tree_order.parent[cell[r]]
-    if far is None:
-        return True
-    closures = graph.closures
-    # cell[r]'s own closure is {cell[r]}, which never holds its parent, so
-    # the scan need not skip position r.
-    for coord in cell:
-        if far in closures[coord]:
-            return True
-    return False
-
-
 def classify_cell(c: Cell, cx: CubeComplex) -> Optional[Cell]:
     """The partner of one cell of a configuration complex under the
-    Farley-Sabalka matching; None when the cell is critical."""
-    graph = cx.graph
-    order = graph.tree_order
-    if not cx.has(c):
+    Farley-Sabalka matching; None when the cell is critical.  One pass over
+    the rule table checks the cell (InvalidParameterError on a wrong length,
+    an unknown coordinate, or closures that meet) and gathers the children
+    of its closures and its vertices; a second finds the movable coordinate
+    of smallest key.  Closures are disjoint, so no two keys tie."""
+    rules = cx.graph.morse_rules
+    if len(c) != cx.m:
         raise InvalidParameterError(f"cell not in complex: {c!r}")
-    number, parent, child_end = order.number, order.parent, order.child_end
-    vertices = [coord for coord in c if coord.__class__ is int]
-    # (number, position) of the smallest unblocked vertex and of the
-    # order-respecting edge whose far-from-root end is smallest.
-    unblocked = respecting = None
+    used = kids = vmask = 0
+    for coord in c:
+        rule = rules.get(coord)
+        if rule is None or used & rule[0]:
+            raise InvalidParameterError(f"cell not in complex: {c!r}")
+        mask, children, vbit, _, _, _ = rule
+        used |= mask
+        kids |= children
+        vmask |= vbit
+    best = at = None
     for r, coord in enumerate(c):
-        if coord.__class__ is int:
-            if (unblocked is None or number[coord] < unblocked[0]) and not is_blocked(c, r, graph):
-                unblocked = (number[coord], r)
+        _, _, vbit, key, swap, breaks = rules[coord]
+        if swap is None or vbit & kids or breaks & vmask or (best is not None and key > best):
             continue
-        child = child_end.get(coord)  # None on a non-tree edge: it never respects the order
-        if child is None or (respecting is not None and number[child] > respecting[0]):
-            continue
-        top, place = parent[child], number[child]
-        for u in vertices:
-            if parent[u] == top and number[u] < place:
-                break
-        else:
-            respecting = (place, r)
-
-    if unblocked is not None and (respecting is None or unblocked < respecting):
-        r = unblocked[1]
-        return c[:r] + (order.up_edge[c[r]],) + c[r + 1:]
-    if respecting is not None and (unblocked is None or respecting < unblocked):
-        r = respecting[1]
-        return c[:r] + (child_end[c[r]],) + c[r + 1:]
-    return None
+        best, at, new = key, r, swap
+    if at is None:
+        return None
+    return c[:at] + (new,) + c[at + 1:]
 
 
 Step = tuple[Cell, int]  # (1-cell, +1 along its orientation / -1 against)
@@ -399,7 +379,8 @@ def build_field(cx: CubeComplex, upstairs: Optional[GradientField]) -> GradientF
        (``CubeComplex``): each dimension lists S_d sets, the closed form of
        ``count_sets``, each strictly ascending, in strictly increasing sort
        order.  So no set is repeated, and ``classify_cell`` refuses a tuple
-       that is not a cell; so the lists hold every coordinate set once, and
+       that is not a cell in its first pass over the rule table, before
+       it reads the rule; so the lists hold every coordinate set once, and
        a missing set leaves the count short.  The ordered cells are every
        ordering of these sets, by construction.
     2. Table check (``_check_swaps``): each set's swap (old, new) trades a

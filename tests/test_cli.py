@@ -2,17 +2,17 @@ import os
 import subprocess
 import sys
 import time
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 import braidbu.decide as dec
 import braidbu.fundgroup as fundgroup
-import braidbu.morse as morse
 from braidbu.cli import _components, main
 from braidbu.complexes import build_dconf, build_quotient, components
 from braidbu.errors import StructuralError
-from braidbu.graphs import emit_graph_text, make_cycle, make_lollipop, make_path, make_star
+from braidbu.graphs import Graph, emit_graph_text, make_cycle, make_lollipop, make_path, make_star
 from braidbu.oracle import run_suite
 
 
@@ -333,21 +333,32 @@ class TestSuite:
         assert all(line.endswith("\tpass") for line in checks)
 
     def test_broken_blocked_rule_fails_shift_checks(self, monkeypatch):
-        real = morse.is_blocked
+        # The top vertex, num_vertices - 1, is wrongly always blocked: every
+        # graph built under the patch gets a rule table in which it never
+        # moves.
+        real = Graph.morse_rules.func
 
-        def broken(cell, r, graph):
-            v = cell[r]
-            if v == graph.num_vertices - 1:
-                return True  # wrongly blocks the top vertex
-            return real(cell, r, graph)
+        def broken(graph):
+            rules = real(graph)
+            top = graph.num_vertices - 1
+            rules[top] = rules[top][:4] + (None,) + rules[top][5:]
+            return rules
 
-        monkeypatch.setattr(morse, "is_blocked", broken)
-        fundgroup.get_system.cache_clear()
+        broken_rules = cached_property(broken)
+        broken_rules.__set_name__(Graph, "morse_rules")
+        clear = (fundgroup.get_system.cache_clear, dec._tree_system_cached.cache_clear)
         try:
-            report = run_suite("quick")
+            with monkeypatch.context() as patch:
+                patch.setattr(Graph, "morse_rules", broken_rules)
+                for cache_clear in clear:
+                    cache_clear()
+                report = run_suite("quick")
         finally:
-            fundgroup.get_system.cache_clear()
+            for cache_clear in clear:
+                cache_clear()
         assert not report.all_pass
         assert any(
             check_id.startswith("lemma47") and not ok for check_id, ok, _ in report.checks
         )
+        # No system built under the patch is left cached.
+        assert all(ok for check_id, ok, _ in run_suite("quick").checks if check_id.startswith("lemma47"))

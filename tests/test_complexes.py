@@ -119,7 +119,7 @@ class TestBuild:
     def test_has_is_membership_over_every_tuple_of_graph_cells(self, graph, m):
         cx = build_dconf(graph, m)
         cells = set(cx.all_cells())
-        coords = list(graph.closures)
+        coords = list(graph.closure_masks)
         hits = [cell for cell in itertools.product(coords, repeat=m) if cx.has(cell)]
         assert len(hits) == len(cells) and set(hits) == cells
 
@@ -133,9 +133,10 @@ class TestBuild:
         assert not f2.has(cell)
 
     def test_edge_endpoints_refuse_other_dimensions(self, f2):
-        for cell in (f2.cells_by_dim[0][0], f2.cells_by_dim[2][0]):
-            with pytest.raises(InvalidParameterError, match="not a 1-cell"):
-                f2.edge_endpoints(cell)
+        for cx in (f2, build_quotient(f2)):
+            for cell in (f2.cells_by_dim[0][0], f2.cells_by_dim[2][0]):
+                with pytest.raises(InvalidParameterError, match="not a 1-cell"):
+                    cx.edge_endpoints(cell)
 
 
 class TestCount:
@@ -353,6 +354,22 @@ class TestQuotient:
                 assert lhs == rhs
                 if d == 1:
                     assert q.edge_endpoints(rep) == tuple(map(q.project, fm.edge_endpoints(cell)))
+
+    @pytest.mark.parametrize(
+        "graph, m", [(make_lollipop(5), 5)] + TARGETS, ids=["lollipop-m5"] + TARGET_IDS
+    )
+    def test_edge_endpoints_equal_the_upstairs_ends_placed(self, graph, m):
+        # The quotient places each end with one rank comparison, or with
+        # ``place``'s scan when the edge is first; ``place`` of each upstairs
+        # end is the oracle, from the representative and from a rotation.
+        fm = build_dconf(graph, m)
+        q = build_quotient(fm)
+        firsts = 0
+        for rep in q.cells_unsorted(1):
+            expected = tuple(map(q.place, fm.edge_endpoints(rep)))
+            assert q.edge_endpoints(rep) == q.edge_endpoints(rep[1:] + rep[:1]) == expected
+            firsts += isinstance(rep[0], str)
+        assert 0 < firsts < q.num_cells(1)
 
 
 class TestComponents:

@@ -70,25 +70,15 @@ class TestClassification:
         assert sys2.field_fm.kind(("a3", "a1")) == "collapsible"
 
     @pytest.mark.parametrize(
-        "graph, m", [(make_lollipop(3), 3), (make_star(4, 3), 3)], ids=["lollipop-m3", "star(4,3)-n3"]
+        "cell",
+        [(0, 0), ("a1", "a1"), (0, "a1"), ("a1", "a2"), (0,), (0, 2, 4), (0, 99), (0, "zz"), (0, None)],
+        ids=["repeated-vertex", "repeated-edge", "overlapping", "overlapping-edges", "short", "long",
+             "unknown-vertex", "unknown-edge", "not-a-coordinate"],
     )
-    def test_is_blocked_matches_its_definition(self, graph, m):
-        closures = graph.closures
-        checked = 0
-        for cell in build_dconf(graph, m).all_cells():
-            for r, coord in enumerate(cell):
-                if isinstance(coord, int):
-                    far = graph.tree_order.parent[coord]
-                    expected = far is None or any(
-                        far in closures[other] for s, other in enumerate(cell) if s != r
-                    )
-                    assert morse.is_blocked(cell, r, graph) == expected
-                    checked += 1
-        assert checked > 0
-
-    def test_cell_not_in_complex(self, sys2):
-        with pytest.raises(InvalidParameterError):
-            classify_cell((0, 0), sys2.fm)
+    def test_cell_not_in_complex(self, sys2, cell):
+        assert not sys2.fm.has(cell)
+        with pytest.raises(InvalidParameterError, match="not in complex"):
+            classify_cell(cell, sys2.fm)
 
     def test_leafless_graph_rejected(self):
         cx = build_dconf(make_cycle(4), 2)
@@ -223,6 +213,116 @@ QUOTIENT_CASES = pytest.mark.parametrize(
     + [(make_star(legs, length), n) for legs, length, n in STAR_TARGETS],
     ids=[f"lollipop-m{m}" for m in (2, 3, 4, 5)] + [f"star({l},{k})-n{n}" for l, k, n in STAR_TARGETS],
 )
+
+
+def _closure(graph, coord):
+    """The vertices of the closed graph cell."""
+    if isinstance(coord, int):
+        return {coord}
+    edge = graph.edge_by_name[coord]
+    return {edge.lo, edge.hi}
+
+
+def _is_blocked(cell, r, graph):
+    """Whether the vertex coordinate at position r is blocked: it is the
+    root, or the far end of e(v) lies in some other coordinate's closure
+    (its own closure, {v}, never holds it)."""
+    far = graph.tree_order.parent[cell[r]]
+    return far is None or any(far in _closure(graph, coord) for coord in cell)
+
+
+def _classify_by_definition(c, cx):
+    """The Farley-Sabalka partner of c, one coordinate at a time off
+    ``tree_order`` and the closures: the reference the rule tables of
+    ``classify_cell`` are checked against."""
+    order = cx.graph.tree_order
+    if not cx.has(c):
+        raise InvalidParameterError(f"cell not in complex: {c!r}")
+    number, parent, child_end = order.number, order.parent, order.child_end
+    vertices = [coord for coord in c if isinstance(coord, int)]
+    # (number, position) of the smallest unblocked vertex and of the
+    # order-respecting edge whose far-from-root end is smallest.
+    unblocked = respecting = None
+    for r, coord in enumerate(c):
+        if isinstance(coord, int):
+            if (unblocked is None or number[coord] < unblocked[0]) and not _is_blocked(c, r, cx.graph):
+                unblocked = (number[coord], r)
+            continue
+        child = child_end.get(coord)  # None on a non-tree edge: it never respects the order
+        if child is None or (respecting is not None and number[child] > respecting[0]):
+            continue
+        top, place = parent[child], number[child]
+        if not any(parent[u] == top and number[u] < place for u in vertices):
+            respecting = (place, r)
+    if unblocked is not None and (respecting is None or unblocked < respecting):
+        r = unblocked[1]
+        return c[:r] + (order.up_edge[c[r]],) + c[r + 1:]
+    if respecting is not None and (unblocked is None or respecting < unblocked):
+        r = respecting[1]
+        return c[:r] + (child_end[c[r]],) + c[r + 1:]
+    return None
+
+
+# FIELD_CASES with the path and the claw: the rule tables are checked on these.
+RULE_CASES = pytest.mark.parametrize(
+    "graph, m",
+    [(make_lollipop(m), m) for m in (2, 3, 4)]
+    + [(make_star(legs, length), n) for legs, length, n in STAR_TARGETS]
+    + [(make_path(5), 3), (make_star(3, 1), 2), (make_star(3, 1), 3)],
+    ids=[f"lollipop-m{m}" for m in (2, 3, 4)]
+    + [f"star({l},{k})-n{n}" for l, k, n in STAR_TARGETS]
+    + ["path5-m3", "claw-m2", "claw-m3"],
+)
+
+
+class TestRuleTables:
+    """``classify_cell`` reads the rule as bit tests on ``Graph.morse_rules``;
+    the rule one coordinate at a time is the reference."""
+
+    @RULE_CASES
+    def test_every_ordered_cell_gets_the_reference_partner(self, graph, m):
+        fm = build_dconf(graph, m)
+        cells = list(fm.all_cells())
+        assert len(cells) == count_cells(graph, m)
+        wrong = [c for c in cells if classify_cell(c, fm) != _classify_by_definition(c, fm)]
+        assert not wrong
+
+    @pytest.mark.parametrize(
+        "graph, m", [(make_lollipop(3), 3), (make_star(4, 3), 3)], ids=["lollipop-m3", "star(4,3)-n3"]
+    )
+    def test_blocked_and_respecting_bits_match_their_definitions(self, graph, m):
+        # A vertex is movable when unblocked, a tree edge when it respects
+        # the order; the root and a non-tree edge never are.
+        rules, order = graph.morse_rules, graph.tree_order
+        number, parent = order.number, order.parent
+        moved = {"vertex": 0, "edge": 0}
+        for cell in build_dconf(graph, m).all_cells():
+            kids = vmask = 0
+            for coord in cell:
+                kids |= rules[coord][1]
+                vmask |= rules[coord][2]
+            for r, coord in enumerate(cell):
+                _, _, vbit, _, swap, breaks = rules[coord]
+                movable = swap is not None and not vbit & kids and not breaks & vmask
+                if isinstance(coord, int):
+                    far = parent[coord]
+                    blocked = far is None or any(
+                        far in _closure(graph, other) for s, other in enumerate(cell) if s != r
+                    )
+                    assert vbit == 1 << coord and movable == (not blocked)
+                    moved["vertex"] += movable
+                else:
+                    child = order.child_end.get(coord)  # None on a non-tree edge, which never respects
+                    respects = child is not None
+                    if respects:
+                        top = parent[child]
+                        respects = not any(
+                            isinstance(u, int) and parent[u] == top and number[top] < number[u] < number[child]
+                            for u in cell
+                        )
+                    assert vbit == 0 and movable == respects
+                    moved["edge"] += movable
+        assert moved["vertex"] and moved["edge"]
 
 
 def _label(v, cx):
@@ -486,26 +586,19 @@ class TestSymmetricField:
 
 
 class _DisjointCells:
-    """A stand-in complex of m particles on a graph: any tuple of graph cells
-    with pairwise disjoint closures is a cell."""
+    """A stand-in complex of m particles on a graph, with no cell listing:
+    ``classify_cell`` reads only its graph and m, and checks itself that a
+    tuple of m graph cells has pairwise disjoint closures."""
 
-    def __init__(self, graph):
+    def __init__(self, graph, m):
         self.graph = graph
-
-    def has(self, cell):
-        closures = self.graph.closures
-        used = frozenset()
-        for coord in cell:
-            if used & closures[coord]:
-                return False
-            used |= closures[coord]
-        return True
+        self.m = m
 
 
 def _unordered_cells(graph, m):
     """Each set of m graph cells with pairwise disjoint closures, as its
     ascending tuple."""
-    keys, closures = graph.coord_keys, graph.closures
+    keys, closures = graph.coord_keys, {c: frozenset(_closure(graph, c)) for c in graph.coord_keys}
     order = sorted(keys, key=keys.__getitem__)
 
     def extend(prefix, used, start):
@@ -528,7 +621,7 @@ class TestSymmetricCensus:
     @pytest.mark.parametrize("m", [4, 5, 6, 7])
     def test_census_times_m_factorial(self, m):
         graph = make_lollipop(m)
-        stub = _DisjointCells(graph)
+        stub = _DisjointCells(graph, m)
         total = chi = 0
         critical = {}
         for cell in _unordered_cells(graph, m):
