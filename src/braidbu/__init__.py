@@ -7,7 +7,6 @@ from .complexes import (
     act,
     build_dconf,
     build_quotient,
-    chi_by_component,
     components,
 )
 from .covering import EdgePath, express_loop, maximal_tree

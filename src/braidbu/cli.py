@@ -11,7 +11,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import decide as dec
-from .complexes import build_dconf, build_quotient, components
+from .complexes import build_dconf, build_quotient
 from .covering import skeleton
 from .errors import InvalidParameterError, PreconditionError, StructuralError
 from .fundgroup import get_system
@@ -78,10 +78,8 @@ def cmd_graph_check(args) -> int:
 def _components(cx, target) -> int:
     """Components of the 1-skeleton of ``target``, cx or its quotient, read
     off the Morse complex (``skeleton``): the forest joins each 0-cell to its
-    sink (``build_field``).  A graph without a leaf has no field to root, so
-    its 1-skeleton is walked instead (``components``)."""
-    if 1 not in cx.graph.degrees:
-        return components(target)
+    sink (``build_field``), on every connected graph, so no ordered cell is
+    walked."""
     field = build_field(cx, None)
     if target is not cx:
         field = build_field(target, field)

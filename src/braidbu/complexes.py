@@ -38,9 +38,9 @@ from .perms import Perm
 Cell = tuple[Coord, ...]
 
 # build_dconf refuses complexes of more than MAX_CELLS ordered cells before
-# enumerating them: the upstairs critical lists, and `dconf stats` on a graph
-# without a leaf, touch every ordering.  Lollipop m=6 (7 490 160 cells) fits;
-# m=7 is refused by its 0-cells alone (at least 17 297 280, ``check_room``).
+# enumerating them: only the upstairs critical lists touch every ordering.
+# Lollipop m=6 (7 490 160 cells) fits; m=7 is refused by its 0-cells alone
+# (at least 17 297 280, ``check_room``).
 MAX_CELLS = 8_000_000
 
 
@@ -446,31 +446,11 @@ def build_quotient(fm: CubeComplex) -> QuotientComplex:
     return QuotientComplex(fm)
 
 
-
-def _component_roots(cx: CubeComplex) -> dict[Cell, Cell]:
-    """The root of each 0-cell's component of the 1-skeleton.  The 1-cells
-    are read unsorted, one at a time, and not kept."""
+def components(cx: CubeComplex) -> int:
+    """Number of connected components of the 1-skeleton, by a union-find
+    over every ordered 0-cell; the 1-cells are read unsorted, one at a
+    time, and not kept."""
     parent = {v: v for v in cx.cells_unsorted(0)}
     for edge in cx.cells_unsorted(1):
         join(parent, *cx.edge_endpoints(edge))
-    return {v: find(parent, v) for v in parent}
-
-
-def components(cx: CubeComplex) -> int:
-    """Number of connected components of the 1-skeleton."""
-    roots = _component_roots(cx)
-    return len(set(roots.values()))
-
-
-def chi_by_component(cx: CubeComplex) -> dict[Cell, int]:
-    """Euler characteristic of each component, keyed by a root 0-cell."""
-    roots = _component_roots(cx)
-    out: dict[Cell, int] = {}
-    for d in cx.cells_by_dim:
-        sign = 1 if d % 2 == 0 else -1
-        for cell in cx.cells_unsorted(d):
-            corner = cx.place(tuple(
-                c if isinstance(c, int) else cx.graph.edge_by_name[c].lo for c in cell
-            ))
-            out[roots[corner]] = out.get(roots[corner], 0) + sign
-    return out
+    return len({find(parent, v) for v in parent})

@@ -6,7 +6,9 @@ edge is oriented from its smaller-ordinal endpoint ``lo`` to its larger one
 extra (non-tree) edge is allowed and it carries the ordinal infinity, so the
 ordinals restrict to linear orders on vertices and on edges.  The gradient
 field orders vertices differently: ``Graph.tree_order`` roots the spanning
-tree at the smallest leaf and numbers it depth-first.
+tree at its smallest vertex of tree degree at most 1 and numbers it
+depth-first.  On a tree and on the lollipop that is the graph's smallest
+leaf; on a cycle it is an end of the non-tree edge.
 
 The central construction is the "lollipop": a cycle on m+1 vertices with a
 path of m-1 extra vertices attached, which is the m-fold subdivided form of
@@ -66,7 +68,8 @@ class Edge(NamedTuple):
 
 
 class TreeOrder(NamedTuple):
-    """The spanning tree rooted at the graph's smallest leaf, numbered depth-first.
+    """The spanning tree rooted at its smallest vertex of tree degree at
+    most 1 (a leaf, or the only vertex), numbered depth-first.
 
     ``number[v]`` is v's place in a depth-first walk over tree edges that
     visits neighbours by increasing vertex; the root gets 0.  ``parent[v]`` is
@@ -164,14 +167,16 @@ class Graph(Frozen):
 
     @cached_property
     def tree_order(self) -> TreeOrder:
-        """Computed once per graph; a graph without a leaf has none."""
-        leaves = [v for v in range(self.num_vertices) if self.degrees[v] == 1]
-        if not leaves:
-            raise InvalidParameterError("the gradient field needs a graph with a leaf to root at")
+        """Computed once per graph.  The root is the smallest vertex of
+        spanning-tree degree at most 1: its degree, less one at each end of
+        the non-tree edge.  A tree has a leaf, or is one vertex, so every
+        graph has one."""
+        loop = self.loop_edge
+        ends = (loop.lo, loop.hi) if loop else ()
         size = self.num_vertices
         number, parent, up_edge = [0] * size, [None] * size, [None] * size
         child_end = {}
-        stack, count = [leaves[0]], 0
+        stack, count = [min(v for v in range(size) if self.degrees[v] - ends.count(v) <= 1)], 0
         while stack:
             u = stack.pop()
             number[u], count = count, count + 1

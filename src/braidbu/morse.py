@@ -1,9 +1,10 @@
 """Farley-Sabalka discrete gradient field on a configuration complex.
 
 Farley and Sabalka ("Discrete Morse theory and graph braid groups", AGT 5,
-2005) order cells through a spanning tree rooted at a leaf and numbered
-depth-first (``Graph.tree_order``).  e(v) is the tree edge from v toward the
-root; a tree edge e has ends i(e), away from the root, and t(e).  In a cell,
+2005) order cells through a spanning tree rooted at a vertex of tree degree
+at most 1 and numbered depth-first (``Graph.tree_order``), so every
+connected graph has a field.  e(v) is the tree edge from v toward the root;
+a tree edge e has ends i(e), away from the root, and t(e).  In a cell,
 a vertex v is blocked when it is the root or t(e(v)) lies in another
 coordinate's closure.  A tree edge e respects the order unless some vertex
 coordinate u is a child of t(e) with t(e) < u < i(e); a non-tree edge never
@@ -177,19 +178,6 @@ class GradientField:
             raise StructuralError(f"the flow ends at {v!r}, which is not a critical 0-cell")
         return end
 
-    def _far(self, key: int, swap: Swap) -> tuple[Coord, int]:
-        """The 0-set's swap (old, new) moves old along the edge new: the
-        edge's other end, and the sign that leaves old along it."""
-        old, new = swap
-        edge = self.complex.graph.edge_by_name.get(new)
-        if edge is not None:
-            if old == edge.lo:
-                return edge.hi, 1
-            if old == edge.hi:
-                return edge.lo, -1
-        c = _set_of(self.complex.bit, key)
-        raise StructuralError(f"{c!r} is not an end of its partner {_swapped(c, swap)!r}")
-
     def _leave(self, v: Cell) -> Optional[tuple[Cell, int, Cell]]:
         """The step out of the 0-cell v, read off its set's swap (old, new):
         the partner edge, new in old's place, the sign that leaves v along
@@ -200,7 +188,7 @@ class GradientField:
         swap = self.swaps.get(key)
         if swap is None:
             return None
-        far, sign = self._far(key, swap)
+        far, sign = _far(self.complex, key, swap)
         r = v.index(swap[0])
         place = self.complex.place
         return place(v[:r] + (swap[1],) + v[r + 1:]), sign, place(v[:r] + (far,) + v[r + 1:])
@@ -240,7 +228,7 @@ class GradientField:
                 break
             if len(walked) == self._most:
                 raise StructuralError(f"the flow from {_set_of(bit, walked[0][0])!r} does not end")
-            far = self._far(key, swap)[0]
+            far = _far(self.complex, key, swap)[0]
             walked.append((key, swap[0], far))
             key += bit[far] - bit[swap[0]]
         moved = carried[key]
@@ -277,6 +265,21 @@ class _Partners(CellMap):
         if new not in bit or key - bit[old] + bit[new] not in self._swaps:
             raise StructuralError(f"{_swapped(cell, swap)!r} is not a cell of the upstairs complex")
         return cx.place(_swapped(cell, swap))
+
+
+def _far(cx: CubeComplex, key: int, swap: Swap) -> tuple[Coord, int]:
+    """The 0-set ``key``'s swap (old, new) moves old along the edge new: the
+    edge's other end, and the sign that leaves old along it.  Raises
+    StructuralError when old is not an end of new."""
+    old, new = swap
+    edge = cx.graph.edge_by_name.get(new)
+    if edge is not None:
+        if old == edge.lo:
+            return edge.hi, 1
+        if old == edge.hi:
+            return edge.lo, -1
+    c = _set_of(cx.bit, key)
+    raise StructuralError(f"{c!r} is not an end of its partner {_swapped(c, swap)!r}")
 
 
 def _set_of(bit: dict[Coord, int], key: int) -> Cell:
@@ -335,17 +338,11 @@ def _check_descent(cx: CubeComplex, swaps: dict[int, Optional[Swap]]) -> None:
     """Each matched ascending 0-cell's swap (old, new) puts an edge in
     place of one of its vertices, with that vertex old as one end and an
     end of smaller ``tree_order.number`` as the other."""
-    number, edge_by_name, key = cx.graph.tree_order.number, cx.graph.edge_by_name, cx.set_key
+    number, set_key = cx.graph.tree_order.number, cx.set_key
     for c in cx.sets_by_dim[0]:
-        swap = swaps[key(c)]
-        if swap is None:
-            continue
-        old, new = swap
-        edge = edge_by_name.get(new)
-        if edge is None or old not in (edge.lo, edge.hi):
-            r = c.index(old)
-            raise StructuralError(f"{c!r} is not an end of its partner {c[:r] + (new,) + c[r + 1:]!r}")
-        if number[edge.hi if old == edge.lo else edge.lo] >= number[old]:
+        key = set_key(c)
+        swap = swaps[key]
+        if swap is not None and number[_far(cx, key, swap)[0]] >= number[swap[0]]:
             raise StructuralError(f"the flow from {c!r} does not move toward the root")
 
 

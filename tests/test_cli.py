@@ -90,9 +90,9 @@ class TestDconf:
         ids=["lollipop-m3", "path(5)-m3", "cycle(6)-m4"],
     )
     def test_stats_components_equal_the_1_skeleton_walk(self, graph, m, count):
-        # Read off the Morse skeleton (tests/test_fundgroup.py::TestSkeleton
-        # runs that on more graphs); a cycle has no leaf to root a gradient
-        # field at, so its 1-skeleton is walked.
+        # Read off the Morse skeleton on every graph, the cycle too, whose
+        # field roots at an end of its non-tree edge
+        # (tests/test_fundgroup.py::TestSkeleton runs that on more graphs).
         cx = build_dconf(graph, m)
         q = build_quotient(cx)
         assert _components(cx, cx) == components(cx) == count

@@ -13,7 +13,6 @@ from braidbu.complexes import (
     build_dconf,
     build_quotient,
     cell_dim,
-    chi_by_component,
     components,
     count_cells,
     count_sets,
@@ -382,10 +381,3 @@ class TestComponents:
     @pytest.mark.parametrize("m", [2, 3])
     def test_lollipop_connected(self, m):
         assert components(build_dconf(make_lollipop(m), m)) == 1
-
-    @pytest.mark.parametrize("m", [2, 3])
-    def test_path_component_count_and_chi(self, m):
-        cx = build_dconf(make_path(2 * m - 1), m)
-        per_component = chi_by_component(cx)
-        assert len(per_component) == math.factorial(m)
-        assert all(chi == 1 for chi in per_component.values())

@@ -22,7 +22,7 @@ from braidbu.covering import (
 from braidbu.decide import tree_system
 from braidbu.errors import InvalidParameterError, PreconditionError, StructuralError
 from braidbu.fundgroup import BraidSystem, GeneratorId, get_system
-from braidbu.graphs import make_lollipop, make_path, make_star
+from braidbu.graphs import Graph, make_cycle, make_lollipop, make_path, make_star
 from braidbu.morse import build_field
 from braidbu.oracle import chi_oracle
 from braidbu.perms import Perm
@@ -114,6 +114,10 @@ SKELETONS = {
     "path(3)-m2": (make_path(3), 2, 2),
     "path(5)-m3": (make_path(5), 3, 6),
     "path(7)-m4": (make_path(7), 4, 24),
+    # A cycle roots at an end of its non-tree edge: (m-1)! cyclic orders.
+    **{f"cycle({n})-m{m}": (make_cycle(n), m, math.factorial(m - 1)) for n, m in ((3, 2), (4, 3), (6, 4), (8, 5))},
+    "cycle(2)-m1": (make_cycle(2), 1, 1),
+    "point-m1": (Graph(1, ()), 1, 1),
 }
 
 

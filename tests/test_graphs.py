@@ -84,6 +84,35 @@ class TestSubdivision:
         assert girth(make_cycle(2)) == 2  # parallel edges
 
 
+PAW = "V 4\nE a 0 1\nE b 1 2\nE t 2 3\nE c 0 2 loop\n"  # triangle 0-1-2, tail 2-3
+
+
+def _root(graph: Graph) -> int:
+    return graph.tree_order.number.index(0)
+
+
+class TestTreeOrder:
+    @pytest.mark.parametrize(
+        "graph",
+        [make_lollipop(m) for m in range(2, 7)]
+        + [make_star(legs, length) for legs, length in ((3, 1), (3, 2), (4, 3), (5, 2), (4, 2), (3, 3))]
+        + [make_path(2), make_path(5)],
+    )
+    def test_a_graph_with_a_leaf_roots_at_its_smallest_leaf(self, graph):
+        assert _root(graph) == graph.degrees.index(1)
+
+    def test_the_paw_roots_at_an_end_of_its_non_tree_edge(self):
+        # Its only graph leaf is 3, but 0 is a leaf of the spanning tree.
+        paw = parse_graph_text(PAW)
+        assert paw.degrees == (2, 2, 3, 1)
+        assert _root(paw) == 0
+        assert paw.tree_order.parent == (None, 0, 1, 2)
+
+    def test_one_vertex_roots_at_0(self):
+        order = parse_graph_text("V 1\n").tree_order
+        assert order == ((0,), (None,), (None,), {})
+
+
 class TestTextFormat:
     @pytest.mark.parametrize(
         "graph", [make_lollipop(3), make_star(3, 2), make_cycle(4), make_path(5)]

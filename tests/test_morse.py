@@ -80,10 +80,27 @@ class TestClassification:
         with pytest.raises(InvalidParameterError, match="not in complex"):
             classify_cell(cell, sys2.fm)
 
-    def test_leafless_graph_rejected(self):
-        cx = build_dconf(make_cycle(4), 2)
-        with pytest.raises(InvalidParameterError):
-            classify_cell(cx.base, cx)
+    @pytest.mark.parametrize(
+        "n, m",
+        [(n, m) for n in range(4, 9) for m in (2, 3, 4) if n > m],
+        ids=[f"cycle({n})-m{m}" for n in range(4, 9) for m in (2, 3, 4) if n > m],
+    )
+    def test_cycle_field_passes_its_checks(self, n, m):
+        # A cycle has no graph leaf; its spanning tree roots at an end of
+        # the non-tree edge.  build_field checks the involution and the
+        # descent upstairs; on both levels every partner pairs back one
+        # dimension away, and every 0-cell flows to a critical 0-cell.
+        fm = build_dconf(make_cycle(n), m)
+        assert fm.graph.tree_order.number[0] == 0
+        field_fm = build_field(fm, None)
+        for field in (field_fm, build_field(build_quotient(fm), field_fm)):
+            for d, cells in field.complex.cells_by_dim.items():
+                for c in cells:
+                    partner = field.classes[c]
+                    if partner is not None:
+                        assert field.classes[partner] == c and abs(cell_dim(partner) - d) == 1
+            critical = set(field.critical(0))
+            assert all(field.flow(v)[1] in critical for v in field.complex.cells_by_dim[0])
 
     def test_path_census(self):
         # Two particles on a 3-vertex path: two contractible components.
