@@ -159,9 +159,9 @@ class CubeComplex:
         cell, place, out = self.project(cell), self.place, []
         for r, coord in enumerate(cell):
             if isinstance(coord, str):
-                e = self.graph.edge_by_name[coord]
-                out.append(place(cell[:r] + (e.lo,) + cell[r + 1:]))
-                out.append(place(cell[:r] + (e.hi,) + cell[r + 1:]))
+                _, lo, hi, _, _ = self.graph.edge_by_name[coord]
+                out.append(place(cell[:r] + (lo,) + cell[r + 1:]))
+                out.append(place(cell[:r] + (hi,) + cell[r + 1:]))
         return tuple(out)
 
     def edge_endpoints(self, cell: Cell) -> tuple[Cell, Cell]:
@@ -177,8 +177,8 @@ class CubeComplex:
                 r = i
         else:
             if r >= 0:
-                e = self.graph.edge_by_name[cell[r]]
-                return self._place_ends(cell, r, e.lo, e.hi)
+                _, lo, hi, _, _ = self.graph.edge_by_name[cell[r]]
+                return self._place_ends(cell, r, lo, hi)
         raise InvalidParameterError(f"not a 1-cell: {cell!r}")
 
     @staticmethod

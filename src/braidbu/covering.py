@@ -98,12 +98,6 @@ def reverse_path(path: EdgePath) -> EdgePath:
 # -- the Morse complex and its spanning tree -----------------------------------
 
 
-def morse_ends(field: GradientField, edge: Cell) -> tuple[Cell, Cell]:
-    """The critical 0-cells that the edge's source and target flow to."""
-    src, tgt = field.complex.edge_endpoints(edge)
-    return field.sink(src), field.sink(tgt)
-
-
 def skeleton(field: GradientField) -> tuple[dict[Cell, tuple[Cell, Cell]], dict[Cell, Cell], list[Cell]]:
     """The 1-skeleton of the Morse complex: each critical 1-cell's ends
     flowed to their critical 0-cells, and one ``union_find`` over them, in
@@ -111,7 +105,7 @@ def skeleton(field: GradientField) -> tuple[dict[Cell, tuple[Cell, Cell]], dict[
     a cycle.  The forest the flow follows has no cycle and joins each 0-cell
     to its sink (``build_field``), so these are the components and the
     closing edges of the whole 1-skeleton with the forest taken first."""
-    ends = {e: morse_ends(field, e) for e in field.critical(1)}
+    ends = field.morse_ends(field.critical(1))
     return (ends, *union_find(field.critical(0), ends))
 
 
@@ -261,7 +255,7 @@ class Level:
         self.field = field
         self.letters = letters
         self.selected = maximal_tree(field, frozenset(e for e in field.critical(1) if e not in letters))
-        ends = {e: morse_ends(field, e) for e in self.selected}
+        ends = field.morse_ends(self.selected)
         to_root, root = field.flow(cx.base)
         self.parents = tree_parents(field.critical(0), ends, root)
         self._paths: dict[Cell, EdgePath] = {root: self._checked(to_root, root)}
@@ -451,9 +445,10 @@ class Covering:
             if not isinstance(edge_cell[0], str):
                 continue  # coordinate 0 rests on a vertex
             e = self.graph.edge_by_name[edge_cell[0]]
-            if cur != (e.lo if sign == 1 else e.hi):
+            _, lo, hi, _, _ = e
+            if cur != (lo if sign == 1 else hi):
                 raise StructuralError("first-coordinate trace lost the walk")
-            cur = e.hi if sign == 1 else e.lo
+            cur = hi if sign == 1 else lo
             if e is loop_edge:
                 count += sign
         if cur != path.start[0]:

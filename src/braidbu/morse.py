@@ -16,23 +16,23 @@ is critical.  ``classify_cell`` reads this as bit tests on a table made
 once per graph (``Graph.morse_rules``): v is unblocked unless it is the
 root or a child of some coordinate's closure, and e respects the order
 unless a vertex coordinate is among its breaks, the children of t(e) below
-i(e).  The field is this matching (Forman, "Morse theory for cell
+i(e), and answers the swap (old, new) that puts new in old's place.  The
+field is this matching (Forman, "Morse theory for cell
 complexes", Adv. Math. 134, 1998): each cell maps to its partner, or to
 None when critical.  Building a field checks that the matching is an
 involution on cells one dimension apart.
 
 The rule reads a cell's coordinates, not their places, so it commutes with
 permuting coordinates.  The upstairs field is stored by coordinate set, as
-the complex is: it classifies each set's ascending tuple, whose partner
-changes one coordinate, a swap (old, new), and keeps only that swap, or
-None, under the set's key.  The partner of any ordering is the same swap
-made in its own places (``classes`` reads it on demand), and a cell's kind
-is its set's: redundant when the swap puts an edge in, collapsible when it
-takes one out (``kind``, ``census``).  The ascending cell's one-place
-rotation, the deck generator of the cyclic quotient, is classified directly
-as a check on that translation, and the involution is checked once per set,
-on the table; the sets themselves were checked against their closed-form
-counts when the complex was made.  The matching of a cyclic quotient is
+the complex is: it classifies each set's ascending tuple and keeps only
+its swap, or None, under the set's key.  The partner of any ordering is
+the same swap made in its own places (``classes`` reads it on demand), and
+a cell's kind is its set's: redundant when the swap puts an edge in,
+collapsible when it takes one out (``kind``, ``census``).  The ascending
+cell's one-place rotation, the deck generator of the cyclic quotient, is
+classified directly and must get the same swap, and the involution is
+checked once per set, on the table; the sets themselves were checked
+against their closed-form counts when the complex was made.  The matching of a cyclic quotient is
 read off the same table: a representative's partner is its set's swap made
 in its own places and rotated back to a representative.  Rotation permutes
 places, so that pairs back as the upstairs matching does, and nothing is
@@ -46,22 +46,21 @@ matched 0-cell steps along its partner edge to that edge's other end, and
 every 0-cell reaches its tree's critical 0-cell, its sink (``sink``,
 ``flow``).  A step is read off the 0-cell's set's swap (old, new): old
 moves along the edge new to its other end, in its own place.  So the flow
-of every ordering of a set moves the same coordinates, and the sink is
-carried per 0-set: where each coordinate of the set ends, memoised for
-every 0-set on the way and shared by both levels, applied to the 0-cell's
-own coordinates in place (rotated to a representative in the quotient).
-``build_field`` checks that every step moves a vertex toward the root,
-which proves that the flow ends and that the forest is acyclic.  On the
-lollipop the numbering is the identity and every tree edge respects the
-order.
+of every ordering of a set makes the same moves, walked once per 0-set,
+memoised for every 0-set on the way and shared by both levels
+(``_walk``): ``flow`` replays them in the 0-cell's own places, ``sink``
+and ``morse_ends`` move its coordinates where they end, in place (rotated
+to a representative in the quotient).  ``build_field`` checks that every
+step moves a vertex toward the root, which proves that the flow ends and
+that the forest is acyclic.  On the lollipop the numbering is the identity
+and every tree edge respects the order.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
-from operator import ne
 from typing import Optional
 
 from .complexes import Cell, CellMap, CubeComplex, QuotientComplex, cell_dim
@@ -73,14 +72,19 @@ KIND_CRITICAL = "critical"
 KIND_REDUNDANT = "redundant"
 KIND_COLLAPSIBLE = "collapsible"
 
+Step = tuple[Cell, int]  # (1-cell, +1 along its orientation / -1 against)
+Swap = tuple[Coord, Coord]  # (old, new): the partner has new in old's place
+Move = tuple[Coord, Coord, Coord, int, int]  # (old, new, far, sign, next 0-set key)
 
-def classify_cell(c: Cell, cx: CubeComplex) -> Optional[Cell]:
-    """The partner of one cell of a configuration complex under the
-    Farley-Sabalka matching; None when the cell is critical.  One pass over
-    the rule table checks the cell (InvalidParameterError on a wrong length,
-    an unknown coordinate, or closures that meet) and gathers the children
-    of its closures and its vertices; a second finds the movable coordinate
-    of smallest key.  Closures are disjoint, so no two keys tie."""
+
+def classify_cell(c: Cell, cx: CubeComplex) -> Optional[Swap]:
+    """The swap (old, new) that makes one cell's partner under the
+    Farley-Sabalka matching, new in old's place; None when the cell is
+    critical.  One pass over the rule table checks the cell
+    (InvalidParameterError on a wrong length, an unknown coordinate, or
+    closures that meet) and gathers the children of its closures and its
+    vertices; a second finds the movable coordinate of smallest key.
+    Closures are disjoint, so no two keys tie."""
     rules = cx.graph.morse_rules
     if len(c) != cx.m:
         raise InvalidParameterError(f"cell not in complex: {c!r}")
@@ -93,19 +97,13 @@ def classify_cell(c: Cell, cx: CubeComplex) -> Optional[Cell]:
         used |= mask
         kids |= children
         vmask |= vbit
-    best = at = None
-    for r, coord in enumerate(c):
-        _, _, vbit, key, swap, breaks = rules[coord]
-        if swap is None or vbit & kids or breaks & vmask or (best is not None and key > best):
+    best = out = None
+    for coord in c:
+        _, _, vbit, key, new, breaks = rules[coord]
+        if new is None or vbit & kids or breaks & vmask or (best is not None and key > best):
             continue
-        best, at, new = key, r, swap
-    if at is None:
-        return None
-    return c[:at] + (new,) + c[at + 1:]
-
-
-Step = tuple[Cell, int]  # (1-cell, +1 along its orientation / -1 against)
-Swap = tuple[Coord, Coord]  # (old, new): the partner has new in old's place
+        best, out = key, (coord, new)
+    return out
 
 
 class GradientField:
@@ -126,11 +124,11 @@ class GradientField:
                 critical[cell_dim(s)].extend(s[:fixed] + rest for rest in permutations(s[fixed:]))
         self._critical = {d: tuple(sorted(cells, key=cx.sort_key)) for d, cells in critical.items()}
         # A critical 0-cell maps to itself, so a flow ends on the field's
-        # own tuple.  ``_carried`` holds, by set key, where the coordinates
-        # of each 0-set walked from end in its sink set; a quotient field
-        # shares its upstairs field's, since both read one table.
+        # own tuple.  ``_flows`` holds each walked 0-set's flow by set key
+        # (``_walk``); a quotient field shares its upstairs field's, since
+        # both read one table.
         self._ends = {c: c for c in self.critical(0)}
-        self._carried: dict[int, dict[Coord, Coord]] = {}
+        self._flows: dict[int, tuple[dict[Coord, Coord], Optional[Move]]] = {}
         self._most = len(cx.sets_by_dim[0])  # no flow visits a 0-set twice
 
     def kind(self, cell: Cell) -> str:
@@ -178,65 +176,77 @@ class GradientField:
             raise StructuralError(f"the flow ends at {v!r}, which is not a critical 0-cell")
         return end
 
-    def _leave(self, v: Cell) -> Optional[tuple[Cell, int, Cell]]:
-        """The step out of the 0-cell v, read off its set's swap (old, new):
-        the partner edge, new in old's place, the sign that leaves v along
-        it, and its other end, old moved along new; both placed on the level
-        (rotated to a representative in the quotient).  None when v's set
-        is critical."""
-        key = self.complex.set_key(v)
-        swap = self.swaps.get(key)
-        if swap is None:
-            return None
-        far, sign = _far(self.complex, key, swap)
-        r = v.index(swap[0])
-        place = self.complex.place
-        return place(v[:r] + (swap[1],) + v[r + 1:]), sign, place(v[:r] + (far,) + v[r + 1:])
-
     def flow(self, v: Cell) -> tuple[list[Step], Cell]:
         """The steps from the 0-cell v down the forest to its sink, and the
-        sink, a critical 0-cell.  A field from ``build_field`` descends at
-        every step, so its flows end; a longer one is refused."""
+        sink, a critical 0-cell: its set's moves made in its own places."""
         self._enter(v)
-        steps: list[Step] = []
-        while (step := self._leave(v)) is not None:
-            if len(steps) == self._most:
-                raise StructuralError(f"the flow from {v!r} does not end")
-            edge, sign, v = step
-            steps.append((edge, sign))
-        return steps, self._end(v)
+        flows, place, steps = self._flows, self.complex.place, []
+        move = self._walk(self.complex.set_key(v))[1]
+        while move is not None:
+            old, new, far, sign, key = move
+            r = v.index(old)
+            steps.append((place(v[:r] + (new,) + v[r + 1:]), sign))
+            v = v[:r] + (far,) + v[r + 1:]
+            move = flows[key][1]
+        return steps, self._end(place(v))
 
     def sink(self, v: Cell) -> Cell:
         """The critical 0-cell that v flows to: v's own coordinates carried
-        in place to its sink set (``_carry``), placed on the level."""
+        in place to its sink set, placed on the level."""
         self._enter(v)
-        carried = self._carry(self.complex.set_key(v))
+        carried = self._walk(self.complex.set_key(v))[0]
         return self._end(self.complex.place(tuple(map(carried.get, v, v))))
 
-    def _carry(self, key: int) -> dict[Coord, Coord]:
-        """Where the coordinates of the 0-set ``key`` end in its sink set,
-        the unmoved ones left out, memoised for every 0-set on the way.
-        Every ordering of a set steps by the set's swap made in its own
-        places (``build_field``), so its flow carries the coordinates
-        alike."""
-        carried, swaps, bit = self._carried, self.swaps, self.complex.bit
-        walked = []
-        while key not in carried:
+    def morse_ends(self, edges: Iterable[Cell]) -> dict[Cell, tuple[Cell, Cell]]:
+        """The critical 0-cells that each critical 1-cell's source and
+        target flow to.  The ends of a critical 1-set are 0-sets, its edge
+        replaced by the edge's ends, whose flows are read once per 1-set;
+        each ordering's are then its own coordinates, moved in place.
+        Refuses a tuple that is not a critical 1-cell of the level."""
+        cx, bit, ends, by_set, out = self.complex, self.complex.bit, self._ends, {}, {}
+        for e in edges:
+            if not cx.has(e):
+                raise InvalidParameterError(f"not a critical 1-cell of the complex: {e!r}")
+            key = cx.set_key(e)
+            if key not in by_set:
+                if key not in self.swaps or self.swaps[key] is not None or cell_dim(e) != 1:
+                    raise InvalidParameterError(f"not a critical 1-cell of the complex: {e!r}")
+                name = next(coord for coord in e if coord.__class__ is str)
+                _, lo, hi, _, _ = cx.graph.edge_by_name[name]
+                moved = by_set[key] = []
+                for v in (lo, hi):  # the edge moves to v, then v's 0-set flows
+                    carried = self._walk(key - bit[name] + bit[v])[0]
+                    moved.append({**carried, name: carried.get(v, v)})
+            from_src, from_tgt = by_set[key]
+            src, tgt = cx.place(tuple(map(from_src.get, e, e))), cx.place(tuple(map(from_tgt.get, e, e)))
+            out[e] = ends.get(src) or self._end(src), ends.get(tgt) or self._end(tgt)
+        return out
+
+    def _walk(self, key: int) -> tuple[dict[Coord, Coord], Optional[Move]]:
+        """The 0-set ``key``'s flow, memoised for every 0-set on the way:
+        where its coordinates end in its sink set, the unmoved ones left
+        out, and its first move (old, new, far, sign, next set key), None at
+        a sink.  A move is read off the set's swap (old, new): old moves
+        along the edge new to its other end, far, leaving old by sign."""
+        flows, swaps, bit, start, walked = self._flows, self.swaps, self.complex.bit, key, []
+        while key not in flows:
             swap = swaps.get(key)
             if swap is None:  # critical, or no 0-set, which the sink check refuses
-                carried[key] = {}
+                flows[key] = ({}, None)
                 break
             if len(walked) == self._most:
-                raise StructuralError(f"the flow from {_set_of(bit, walked[0][0])!r} does not end")
-            far = _far(self.complex, key, swap)[0]
-            walked.append((key, swap[0], far))
-            key += bit[far] - bit[swap[0]]
-        moved = carried[key]
-        for key, old, far in reversed(walked):
-            moved = dict(moved)
-            moved[old] = moved.pop(far, far)
-            carried[key] = moved
-        return moved
+                raise StructuralError(f"the flow from {_set_of(bit, start)!r} does not end")
+            old, new = swap
+            far, sign = _far(self.complex, key, swap)
+            nxt = key + bit[far] - bit[old]
+            walked.append((key, (old, new, far, sign, nxt)))
+            key = nxt
+        carried = flows[key][0]
+        for key, move in reversed(walked):
+            carried = dict(carried)
+            carried[move[0]] = carried.pop(move[2], move[2])
+            flows[key] = carried, move
+        return flows[start]
 
 
 class _Partners(CellMap):
@@ -274,10 +284,11 @@ def _far(cx: CubeComplex, key: int, swap: Swap) -> tuple[Coord, int]:
     old, new = swap
     edge = cx.graph.edge_by_name.get(new)
     if edge is not None:
-        if old == edge.lo:
-            return edge.hi, 1
-        if old == edge.hi:
-            return edge.lo, -1
+        _, lo, hi, _, _ = edge
+        if old == lo:
+            return hi, 1
+        if old == hi:
+            return lo, -1
     c = _set_of(cx.bit, key)
     raise StructuralError(f"{c!r} is not an end of its partner {_swapped(c, swap)!r}")
 
@@ -318,18 +329,14 @@ def _check_swaps(cx: CubeComplex, swaps: dict[int, Optional[Swap]]) -> None:
 
 def _classify_set(c: Cell, cx: CubeComplex) -> Optional[Swap]:
     """Classify the ascending cell c: the swap (old, new) that makes its
-    partner, or None when it is critical.  Its rotation is classified too
-    and must get the same swap in its own places."""
-    partner = classify_cell(c, cx)
-    swap = None
-    if partner is not None:
-        changed = list(map(ne, c, partner))
-        if len(partner) != len(c) or changed.count(True) != 1:
-            raise StructuralError(f"matching is not an involution at {c!r}")
-        r = changed.index(True)
-        swap = c[r], partner[r]
+    partner, or None when it is critical.  The swap must change one place:
+    old is in c and new is not.  Its rotation is classified too and must
+    get the same swap, which it makes in its own places."""
+    swap = classify_cell(c, cx)
+    if swap is not None and (swap[0] not in c or swap[1] in c):
+        raise StructuralError(f"matching is not an involution at {c!r}")
     rotated = c[1:] + c[:1]
-    if classify_cell(rotated, cx) != (partner and partner[1:] + partner[:1]):
+    if classify_cell(rotated, cx) != swap:
         raise StructuralError(f"matching is not equivariant at {rotated!r}")
     return swap
 
@@ -353,14 +360,14 @@ def build_field(cx: CubeComplex, upstairs: Optional[GradientField]) -> GradientF
     when cx is a configuration complex.
 
     On a configuration complex only the coordinate sets go through
-    ``classify_cell``, each as its ascending tuple.  Its partner must differ
-    from it in one place, a swap (old, new), and the field keeps only that
-    swap, under the set's ``set_key``; every ordering of the set pairs with
-    itself with ``old`` replaced in its own place (``_Partners``).  The
-    ascending cell's one-place rotation ``c[1:] + c[:1]``, the deck
-    generator of the cyclic quotient, is classified too and must get that
-    translated partner; otherwise the matching is not equivariant and this
-    raises ``StructuralError``.  On a quotient the same table is read, and
+    ``classify_cell``, each as its ascending tuple, which answers a swap
+    (old, new).  It must change one place, ``old`` in the tuple and ``new``
+    not, and the field keeps only that swap, under the set's ``set_key``;
+    every ordering of the set pairs with itself with ``old`` replaced in its
+    own place (``_Partners``).  The ascending cell's one-place rotation
+    ``c[1:] + c[:1]``, the deck generator of the cyclic quotient, is
+    classified too and must get the same swap; otherwise the matching is not
+    equivariant and this raises ``StructuralError``.  On a quotient the same table is read, and
     no cell is classified again.  On either level ``GradientField`` reads
     the rest off the table: a cell's partner is its set's swap made in its
     own places and put on the level with ``place`` (rotated back to a
@@ -437,13 +444,13 @@ def build_field(cx: CubeComplex, upstairs: Optional[GradientField]) -> GradientF
     1-skeleton as a tree.  That is as strong as a check that V - 1 edges
     reach every 0-cell, without a walk over every 0-cell.
 
-    The same two facts carry the sinks (``GradientField.sink``).  Upstairs
-    the flow of sigma c is sigma applied to c's flow, so sink(sigma c) ==
-    sigma sink(c): the sink of any ordering is its own coordinates, each
-    moved where the flow of its set moves it, in place.  In the quotient
-    each step is the projection of the upstairs one, so the sink of a
-    representative is its upstairs sink rotated to a representative.  Both
-    read the swap table alone, one walk per 0-set.
+    The same two facts carry the flows and sinks (``GradientField.flow``,
+    ``sink``).  Upstairs the flow of sigma c is sigma applied to c's flow,
+    so sink(sigma c) == sigma sink(c): the sink of any ordering is its own
+    coordinates, each moved where the flow of its set moves it, in place.
+    In the quotient each step is the projection of the upstairs one, so the
+    sink of a representative is its upstairs sink rotated to a
+    representative.  Both read the swap table alone, one walk per 0-set.
     """
     if isinstance(cx, QuotientComplex):
         if upstairs is None or upstairs.complex is not cx.fm:
@@ -452,16 +459,13 @@ def build_field(cx: CubeComplex, upstairs: Optional[GradientField]) -> GradientF
     elif upstairs is not None:
         raise InvalidParameterError("a configuration complex's field is built without an upstairs field")
     else:
-        swaps = {}
-        key = cx.set_key
-        for sets in cx.sets_by_dim.values():
-            for c in sets:
-                swaps[key(c)] = _classify_set(c, cx)
+        bit = cx.bit.__getitem__  # ``set_key``, without a call per set
+        swaps = {sum(map(bit, c)): _classify_set(c, cx) for sets in cx.sets_by_dim.values() for c in sets}
         _check_swaps(cx, swaps)
         _check_descent(cx, swaps)
     field = GradientField(cx, swaps)
     if upstairs is not None:
-        field._carried = upstairs._carried
+        field._flows = upstairs._flows
     return field
 
 

@@ -15,7 +15,6 @@ from braidbu.covering import (
     lift_path,
     make_path as make_edge_path,
     maximal_tree,
-    morse_ends,
     skeleton,
     tree_parents,
 )
@@ -27,6 +26,7 @@ from braidbu.morse import build_field
 from braidbu.oracle import chi_oracle
 from braidbu.perms import Perm
 from braidbu.words import FreeWord
+from test_morse import morse_ends
 
 
 @pytest.fixture(scope="module")

@@ -18,12 +18,13 @@ from braidbu.complexes import (
 from braidbu.covering import build_fields, make_path as make_edge_path
 from braidbu.errors import InvalidParameterError, StructuralError
 from braidbu.fundgroup import BraidSystem, get_system
-from braidbu.graphs import make_cycle, make_lollipop, make_path, make_star
+from braidbu.graphs import make_cycle, make_lollipop, make_path, make_star, parse_graph_text
 from braidbu.morse import (
     KIND_COLLAPSIBLE,
     KIND_CRITICAL,
     KIND_REDUNDANT,
     GradientField,
+    _swapped,
     associated_permutation,
     build_field,
     classify_cell,
@@ -34,6 +35,7 @@ from braidbu.morse import (
 )
 from braidbu.perms import Perm, all_perms, cyclic_canonical, sorting_permutation
 from test_complexes import _ordered_walk
+from test_graphs import PAW
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +54,7 @@ class TestClassification:
         assert classify_cell((1, 0), sys2.fm) is None
 
     def test_redundant_vertex(self, sys2):
-        assert classify_cell((2, 0), sys2.fm) == ("a2", 0)
+        assert classify_cell((2, 0), sys2.fm) == (2, "a2")
         assert sys2.field_fm.kind((2, 0)) == "redundant"
 
     def test_critical_edges(self, sys2):
@@ -60,13 +62,13 @@ class TestClassification:
         assert classify_cell(("a", 2), sys2.fm) is None
 
     def test_collapsible_edge(self, sys2):
-        assert classify_cell(("a2", 0), sys2.fm) == (2, 0)
+        assert classify_cell(("a2", 0), sys2.fm) == ("a2", 2)
         assert sys2.field_fm.kind(("a2", 0)) == "collapsible"
 
     def test_redundant_edge_pairs_up_to_square(self, sys2):
-        assert classify_cell(("a3", 1), sys2.fm) == ("a3", "a1")
+        assert classify_cell(("a3", 1), sys2.fm) == (1, "a1")
         assert sys2.field_fm.kind(("a3", 1)) == "redundant"
-        assert classify_cell(("a3", "a1"), sys2.fm) == ("a3", 1)
+        assert classify_cell(("a3", "a1"), sys2.fm) == ("a1", 1)
         assert sys2.field_fm.kind(("a3", "a1")) == "collapsible"
 
     @pytest.mark.parametrize(
@@ -140,10 +142,13 @@ class TestClassification:
             assert not system.field_q.critical(d)
 
     def test_equivariance_m2(self, sys2):
+        # Every ordering gets the same swap, made in its own places, so its
+        # partner is the same permutation of the cell's.
         for sigma in all_perms(2):
             for cell in sys2.fm.all_cells():
                 a, b = classify_cell(cell, sys2.fm), classify_cell(act(sigma, cell), sys2.fm)
-                assert (None if a is None else act(sigma, a)) == b
+                assert a == b
+                assert (None if a is None else act(sigma, _swapped(cell, a))) == _partner(act(sigma, cell), sys2.fm)
 
 
 class TestCriticalEdges:
@@ -232,6 +237,13 @@ QUOTIENT_CASES = pytest.mark.parametrize(
 )
 
 
+def _partner(c, cx):
+    """The partner of c: the swap ``classify_cell`` gives, made in c's own
+    places; None when c is critical."""
+    swap = classify_cell(c, cx)
+    return None if swap is None else _swapped(c, swap)
+
+
 def _closure(graph, coord):
     """The vertices of the closed graph cell."""
     if isinstance(coord, int):
@@ -301,7 +313,7 @@ class TestRuleTables:
         fm = build_dconf(graph, m)
         cells = list(fm.all_cells())
         assert len(cells) == count_cells(graph, m)
-        wrong = [c for c in cells if classify_cell(c, fm) != _classify_by_definition(c, fm)]
+        wrong = [c for c in cells if _partner(c, fm) != _classify_by_definition(c, fm)]
         assert not wrong
 
     @pytest.mark.parametrize(
@@ -471,6 +483,98 @@ class TestForest:
                 assert field.sink(v) == cur
 
 
+def _leave(field, v):
+    """The step out of the 0-cell v, read off its set's swap (old, new) at
+    this one 0-cell: the partner edge, new in old's place, the sign that
+    leaves v along it, and its other end, old moved along new; both placed
+    on the level.  None when v's set is critical."""
+    cx = field.complex
+    key = cx.set_key(v)
+    swap = field.swaps.get(key)
+    if swap is None:
+        return None
+    far, sign = morse._far(cx, key, swap)
+    r = v.index(swap[0])
+    return cx.place(v[:r] + (swap[1],) + v[r + 1:]), sign, cx.place(v[:r] + (far,) + v[r + 1:])
+
+
+def _walk(field, v):
+    """The steps from the 0-cell v to where its flow ends, one ``_leave`` at
+    a time: the oracle of ``GradientField.flow`` and ``sink``."""
+    steps = []
+    while (step := _leave(field, v)) is not None:
+        assert len(steps) < len(field.complex.sets_by_dim[0]), f"the flow from {v!r} does not end"
+        edge, sign, v = step
+        steps.append((edge, sign))
+    return steps, v
+
+
+def morse_ends(field, edge):
+    """The 0-cells that the edge's source and target flow to, each walked
+    one 0-cell at a time: the oracle of ``GradientField.morse_ends``."""
+    src, tgt = field.complex.edge_endpoints(edge)
+    return _walk(field, src)[1], _walk(field, tgt)[1]
+
+
+# QUOTIENT_CASES with C6 and the paw, whose spanning trees root at an end of
+# the non-tree edge: the per-set ends and flows are checked on these.
+PER_SET_CASES = pytest.mark.parametrize(
+    "graph, m",
+    [(make_lollipop(m), m) for m in (2, 3, 4, 5)]
+    + [(make_star(legs, length), n) for legs, length, n in STAR_TARGETS]
+    + [(make_cycle(6), 3), (parse_graph_text(PAW), 2)],
+    ids=[f"lollipop-m{m}" for m in (2, 3, 4, 5)]
+    + [f"star({l},{k})-n{n}" for l, k, n in STAR_TARGETS]
+    + ["cycle(6)-m3", "paw-m2"],
+)
+
+
+class TestPerSetPaths:
+    """Flows, sinks and Morse ends are read once per coordinate set; walks
+    one 0-cell at a time are their oracles, on both levels."""
+
+    @PER_SET_CASES
+    def test_flows_and_sinks_equal_the_step_by_step_walk(self, graph, m):
+        for field in build_fields(graph, m):
+            critical = set(field.critical(0))
+            for v in field.complex.cells_unsorted(0):
+                walk = _walk(field, v)
+                assert walk[1] in critical
+                assert field.flow(v) == walk
+                assert field.sink(v) == walk[1]
+
+    @PER_SET_CASES
+    def test_morse_ends_equal_the_walk(self, graph, m):
+        # In critical(1) order, each end the field's own critical tuple.
+        for field in build_fields(graph, m):
+            edges = field.critical(1)
+            ends = field.morse_ends(edges)
+            assert list(ends.items()) == [(e, morse_ends(field, e)) for e in edges]
+            own = {id(c) for c in field.critical(0)}
+            assert all(id(src) in own and id(tgt) in own for src, tgt in ends.values())
+
+    @pytest.mark.parametrize(
+        "level, cell",
+        [("up", (0, 0)), ("up", ("a2", 0)), ("up", (0, 1)), ("down", ("a", 0)), ("down", (0, "a2"))],
+        ids=["up-repeated", "up-collapsible", "up-critical-0-cell", "down-not-representative", "down-collapsible"],
+    )
+    def test_morse_ends_of_what_is_not_a_critical_1_cell_are_refused(self, level, cell):
+        field = dict(zip(("up", "down"), build_fields(make_lollipop(2), 2)))[level]
+        with pytest.raises(InvalidParameterError, match="not a critical 1-cell"):
+            field.morse_ends([cell])
+
+    @pytest.mark.parametrize("level", ["up", "down"])
+    def test_morse_end_off_the_critical_0_cells_is_refused(self, level):
+        # The critical (2, 'a') has the end (2, 1), whose set now moves its
+        # 2 along 'a2' to 1, which it holds.  The table is checked when the
+        # field is built; changed after that, the end is refused.
+        field_fm, field_q = build_fields(make_lollipop(2), 2)
+        field_fm.swaps[field_fm.complex.set_key((1, 2))] = (2, "a2")
+        field = field_fm if level == "up" else field_q
+        with pytest.raises(StructuralError, match="not a critical 0-cell"):
+            field.morse_ends(field.critical(1))
+
+
 def _partner_kind(partner, cell):
     """The kind of a cell matched with ``partner``, by its dimension."""
     if partner is None:
@@ -480,7 +584,7 @@ def _partner_kind(partner, cell):
 
 def _field_with(monkeypatch, overrides):
     """The field of the m=2 lollipop complex, with ``classify_cell``
-    answering ``overrides[cell]`` for the cells listed there."""
+    answering the swap ``overrides[cell]`` for the cells listed there."""
     original = morse.classify_cell
     monkeypatch.setattr(
         morse, "classify_cell", lambda c, cx: overrides[c] if c in overrides else original(c, cx)
@@ -488,24 +592,41 @@ def _field_with(monkeypatch, overrides):
     return build_field(build_dconf(make_lollipop(2), 2), None)
 
 
+def _every_ordering(swaps):
+    """The swap of each listed cell given to its reversal too: at m=2 that
+    is its rotation, which must get the same swap."""
+    return {c: swap for cell, swap in swaps.items() for c in (cell, cell[::-1])}
+
+
 class TestInvolution:
     def test_partner_that_does_not_pair_back_is_refused(self, monkeypatch):
-        # ("a2", 0) stays matched with (2, 0), not with the critical (0, 1).
+        # The critical (0, 1) swaps its 1 for 'a2', but (0, 'a2') stays
+        # matched with (0, 2).
         with pytest.raises(StructuralError, match="not an involution"):
-            _field_with(monkeypatch, {(0, 1): ("a2", 0)})
+            _field_with(monkeypatch, _every_ordering({(0, 1): (1, "a2")}))
 
     def test_partner_of_the_same_dimension_is_refused(self, monkeypatch):
-        # The two critical 0-cells matched with each other pair back.
+        # The two critical 1-sets {0, 'a'} and {2, 'a'} swap 0 and 2, each
+        # matched with the other, and pair back.
         with pytest.raises(StructuralError, match="not an involution"):
-            _field_with(monkeypatch, {(0, 1): (1, 0), (1, 0): (0, 1)})
+            _field_with(monkeypatch, _every_ordering({(0, "a"): (0, 2), (2, "a"): (2, 0)}))
 
     def test_swap_of_two_vertices_is_refused(self, monkeypatch):
         # (0, 1) and (0, 2) swap one vertex for the other and pair back in
         # every ordering; (0, 'a2'), the partner (0, 2) had, turns critical.
-        matching = {(0, 1): (0, 2), (0, 2): (0, 1), (0, "a2"): None}
-        overrides = {**matching, **{c[::-1]: p and p[::-1] for c, p in matching.items()}}
+        matching = {(0, 1): (1, 2), (0, 2): (2, 1), (0, "a2"): None}
         with pytest.raises(StructuralError, match="not an involution"):
-            _field_with(monkeypatch, overrides)
+            _field_with(monkeypatch, _every_ordering(matching))
+
+    @pytest.mark.parametrize("swap", [(1, "a2"), (2, 0)], ids=["old-not-in-the-cell", "new-already-in-it"])
+    def test_swap_that_does_not_change_one_place_is_refused(self, monkeypatch, swap):
+        # Every ordering of {0, 2} gets the same swap, so the rotation check
+        # passes; the swap must take out a coordinate the cell has and put
+        # in one it lacks.
+        fm = build_dconf(make_lollipop(2), 2)
+        monkeypatch.setattr(morse, "classify_cell", lambda c, cx: swap)
+        with pytest.raises(StructuralError, match=r"not an involution at \(0, 2\)"):
+            morse._classify_set((0, 2), fm)
 
 
 class TestDescent:
@@ -513,20 +634,18 @@ class TestDescent:
     involution that proves the forest acyclic (``build_field``)."""
 
     def test_step_away_from_the_root_is_refused(self, monkeypatch):
-        # Reverse the gradient path (0, 2) -> (0, 1): (0, 1) takes (0, 'a2'),
-        # whose other end (0, 2) moves vertex 1 to 2, and (0, 2) turns
+        # Reverse the gradient path (0, 2) -> (0, 1): (0, 1) swaps its 1 for
+        # 'a2', whose other end (0, 2) moves vertex 1 to 2, and (0, 2) turns
         # critical.  The matching is still an involution in every ordering.
-        reversed_path = {(0, 1): (0, "a2"), (0, "a2"): (0, 1), (0, 2): None}
-        overrides = {**reversed_path, **{c[::-1]: p and p[::-1] for c, p in reversed_path.items()}}
+        reversed_path = {(0, 1): (1, "a2"), (0, "a2"): ("a2", 1), (0, 2): None}
         with pytest.raises(StructuralError, match="does not move toward the root"):
-            _field_with(monkeypatch, overrides)
+            _field_with(monkeypatch, _every_ordering(reversed_path))
 
     def test_0_cell_matched_off_its_partner_is_refused(self, monkeypatch):
-        # (0, 2) takes (0, 'a'), and the edge 'a' joins 1 and 3, not 2.
-        matching = {(0, 2): (0, "a"), (0, "a"): (0, 2), (0, "a2"): None}
-        overrides = {**matching, **{c[::-1]: p and p[::-1] for c, p in matching.items()}}
+        # (0, 2) swaps its 2 for 'a', and the edge 'a' joins 1 and 3, not 2.
+        matching = {(0, 2): (2, "a"), (0, "a"): ("a", 2), (0, "a2"): None}
         with pytest.raises(StructuralError, match="not an end of its partner"):
-            _field_with(monkeypatch, overrides)
+            _field_with(monkeypatch, _every_ordering(matching))
 
 
 class TestInvolutionPerSet:
@@ -546,14 +665,13 @@ class TestInvolutionPerSet:
                         assert field.classes.get(partner) == c and abs(cell_dim(partner) - d) == 1
 
     def test_equivariant_wrong_partner_is_refused(self, monkeypatch):
-        # Every ordering of {0, 1, 3} pairs with itself with 3 replaced by 'a4'
-        # in place, the same swap in each, so the rotation check passes; but
-        # (0, 1, 'a4') pairs back with (0, 1, 4).
+        # Every ordering of {0, 1, 3} swaps its 3 for 'a4', so the rotation
+        # check passes; but (0, 1, 'a4') pairs back with (0, 1, 4).
         original = morse.classify_cell
 
         def wrong(c, cx):
             if set(c) == {0, 1, 3}:
-                return tuple("a4" if coord == 3 else coord for coord in c)
+                return 3, "a4"
             return original(c, cx)
 
         monkeypatch.setattr(morse, "classify_cell", wrong)
@@ -584,20 +702,20 @@ class TestSymmetricField:
     def test_every_ordered_cell_matches_its_classification(self, graph, m):
         fm = build_dconf(graph, m)
         classes = build_field(fm, None).classes
-        wrong = [c for c in fm.all_cells() if classify_cell(c, fm) != classes[c]]
+        wrong = [c for c in fm.all_cells() if _partner(c, fm) != classes[c]]
         assert not wrong
 
     def test_sampled_ordered_cells_match_at_m5(self):
         fm = build_dconf(make_lollipop(5), 5)
         classes = build_field(fm, None).classes
         sample = random.Random(5).sample(list(fm.all_cells()), 2000)
-        wrong = [c for c in sample if classify_cell(c, fm) != classes[c]]
+        wrong = [c for c in sample if _partner(c, fm) != classes[c]]
         assert not wrong
 
-    @pytest.mark.parametrize("answer", [None, ("a3", 0)], ids=["critical", "another-set"])
+    @pytest.mark.parametrize("answer", [None, (2, "a3")], ids=["critical", "another-set"])
     def test_misclassified_rotation_is_refused(self, monkeypatch, answer):
         # (0, 2) is classified as its set's ascending ordering; (2, 0) is its
-        # rotation, checked directly, and pairs with ("a2", 0).
+        # rotation, checked directly, and must get the same swap (2, 'a2').
         with pytest.raises(StructuralError, match="not equivariant"):
             _field_with(monkeypatch, {(2, 0): answer})
 
@@ -700,7 +818,7 @@ class TestQuotientField:
         system = get_system(m)
         q = system.quotient
         for rep in q.all_cells():
-            kinds = {_partner_kind(classify_cell(member, system.fm), member) for member in q.members_of[rep]}
+            kinds = {_partner_kind(_partner(member, system.fm), member) for member in q.members_of[rep]}
             assert kinds == {system.field_q.kind(rep)}
 
     @FIELD_CASES
@@ -709,7 +827,7 @@ class TestQuotientField:
         q = build_quotient(fm)
         field = build_field(q, build_field(fm, None))
         for rep in q.all_cells():
-            partner = classify_cell(rep, fm)
+            partner = _partner(rep, fm)
             assert field.classes[rep] == (None if partner is None else q.project(partner))
 
     @QUOTIENT_CASES
@@ -732,7 +850,7 @@ class TestQuotientField:
         field_q = build_field(q, build_field(fm, None))
         assert {d: list(cells) for d, cells in q.cells_by_dim.items()} == reps
         for d, cells in reps.items():
-            partners = [classify_cell(rep, fm) for rep in cells]
+            partners = [_partner(rep, fm) for rep in cells]
             assert list(field_q.critical(d)) == [rep for rep, p in zip(cells, partners) if p is None]
             oracle = [p and next(p[t:] + p[:t] for t in range(m) if p[t:] + p[:t] in listed) for p in partners]
             assert [field_q.classes[rep] for rep in cells] == oracle
