@@ -106,7 +106,7 @@ def cmd_dconf_stats(args) -> int:
 
 def cmd_morse_critical(args) -> int:
     system = get_system(args.m)
-    field = system.field_q if args.quotient else system.field_fm
+    field = (system.down if args.quotient else system.up).field
     space = "quotient" if args.quotient else "fm"
     report = Report(command=f"morse critical --m {args.m} --space {space}")
     report.records.append(("critical.dim0", str(len(field.critical(0)))))

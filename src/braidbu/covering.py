@@ -9,12 +9,11 @@ the forest to its critical 0-cell (``GradientField.flow``).  The Morse
 complex joins the critical 0-cells by the critical edges, their ends flowed
 (``skeleton``), and the selected edges are its spanning tree
 (``maximal_tree``), with parent pointers from the base's sink
-(``tree_parents``).  A Level turns paths into loops and loops into words:
+(``tree_parents``).  A Level turns letters into loops and paths into words:
 ``path_to`` is the tree path from the base, the Morse-tree path with each
-edge expanded along the flow; ``close`` makes any path a based loop through
-the tree; ``loop`` is the closed one-edge path of a letter; and ``express``
-reads a loop's letters off in order, skipping the forest's and the selected
-edges.
+edge expanded along the flow; ``loop`` is a letter's edge closed through the
+tree into a based loop; and ``express`` reads a path's letters off in order,
+skipping the forest's and the selected edges.
 
 ``build_fields(graph, n)`` gives the gradient fields of both sides, and
 ``Covering`` builds its two levels from them, ``up`` (the configuration
@@ -23,9 +22,9 @@ by default the critical edges that close a cycle, as for every tree target;
 ``BraidSystem`` names the lollipop's.  The upstairs cells over the quotient
 base are the m sheets, numbered by deck exponent.  One lazily filled table
 answers every question about lifting: ``lift_letter(sheet, letter)`` lifts
-the letter's quotient loop from that sheet, closes the lift upstairs, and
-returns its upstairs word with the sheet it ends on.  The maps of the paper
-are read off the covering:
+the letter's quotient loop from that sheet and returns the word of the
+lift, read upstairs without closing it, with the sheet it ends on.
+The maps of the paper are read off the covering:
 
 * ``theta_letter`` / ``theta_word`` -- the sheet on which ``_walk``, the one
   walk of a word's letter lifts across the sheets from sheet 0, ends (the
@@ -59,9 +58,6 @@ class EdgePath(NamedTuple):
     start: Cell
     steps: tuple[Step, ...]
     end: Cell
-
-    def is_closed(self) -> bool:
-        return self.start == self.end
 
 
 def _step_endpoints(cx, step: Step) -> tuple[Cell, Cell]:
@@ -166,13 +162,13 @@ def _reversed(steps: list[Step]) -> list[Step]:
 
 
 def express_loop(path: EdgePath, is_tree: Callable[[Cell], bool], letter_of: Callable[[Cell], object]) -> FreeWord:
-    """Read off, in order, the non-tree edges a closed path traverses.
+    """Read off, in order, the non-tree edges a path traverses.
 
-    letter_of maps a non-tree 1-cell to the letter naming its based loop; it
-    should raise KeyError on unknown edges.
+    The path need not be closed: the tree's edges read the identity, so
+    closing a path through the tree never changes its word.  letter_of maps
+    a non-tree 1-cell to the letter naming its based loop; it should raise
+    KeyError on unknown edges.
     """
-    if not path.is_closed():
-        raise InvalidParameterError("path is not closed")
     pieces = []
     for edge, sign in path.steps:
         if is_tree(edge):
@@ -238,7 +234,7 @@ class _TreeEdges(dict):
 
 class Level:
     """One side of the covering: a complex and its letters, with the field
-    whose flow and Morse tree turn paths into loops and loops into words.
+    whose flow and Morse tree turn letters into loops and paths into words.
 
     ``letters`` maps critical 1-cells of the field to the letter naming their
     based loop.  The other critical 1-cells, ``selected``, join the critical
@@ -306,24 +302,21 @@ class Level:
             path = paths[u] = self._checked(steps, u)
         return path
 
-    def close(self, path: EdgePath) -> EdgePath:
-        """The based loop through the path: the tree path to its start, the
-        path, and the tree path back from its end."""
-        to_start, to_end = self.path_to(path.start), self.path_to(path.end)
-        if to_start.start != self.complex.base or to_end.start != self.complex.base:
-            raise StructuralError("tree paths do not start at the base")
-        return concat(to_start, path, reverse_path(to_end))
-
     def loop(self, letter) -> EdgePath:
-        """The based loop that reads the single letter."""
+        """The based loop that reads the single letter: the tree path to its
+        edge's source, the edge, and the tree path back from its target."""
         if letter not in self._loops:
             edge = self._edge[letter]
             src, tgt = self.complex.edge_endpoints(edge)
-            self._loops[letter] = self.close(EdgePath(src, ((edge, 1),), tgt))
+            to_src, to_tgt = self.path_to(src), self.path_to(tgt)
+            if to_src.start != self.complex.base or to_tgt.start != self.complex.base:
+                raise StructuralError("tree paths do not start at the base")
+            self._loops[letter] = concat(to_src, EdgePath(src, ((edge, 1),), tgt), reverse_path(to_tgt))
         return self._loops[letter]
 
     def express(self, path: EdgePath) -> FreeWord:
-        """The word of a closed path: its letter edges, read in order."""
+        """The word of a path, open or closed: its letter edges, read in
+        order; the tree's edges read the identity."""
         return express_loop(path, self.is_tree_edge, self.letters.__getitem__)
 
 
@@ -382,12 +375,12 @@ class Covering:
             raise StructuralError(f"{vertex!r} is not in the base orbit") from None
 
     def lift_letter(self, sheet: int, letter) -> tuple[FreeWord, int]:
-        """Lift the letter's quotient loop from the given sheet; the upstairs
-        word of the lift closed through the tree paths, and its end sheet."""
+        """Lift the letter's quotient loop from the given sheet; the word the
+        lift reads upstairs, and its end sheet."""
         key = (sheet, letter)
         if key not in self._lifts:
             lifted = lift_path(self.quotient, self.down.loop(letter), self._sheets[sheet])
-            self._lifts[key] = (self.up.express(self.up.close(lifted)), self.deck_exponent(lifted.end))
+            self._lifts[key] = (self.up.express(lifted), self.deck_exponent(lifted.end))
         return self._lifts[key]
 
     def theta_letter(self, letter) -> int:

@@ -78,8 +78,7 @@ class GroupHom(NamedTuple):
     images: Mapping[object, Union[FreeWord, int]]
 
     def evaluate_word(self, word: FreeWord):
-        values = list(self.images.values())
-        if values and isinstance(values[0], int):
+        if isinstance(next(iter(self.images.values()), None), int):
             return word.evaluate_additive(lambda l: self.images[l])
         return FreeWord.product(
             self.images[letter] if sign == 1 else self.images[letter].inverse() for letter, sign in word

@@ -101,8 +101,7 @@ class BraidSystem(Covering):
         if m < 2:
             raise InvalidParameterError(f"need m >= 2, got {m}")
         check_room(2 * m, m)  # the lollipop has 2m vertices; refused before it is built
-        self.field_fm, self.field_q = build_fields(make_lollipop(m), m)
-        super().__init__(self.field_fm, self.field_q)
+        super().__init__(*build_fields(make_lollipop(m), m))
 
     def _letters(self, field: GradientField) -> dict[Cell, GeneratorId]:
         """Each critical edge named by ``_letter``; the selected ones are left out."""

@@ -14,7 +14,7 @@ from .errors import InvalidParameterError
 from .covering import Level
 from .fundgroup import GeneratorId, get_system
 from .graphs import make_path, make_star
-from .morse import GradientField, associated_permutation, edge_source, edge_target, edge_type
+from .morse import associated_permutation, edge_source, edge_target, edge_type
 from .perms import Perm, all_perms, cyclic_canonical
 from .words import FreeWord
 
@@ -31,7 +31,6 @@ class _Level(NamedTuple):
 
     label: str
     level: Level
-    field: GradientField
     basis: list
     orbit: int  # cells per orbit: 1 upstairs, m in the quotient
 
@@ -39,8 +38,8 @@ class _Level(NamedTuple):
 def _levels(m: int) -> tuple[_Level, _Level]:
     system = get_system(m)
     return (
-        _Level("fm", system.up, system.field_fm, system.basis_fm, 1),
-        _Level("quotient", system.down, system.field_q, system.basis_q, m),
+        _Level("fm", system.up, system.basis_fm, 1),
+        _Level("quotient", system.down, system.basis_q, m),
     )
 
 
@@ -56,7 +55,7 @@ def morse_rank_check(m: int) -> list[Verdict]:
     out = []
     for lv in _levels(m):
         chi = chi_oracle(lv.level.complex)
-        crit0, crit1 = len(lv.field.critical(0)), len(lv.field.critical(1))
+        crit0, crit1 = len(lv.level.field.critical(0)), len(lv.level.field.critical(1))
         out.append((f"morserank.m{m}.{lv.label}", crit0 - crit1 == chi, f"{crit0} - {crit1} vs chi {chi}"))
         rank = len(lv.basis)
         out.append((f"rank.m{m}.{lv.label}", rank == 1 - chi, f"rank {rank} vs 1 - chi {1 - chi}"))
@@ -78,7 +77,7 @@ def hom_table(system) -> dict[str, tuple[list[GeneratorId], Callable, Callable]]
 def _check_census(m: int) -> list[Verdict]:
     out = []
     for lv in _levels(m):
-        field, expect = lv.field, math.factorial(m) // lv.orbit
+        field, expect = lv.level.field, math.factorial(m) // lv.orbit
         counts = _count_types(field.critical(1), m)
         ok = (
             len(field.critical(0)) == expect
@@ -108,7 +107,7 @@ def _check_lemma47(m: int) -> list[Verdict]:
     for lv in _levels(m):
         normal = (lambda p: p) if lv.orbit == 1 else (lambda p: cyclic_canonical(p)[0])
         graph, ok = lv.level.complex.graph, True
-        for cell in lv.field.critical(1):
+        for cell in lv.level.field.critical(1):
             src = associated_permutation(edge_source(cell, graph))
             tgt = associated_permutation(edge_target(cell, graph))
             if normal(tgt) != normal(src * Perm.cycle(edge_type(cell, m), m).inverse()):
@@ -128,7 +127,7 @@ def _check_trees(m: int) -> list[Verdict]:
     edges."""
     out = []
     for lv in _levels(m):
-        sinks, selected = lv.field.critical(0), lv.level.selected
+        sinks, selected = lv.level.field.critical(0), lv.level.selected
         ok = len(selected) == len(sinks) - 1 and lv.level.parents.keys() == set(sinks)
         edges = lv.level.complex.num_cells(0) - len(sinks) + len(selected)
         out.append((f"trees.m{m}.{lv.label}", ok, f"{edges} edges"))

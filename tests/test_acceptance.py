@@ -33,18 +33,18 @@ def test_criterion_01_critical_census():
         system = get_system(m)
         fact = math.factorial(m)
         counts = {b: 0 for b in range(1, m + 1)}
-        for cell in system.field_fm.critical(1):
+        for cell in system.up.field.critical(1):
             counts[edge_type(cell, m)] += 1
-        ok &= len(system.field_fm.critical(0)) == fact
+        ok &= len(system.up.field.critical(0)) == fact
         ok &= all(counts[b] == fact for b in counts)
         counts_q = {b: 0 for b in range(1, m + 1)}
-        for rep in system.field_q.critical(1):
+        for rep in system.down.field.critical(1):
             counts_q[edge_type(rep, m)] += 1
-        ok &= len(system.field_q.critical(0)) == fact // m
+        ok &= len(system.down.field.critical(0)) == fact // m
         ok &= all(counts_q[b] == fact // m for b in counts_q)
         for d in range(2, system.fm.top_dim + 1):
-            ok &= not system.field_fm.critical(d)
-            ok &= not system.field_q.critical(d)
+            ok &= not system.up.field.critical(d)
+            ok &= not system.down.field.critical(d)
     elapsed = time.perf_counter() - start
     ok &= elapsed < 60.0
     report(1, ok, f"m! critical vertices, m! edges per type, none above dim 1 ({elapsed:.2f}s)")
@@ -76,13 +76,13 @@ def test_criterion_03_permutation_shift_rule():
     total = 0
     for m in MS:
         system = get_system(m)
-        for cell in system.field_fm.critical(1):
+        for cell in system.up.field.critical(1):
             total += 1
             b = edge_type(cell, m)
             src = associated_permutation(edge_source(cell, system.graph))
             tgt = associated_permutation(edge_target(cell, system.graph))
             ok &= tgt == src * Perm.cycle(b, m).inverse()
-        for rep in system.field_q.critical(1):
+        for rep in system.down.field.critical(1):
             b = edge_type(rep, m)
             src = associated_permutation(edge_source(rep, system.graph))
             tgt = associated_permutation(edge_target(rep, system.graph))
@@ -101,7 +101,7 @@ def test_criterion_04_maximal_trees():
         # critical 0-cell per tree, maximal_tree the c0 - 1 selected edges
         # and tree_parents that they reach every critical 0-cell; re-check
         # the counts here
-        for field, level in ((system.field_fm, system.up), (system.field_q, system.down)):
+        for field, level in ((system.up.field, system.up), (system.down.field, system.down)):
             vertices, sinks = level.complex.cells_by_dim[0], field.critical(0)
             forest = sum(field.classes[v] is not None for v in vertices)
             ok &= len(level.selected) == len(sinks) - 1 and level.parents.keys() == set(sinks)

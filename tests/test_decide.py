@@ -1,4 +1,5 @@
 import math
+from collections.abc import Mapping
 from itertools import product
 
 import pytest
@@ -334,6 +335,40 @@ class TestWedge:
     def test_chi_nonzero_rejected(self):
         with pytest.raises(InvalidParameterError):
             dec.decide_wedge(1, 2, dec.ActionData(2, 2, (1, 0)))
+
+
+class _CountingImages(Mapping):
+    """A hom's images that record which letters' images were read."""
+
+    def __init__(self, images):
+        self._images, self.read = dict(images), []
+
+    def __getitem__(self, letter):
+        self.read.append(letter)
+        return self._images[letter]
+
+    def __iter__(self):
+        return iter(self._images)
+
+    def __len__(self):
+        return len(self._images)
+
+
+class TestGroupHom:
+    @pytest.mark.parametrize("kind", ["int", "word"])
+    def test_one_letter_word_reads_only_that_letters_image(self, kind):
+        letters = [x(i) for i in range(1, 1001)]
+        image = (lambda i: i) if kind == "int" else (lambda i: FreeWord.gen(x(i)) ** 2)
+        images = _CountingImages({letter: image(i) for i, letter in enumerate(letters, start=1)})
+        for sign in (1, -1):
+            images.read.clear()
+            value = dec.GroupHom(images).evaluate_word(FreeWord.gen(letters[0]) ** sign)
+            assert value == (sign if kind == "int" else FreeWord.gen(x(1)) ** (2 * sign))
+            assert set(images.read) == {letters[0]}
+
+    @pytest.mark.parametrize("images, identity", [({x(1): 3}, 0), ({x(1): FreeWord.gen(x(2))}, FreeWord()), ({}, FreeWord())])
+    def test_empty_word_reads_the_identity(self, images, identity):
+        assert dec.GroupHom(images).evaluate_word(FreeWord()) == identity
 
 
 class TestVerifyDiagram:

@@ -15,6 +15,7 @@ from braidbu.covering import (
     lift_path,
     make_path as make_edge_path,
     maximal_tree,
+    reverse_path,
     skeleton,
     tree_parents,
 )
@@ -78,7 +79,7 @@ class TestMaximalTrees:
     @pytest.mark.parametrize("space", ["fm", "quotient"])
     def test_spanning(self, m, space):
         system = get_system(m)
-        field = system.field_fm if space == "fm" else system.field_q
+        field = system.up.field if space == "fm" else system.down.field
         level = system.up if space == "fm" else system.down
         tree = maximal_tree(field, level.selected)
         assert tree == level.selected
@@ -87,13 +88,13 @@ class TestMaximalTrees:
 
     def test_bad_selection_caught(self, sys2):
         with pytest.raises(StructuralError):
-            maximal_tree(sys2.field_fm, frozenset())  # too few edges to span
+            maximal_tree(sys2.up.field, frozenset())  # too few edges to span
 
     def test_cycle_with_a_spanning_count_caught(self, sys3):
         # Swap a selected edge for a letter edge that is a loop of the Morse
         # complex: still c0 - 1 edges, but one closes a cycle, so they no
         # longer reach every critical 0-cell from the base's sink.
-        level, field = sys3.up, sys3.field_fm
+        level, field = sys3.up, sys3.up.field
         loop_edge = next(e for e in level.letters if len(set(morse_ends(field, e))) == 1)
         candidate = (level.selected - {next(iter(level.selected))}) | {loop_edge}
         assert maximal_tree(field, candidate) == candidate
@@ -270,19 +271,23 @@ STAR_COVERINGS = {
     f"star({legs},{length})-n{n}": (legs, length, n)
     for legs, length, n in ((3, 2, 2), (4, 3, 2), (5, 2, 2), (3, 2, 3), (4, 2, 3), (3, 3, 3), (5, 2, 3))
 }
+LOLLIPOPS_AND_STARS = [f"lollipop-m{m}" for m in (2, 3, 4)] + sorted(STAR_COVERINGS)
+
+
+def _lollipop_or_star(name):
+    if name.startswith("lollipop"):
+        return get_system(int(name[-1]))
+    legs, length, n = STAR_COVERINGS[name]
+    return tree_system(make_star(legs, length), n)
 
 
 class TestMorseTree:
     """``path_to`` reads the tree path off the flow and the Morse tree; a
     walk over every 0-cell of the spanning tree must find the same path."""
 
-    @pytest.mark.parametrize("name", [f"lollipop-m{m}" for m in (2, 3, 4)] + sorted(STAR_COVERINGS))
+    @pytest.mark.parametrize("name", LOLLIPOPS_AND_STARS)
     def test_path_to_equals_the_spanning_tree_walk(self, name):
-        if name.startswith("lollipop"):
-            system = get_system(int(name[-1]))
-        else:
-            legs, length, n = STAR_COVERINGS[name]
-            system = tree_system(make_star(legs, length), n)
+        system = _lollipop_or_star(name)
         for level in (system.up, system.down):
             for v, steps in _spanning_tree_paths(level).items():
                 path = level.path_to(v)
@@ -330,6 +335,20 @@ class TestLifting:
                 lifted = lift_path(q, loop, start)
                 assert (lifted.steps, lifted.end) == _lift_by_search(q, loop, start)
                 assert lifted.start == start
+
+    @pytest.mark.parametrize("name", LOLLIPOPS_AND_STARS)
+    def test_lift_words_equal_the_lifts_closed_through_the_tree(self, name):
+        # The oracle closes each lift into a based loop upstairs, through
+        # the tree paths to its ends, before reading it.
+        system = _lollipop_or_star(name)
+        up = system.up
+        for letter in system.down.letters.values():
+            for sheet in range(system.m):
+                lifted = lift_path(system.quotient, system.down.loop(letter), system._sheets[sheet])
+                closed = concat(up.path_to(lifted.start), lifted, reverse_path(up.path_to(lifted.end)))
+                assert closed.start == closed.end == system.fm.base
+                expected = (up.express(closed), system.deck_exponent(lifted.end))
+                assert system.lift_letter(sheet, letter) == expected
 
     def test_start_off_the_path_start_is_refused(self, sys3):
         loop = sys3.down.loop(next(iter(sys3.down.letters.values())))
@@ -390,12 +409,21 @@ class TestExpressLoop:
         path = concat(sys2.up.loop(g1), sys2.up.loop(g2))
         assert sys2.up.express(path) == FreeWord.gen(g1) * FreeWord.gen(g2)
 
-    def test_open_path_rejected(self, sys2):
-        edge = next(iter(sys2.up.selected))
-        src, _tgt = sys2.fm.edge_endpoints(edge)
-        path = make_edge_path(sys2.fm, src, [(edge, 1)])
-        with pytest.raises(Exception):
-            express_loop(path, sys2.up.is_tree_edge, lambda e: e)
+    @pytest.mark.parametrize("level_name", ["up", "down"])
+    def test_open_path_reads_its_closure_through_the_tree(self, sys3, level_name):
+        level = getattr(sys3, level_name)
+        cx = level.complex
+        opened = 0
+        for edge in [*level.letters, *level.selected]:
+            # a critical edge with its ends flowed to their sinks: its Morse edge
+            src, tgt = cx.edge_endpoints(edge)
+            (to_src, sink), to_tgt = level.field.flow(src), level.field.flow(tgt)[0]
+            path = make_edge_path(cx, sink, [*((e, -s) for e, s in reversed(to_src)), (edge, 1), *to_tgt])
+            opened += path.start != path.end
+            closed = concat(level.path_to(path.start), path, reverse_path(level.path_to(path.end)))
+            word = FreeWord.gen(level.letters[edge]) if edge in level.letters else FreeWord()
+            assert level.express(path) == level.express(closed) == word
+        assert opened
 
 
 class TestIota:
@@ -574,7 +602,7 @@ class TestM5:
     def test_fresh_m5_system(self):
         system = BraidSystem(5)
         assert (len(system.basis_fm), len(system.basis_q)) == (481, 97)
-        for field, c0, c1 in ((system.field_fm, 120, 600), (system.field_q, 24, 120)):
+        for field, c0, c1 in ((system.up.field, 120, 600), (system.down.field, 24, 120)):
             assert (len(field.critical(0)), len(field.critical(1))) == (c0, c1)
             cx = field.complex
             assert not any(field.critical(d) for d in range(2, cx.top_dim + 1))

@@ -55,7 +55,7 @@ class TestClassification:
 
     def test_redundant_vertex(self, sys2):
         assert classify_cell((2, 0), sys2.fm) == (2, "a2")
-        assert sys2.field_fm.kind((2, 0)) == "redundant"
+        assert sys2.up.field.kind((2, 0)) == "redundant"
 
     def test_critical_edges(self, sys2):
         assert classify_cell(("a", 0), sys2.fm) is None
@@ -63,13 +63,13 @@ class TestClassification:
 
     def test_collapsible_edge(self, sys2):
         assert classify_cell(("a2", 0), sys2.fm) == ("a2", 2)
-        assert sys2.field_fm.kind(("a2", 0)) == "collapsible"
+        assert sys2.up.field.kind(("a2", 0)) == "collapsible"
 
     def test_redundant_edge_pairs_up_to_square(self, sys2):
         assert classify_cell(("a3", 1), sys2.fm) == (1, "a1")
-        assert sys2.field_fm.kind(("a3", 1)) == "redundant"
+        assert sys2.up.field.kind(("a3", 1)) == "redundant"
         assert classify_cell(("a3", "a1"), sys2.fm) == ("a1", 1)
-        assert sys2.field_fm.kind(("a3", "a1")) == "collapsible"
+        assert sys2.up.field.kind(("a3", "a1")) == "collapsible"
 
     @pytest.mark.parametrize(
         "cell",
@@ -120,7 +120,7 @@ class TestClassification:
         assert critical == {(0, "critical"): math.factorial(3)}
 
     def test_full_census_m2(self, sys2):
-        census = sys2.field_fm.census()
+        census = sys2.up.field.census()
         assert census == {
             (0, "critical"): 2,
             (0, "redundant"): 10,
@@ -133,13 +133,13 @@ class TestClassification:
     @pytest.mark.parametrize("m", [2, 3])
     def test_critical_counts(self, m):
         system = get_system(m)
-        assert len(system.field_fm.critical(0)) == math.factorial(m)
-        assert len(system.field_fm.critical(1)) == m * math.factorial(m)
-        assert len(system.field_q.critical(0)) == math.factorial(m - 1)
-        assert len(system.field_q.critical(1)) == m * math.factorial(m - 1)
+        assert len(system.up.field.critical(0)) == math.factorial(m)
+        assert len(system.up.field.critical(1)) == m * math.factorial(m)
+        assert len(system.down.field.critical(0)) == math.factorial(m - 1)
+        assert len(system.down.field.critical(1)) == m * math.factorial(m - 1)
         for d in range(2, system.fm.top_dim + 1):
-            assert not system.field_fm.critical(d)
-            assert not system.field_q.critical(d)
+            assert not system.up.field.critical(d)
+            assert not system.down.field.critical(d)
 
     def test_equivariance_m2(self, sys2):
         # Every ordering gets the same swap, made in its own places, so its
@@ -174,7 +174,7 @@ class TestCriticalEdges:
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_permutation_shift_rule(self, m):
         system = get_system(m)
-        for cell in system.field_fm.critical(1):
+        for cell in system.up.field.critical(1):
             b = edge_type(cell, m)
             src = associated_permutation(edge_source(cell, system.graph))
             tgt = associated_permutation(edge_target(cell, system.graph))
@@ -183,7 +183,7 @@ class TestCriticalEdges:
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_permutation_shift_rule_quotient(self, m):
         system = get_system(m)
-        for rep in system.field_q.critical(1):
+        for rep in system.down.field.critical(1):
             b = edge_type(rep, m)
             src = associated_permutation(edge_source(rep, system.graph))
             tgt = associated_permutation(edge_target(rep, system.graph))
@@ -192,7 +192,7 @@ class TestCriticalEdges:
     @pytest.mark.parametrize("m", [2, 3])
     def test_reconstruction_from_source_permutation(self, m):
         system = get_system(m)
-        for cell in system.field_fm.critical(1):
+        for cell in system.up.field.critical(1):
             b = edge_type(cell, m)
             src = edge_source(cell, system.graph)
             sigma = associated_permutation(src)
@@ -374,21 +374,21 @@ class TestForest:
     0-cell's sink carries its sorting permutation (a coset in the quotient)."""
 
     def test_two_trees_m2(self, sys2):
-        trees = _flow_trees(sys2.field_fm)
+        trees = _flow_trees(sys2.up.field)
         assert sorted(_label(sink, sys2.fm).images for sink in trees) == [(1, 2), (2, 1)]
         for vertices in trees.values():
-            edges = {sys2.field_fm.classes[v] for v in vertices} - {None}
+            edges = {sys2.up.field.classes[v] for v in vertices} - {None}
             assert len(vertices) == 6 and len(edges) == 5
 
     def test_m3_trees_and_quotient_labels(self, sys3):
-        assert len(_flow_trees(sys3.field_fm)) == 6
-        qtrees = _flow_trees(sys3.field_q)
+        assert len(_flow_trees(sys3.up.field)) == 6
+        qtrees = _flow_trees(sys3.down.field)
         assert sorted(_label(sink, sys3.quotient).images for sink in qtrees) == [(1, 2, 3), (1, 3, 2)]
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_forest_edges_join_equal_permutations(self, m):
         system = get_system(m)
-        classes = system.field_fm.classes
+        classes = system.up.field.classes
         for v in system.fm.cells_by_dim[0]:
             if classes[v] is not None:
                 src, tgt = system.fm.edge_endpoints(classes[v])
@@ -410,8 +410,8 @@ class TestForest:
     @pytest.mark.parametrize("m", [2, 3])
     def test_forest_partitions_vertices(self, m):
         system = get_system(m)
-        trees = _flow_trees(system.field_fm)
-        assert set(trees) == set(system.field_fm.critical(0))
+        trees = _flow_trees(system.up.field)
+        assert set(trees) == set(system.up.field.critical(0))
         all_vertices = [v for vertices in trees.values() for v in vertices]
         assert len(all_vertices) == len(set(all_vertices)) == len(system.fm.cells_by_dim[0])
 
@@ -819,7 +819,7 @@ class TestQuotientField:
         q = system.quotient
         for rep in q.all_cells():
             kinds = {_partner_kind(_partner(member, system.fm), member) for member in q.members_of[rep]}
-            assert kinds == {system.field_q.kind(rep)}
+            assert kinds == {system.down.field.kind(rep)}
 
     @FIELD_CASES
     def test_derived_classes_match_representatives(self, graph, m):
