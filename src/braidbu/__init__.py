@@ -25,7 +25,7 @@ from .decide import (
     verify_diagram,
 )
 from .errors import InvalidParameterError, PreconditionError, StructuralError
-from .fundgroup import BraidSystem, GeneratorId, get_system
+from .fundgroup import BraidSystem, GeneratorId, get_system, type_tuple
 from .graphs import (
     Edge,
     Graph,
@@ -37,14 +37,7 @@ from .graphs import (
     make_star,
     parse_graph_text,
 )
-from .morse import (
-    GradientField,
-    associated_permutation,
-    build_field,
-    classify_cell,
-    edge_type,
-    type_tuple,
-)
+from .morse import GradientField, build_field, classify_cell
 from .oracle import Report, chi_oracle, morse_rank_check, run_suite
 from .perms import Perm, all_perms, cyclic_canonical, sorting_permutation
 from .words import FreeWord

@@ -11,7 +11,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import decide as dec
-from .complexes import build_dconf, build_quotient
+from .complexes import build_dconf, build_quotient, check_room
 from .covering import skeleton
 from .errors import InvalidParameterError, PreconditionError, StructuralError
 from .fundgroup import get_system
@@ -25,7 +25,7 @@ from .graphs import (
     make_star,
     parse_graph_text,
 )
-from .morse import build_field, edge_data
+from .morse import build_field
 from .oracle import Report, chi_oracle, hom_table, run_suite
 from .words import FreeWord
 
@@ -46,6 +46,11 @@ def _print_report(report: Report, fmt: str) -> int:
 
 
 def cmd_graph_build(args) -> int:
+    # No command places two particles on a graph that ``check_room`` refuses for two, so it is
+    # refused before any edge is made; one too small for two gets its constructor's message.
+    star = 1 + args.legs * args.leg_length
+    vertices = {"lollipop": 2 * args.m, "path": args.n, "cycle": args.n}.get(args.kind, star)
+    check_room(max(vertices, 2), 2)
     if args.kind == "lollipop":
         graph = make_lollipop(args.m)
     elif args.kind == "path":
@@ -116,7 +121,7 @@ def cmd_morse_critical(args) -> int:
     report.records.append(
         ("critical.dim2plus", str(sum(len(field.critical(d)) for d in range(2, top + 1))))
     )
-    edges = [(cell, *edge_data(cell, system.graph, args.m)) for cell in crit1]
+    edges = [(cell, *system.name_edge(cell)) for cell in crit1]
     if args.by_type:
         by_type: dict[int, int] = {}
         for _, _, b in edges:

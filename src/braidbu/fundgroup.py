@@ -2,10 +2,12 @@
 complex and its cyclic quotient, and the three structural homomorphisms.
 
 For m particles on the lollipop, both fundamental groups are free: critical
-1-cells that are not selected into the maximal tree give the basis.  The
-selection rule lives in ``BraidSystem._letter``: it names each critical edge
-of either level by its letter, or returns None when the edge is selected,
-and the closed-form iota reuses it to name quotient orbits.  Three
+1-cells that are not selected into the maximal tree give the basis.  Each
+critical edge of either level is act(sigma, O_b), and ``BraidSystem.name_edge``
+reads (sigma, b) off it in closed form.  The selection rule lives in
+``BraidSystem._letter``: it names each critical edge of either level by its
+letter, or returns None when the edge is selected, and the closed-form iota
+reuses it to name quotient orbits.  Three
 homomorphisms are computed twice, from closed formulas and from independent
 geometric oracles:
 
@@ -41,12 +43,19 @@ from .covering import maximal_tree  # noqa: F401
 from .errors import InvalidParameterError, StructuralError
 from .frozen import Frozen
 from .graphs import make_lollipop
-from .morse import GradientField, edge_data, type_tuple
+from .morse import GradientField
 from .perms import Perm, cyclic_canonical
 from .words import FreeWord
 
 SPACE_FM = "fm"
 SPACE_QUOTIENT = "quotient"
+
+
+def type_tuple(b: int, m: int) -> Cell:
+    """The ascending critical edge of type b: (0,..,b-2, a, m,..,2m-b-1)."""
+    if not 1 <= b <= m:
+        raise InvalidParameterError(f"type must be in 1..{m}, got {b}")
+    return tuple(range(b - 1)) + ("a",) + tuple(range(m, 2 * m - b))
 
 
 class GeneratorId(Frozen):
@@ -101,12 +110,31 @@ class BraidSystem(Covering):
         if m < 2:
             raise InvalidParameterError(f"need m >= 2, got {m}")
         check_room(2 * m, m)  # the lollipop has 2m vertices; refused before it is built
-        super().__init__(*build_fields(make_lollipop(m), m))
+        fields = build_fields(make_lollipop(m), m)
+        # Each type set's key names its type b and the place of each of its
+        # coordinates in O_b; ``_letters`` reads it while the levels are built.
+        set_key, self._types = fields[0].complex.set_key, {}
+        for b in range(1, m + 1):
+            o = type_tuple(b, m)
+            self._types[set_key(o)] = b, {c: i for i, c in enumerate(o, 1)}
+        super().__init__(*fields)
+
+    def name_edge(self, cell: Cell) -> tuple[Perm, int]:
+        """(sigma, b) of a critical edge of either level, the cell
+        act(sigma, O_b): b is named by its coordinate set's key, and sigma(i)
+        is the place in O_b of its i-th coordinate.  The loop's end m-1 sorts
+        where ``a`` stands in O_b, so sigma is its source's sorting
+        permutation.  Raises StructuralError when the set is no type set."""
+        named = self._types.get(self.fm.set_key(cell))
+        if named is None:
+            raise StructuralError(f"coordinate set of {cell!r} matches no critical type")
+        b, places = named
+        return Perm(tuple(map(places.__getitem__, cell))), b
 
     def _letters(self, field: GradientField) -> dict[Cell, GeneratorId]:
         """Each critical edge named by ``_letter``; the selected ones are left out."""
         space = SPACE_FM if field.complex is self.fm else SPACE_QUOTIENT
-        named = ((cell, self._letter(space, *edge_data(cell, self.graph, self.m))) for cell in field.critical(1))
+        named = ((cell, self._letter(space, *self.name_edge(cell))) for cell in field.critical(1))
         return {cell: letter for cell, letter in named if letter is not None}
 
     # -- selection -----------------------------------------------------------

@@ -305,17 +305,14 @@ def _distances_from(graph: Graph, start: int, skip_edge: Optional[str] = None) -
 
 
 def girth(graph: Graph) -> float:
-    """Number of edges (= vertices touched) on a shortest cycle; inf for forests."""
-    best = math.inf
-    seen_pairs: set[tuple[int, int]] = set()
-    for e in graph.edges:
-        if (e.lo, e.hi) in seen_pairs:
-            best = min(best, 2)  # parallel edges form a 2-cycle
-        seen_pairs.add((e.lo, e.hi))
-    for e in graph.edges:
-        d = _distances_from(graph, e.lo, skip_edge=e.name)[e.hi]
-        best = min(best, d + 1)
-    return best
+    """Number of edges (= vertices touched) on a shortest cycle; inf for forests.
+    The one cycle is the non-tree edge closed through the tree, so it is the
+    tree distance between that edge's ends, plus one: 2 for an edge parallel
+    to a tree edge."""
+    loop = graph.loop_edge
+    if loop is None:
+        return math.inf
+    return _distances_from(graph, loop.lo, skip_edge=loop.name)[loop.hi] + 1
 
 
 def is_sufficiently_subdivided(graph: Graph, m: int) -> bool:

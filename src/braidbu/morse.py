@@ -58,15 +58,13 @@ and every tree edge respects the order.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from functools import lru_cache
 from itertools import permutations
 from math import factorial
 from typing import Optional
 
 from .complexes import Cell, CellMap, CubeComplex, QuotientComplex, cell_dim
 from .errors import InvalidParameterError, StructuralError
-from .graphs import Coord, Graph
-from .perms import Perm, sorting_permutation
+from .graphs import Coord
 
 KIND_CRITICAL = "critical"
 KIND_REDUNDANT = "redundant"
@@ -468,47 +466,3 @@ def build_field(cx: CubeComplex, upstairs: Optional[GradientField]) -> GradientF
         field._flows = upstairs._flows
     return field
 
-
-# -- critical edges --------------------------------------------------------
-
-
-def type_tuple(b: int, m: int) -> Cell:
-    """The ascending critical edge of type b: (0,..,b-2, a, m,..,2m-b-1)."""
-    if not 1 <= b <= m:
-        raise InvalidParameterError(f"type must be in 1..{m}, got {b}")
-    return tuple(range(b - 1)) + ("a",) + tuple(range(m, 2 * m - b))
-
-
-@lru_cache(maxsize=None)
-def type_coordinate_sets(m: int) -> dict[frozenset, int]:
-    return {frozenset(type_tuple(b, m)): b for b in range(1, m + 1)}
-
-
-def edge_type(cell: Cell, m: int) -> int:
-    """The unique b whose coordinate set matches the critical edge's."""
-    b = type_coordinate_sets(m).get(frozenset(cell))
-    if b is None:
-        raise StructuralError(f"coordinate set of {cell!r} matches no critical type")
-    return b
-
-
-def edge_source(cell: Cell, graph: Graph) -> Cell:
-    loop = graph.loop_edge
-    return tuple(loop.lo if c == loop.name else c for c in cell)
-
-
-def edge_target(cell: Cell, graph: Graph) -> Cell:
-    loop = graph.loop_edge
-    return tuple(loop.hi if c == loop.name else c for c in cell)
-
-
-def associated_permutation(v: Cell) -> Perm:
-    """The permutation sending each slot to the rank of its vertex ordinal."""
-    if any(not isinstance(c, int) for c in v):
-        raise InvalidParameterError(f"not a vertex tuple: {v!r}")
-    return sorting_permutation(v)
-
-
-def edge_data(cell: Cell, graph: Graph, m: int) -> tuple[Perm, int]:
-    """(source permutation, type) of a critical edge."""
-    return associated_permutation(edge_source(cell, graph)), edge_type(cell, m)

@@ -14,8 +14,7 @@ from .errors import InvalidParameterError
 from .covering import Level
 from .fundgroup import GeneratorId, get_system
 from .graphs import make_path, make_star
-from .morse import associated_permutation, edge_source, edge_target, edge_type
-from .perms import Perm, all_perms, cyclic_canonical
+from .perms import Perm, all_perms, cyclic_canonical, sorting_permutation
 from .words import FreeWord
 
 Verdict = tuple[str, bool, str]
@@ -44,9 +43,9 @@ def _levels(m: int) -> tuple[_Level, _Level]:
 
 
 def _count_types(cells: Iterable, m: int) -> dict[int, int]:
-    counts = {b: 0 for b in range(1, m + 1)}
+    name_edge, counts = get_system(m).name_edge, {b: 0 for b in range(1, m + 1)}
     for cell in cells:
-        counts[edge_type(cell, m)] += 1
+        counts[name_edge(cell)[1]] += 1
     return counts
 
 
@@ -102,15 +101,15 @@ def _check_selection(m: int) -> list[Verdict]:
 
 def _check_lemma47(m: int) -> list[Verdict]:
     """Target permutation = source permutation * c_b^-1 on every critical
-    edge; in the quotient, up to the cyclic action."""
-    out = []
+    edge, sorting its ends (``edge_endpoints``); in the quotient, whose ends
+    are placed on the level, up to the cyclic action."""
+    name_edge, out = get_system(m).name_edge, []
     for lv in _levels(m):
         normal = (lambda p: p) if lv.orbit == 1 else (lambda p: cyclic_canonical(p)[0])
-        graph, ok = lv.level.complex.graph, True
+        cx, ok = lv.level.complex, True
         for cell in lv.level.field.critical(1):
-            src = associated_permutation(edge_source(cell, graph))
-            tgt = associated_permutation(edge_target(cell, graph))
-            if normal(tgt) != normal(src * Perm.cycle(edge_type(cell, m), m).inverse()):
+            src, tgt = map(sorting_permutation, cx.edge_endpoints(cell))
+            if normal(tgt) != normal(src * Perm.cycle(name_edge(cell)[1], m).inverse()):
                 ok = False
                 break
         noun = "critical edges" if lv.orbit == 1 else "orbit edges"

@@ -12,9 +12,8 @@ import braidbu.decide as dec
 from braidbu.complexes import build_dconf, components
 from braidbu.fundgroup import GeneratorId, get_system
 from braidbu.graphs import make_path, make_star
-from braidbu.morse import associated_permutation, edge_data, edge_source, edge_target, edge_type
 from braidbu.oracle import chi_oracle
-from braidbu.perms import Perm, all_perms, cyclic_canonical
+from braidbu.perms import Perm, all_perms, cyclic_canonical, sorting_permutation
 from braidbu.words import FreeWord
 
 MS = (2, 3, 4)
@@ -34,12 +33,12 @@ def test_criterion_01_critical_census():
         fact = math.factorial(m)
         counts = {b: 0 for b in range(1, m + 1)}
         for cell in system.up.field.critical(1):
-            counts[edge_type(cell, m)] += 1
+            counts[system.name_edge(cell)[1]] += 1
         ok &= len(system.up.field.critical(0)) == fact
         ok &= all(counts[b] == fact for b in counts)
         counts_q = {b: 0 for b in range(1, m + 1)}
         for rep in system.down.field.critical(1):
-            counts_q[edge_type(rep, m)] += 1
+            counts_q[system.name_edge(rep)[1]] += 1
         ok &= len(system.down.field.critical(0)) == fact // m
         ok &= all(counts_q[b] == fact // m for b in counts_q)
         for d in range(2, system.fm.top_dim + 1):
@@ -56,14 +55,14 @@ def test_criterion_02_selection_counts():
         system = get_system(m)
         counts = {b: 0 for b in range(1, m + 1)}
         for cell in system.up.selected:  # enumerated cells, not formulas
-            counts[edge_data(cell, system.graph, m)[1]] += 1
+            counts[system.name_edge(cell)[1]] += 1
         ok &= all(
             counts[b] == math.factorial(m - b) * (m - b) for b in range(1, m)
         ) and counts[m] == 0
         ok &= sum(counts.values()) == math.factorial(m) - 1
         counts_q = {b: 0 for b in range(1, m + 1)}
         for rep in system.down.selected:
-            counts_q[edge_data(rep, system.graph, m)[1]] += 1
+            counts_q[system.name_edge(rep)[1]] += 1
         ok &= all(
             counts_q[b] == math.factorial(m - b) * (m - b) for b in range(2, m)
         ) and counts_q[1] == 0 and counts_q[m] == 0
@@ -78,14 +77,12 @@ def test_criterion_03_permutation_shift_rule():
         system = get_system(m)
         for cell in system.up.field.critical(1):
             total += 1
-            b = edge_type(cell, m)
-            src = associated_permutation(edge_source(cell, system.graph))
-            tgt = associated_permutation(edge_target(cell, system.graph))
+            b = system.name_edge(cell)[1]
+            src, tgt = map(sorting_permutation, system.fm.edge_endpoints(cell))
             ok &= tgt == src * Perm.cycle(b, m).inverse()
         for rep in system.down.field.critical(1):
-            b = edge_type(rep, m)
-            src = associated_permutation(edge_source(rep, system.graph))
-            tgt = associated_permutation(edge_target(rep, system.graph))
+            b = system.name_edge(rep)[1]
+            src, tgt = map(sorting_permutation, system.quotient.edge_endpoints(rep))
             ok &= (
                 cyclic_canonical(tgt)[0]
                 == cyclic_canonical(src * Perm.cycle(b, m).inverse())[0]

@@ -9,6 +9,7 @@ import pytest
 
 import braidbu.decide as dec
 import braidbu.fundgroup as fundgroup
+import braidbu.graphs as graphs
 from braidbu.cli import _components, main
 from braidbu.complexes import build_dconf, build_quotient, components
 from braidbu.errors import StructuralError
@@ -45,6 +46,44 @@ class TestGraphCommands:
     def test_invalid_parameter_is_usage_error(self, capsys):
         code, _ = run(capsys, "graph", "build", "--kind", "lollipop", "--m", "1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--kind", "path", "--n", "1000000"), ("--kind", "star", "--legs", "3", "--leg-length", "1000")],
+        ids=["path-1000000", "star(3,1000)"],
+    )
+    def test_oversized_graph_is_refused_before_an_edge_is_made(self, capsys, monkeypatch, argv):
+        # More than 2828 vertices: check_room refuses two particles on it.
+        def unreachable(*args):
+            raise AssertionError("an edge was made")
+
+        monkeypatch.setattr("braidbu.cli.make_path", unreachable)
+        monkeypatch.setattr("braidbu.cli.make_star", unreachable)
+        code = main(["graph", "build", *argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_largest_admitted_path_builds(self, capsys):
+        code, out = run(capsys, "graph", "build", "--kind", "path", "--n", "2828")
+        assert code == 0
+        assert out.startswith("V 2828\n")
+
+    def test_check_reads_girth_with_one_search(self, capsys, monkeypatch, tmp_path):
+        # A cycle has no essential vertex, so the one search is girth's.
+        calls, real = [], graphs._distances_from
+
+        def counted(graph, start, skip_edge=None):
+            calls.append(start)
+            return real(graph, start, skip_edge)
+
+        monkeypatch.setattr(graphs, "_distances_from", counted)
+        path = tmp_path / "c.txt"
+        path.write_text(emit_graph_text(make_cycle(2828)))
+        code, out = run(capsys, "graph", "check", "--graph", str(path), "--m", "2")
+        assert code == 0
+        assert "sufficiently_subdivided = true" in out
+        assert len(calls) == 1
 
 
 class TestDconf:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidbu import complexes, decide, fundgroup
-from braidbu.complexes import build_dconf, build_quotient, components
+from braidbu.complexes import act, build_dconf, build_quotient, components
 from braidbu.covering import (
     Covering,
     EdgePath,
@@ -21,11 +21,11 @@ from braidbu.covering import (
 )
 from braidbu.decide import tree_system
 from braidbu.errors import InvalidParameterError, PreconditionError, StructuralError
-from braidbu.fundgroup import BraidSystem, GeneratorId, get_system
+from braidbu.fundgroup import BraidSystem, GeneratorId, get_system, type_tuple
 from braidbu.graphs import Graph, make_cycle, make_lollipop, make_path, make_star
 from braidbu.morse import build_field
 from braidbu.oracle import chi_oracle
-from braidbu.perms import Perm
+from braidbu.perms import Perm, all_perms, cyclic_canonical, sorting_permutation
 from braidbu.words import FreeWord
 from test_morse import morse_ends
 
@@ -53,6 +53,86 @@ def words_over(letters, max_size=10):
     return st.lists(syllables, max_size=max_size).map(FreeWord.of)
 
 
+def _named_by_sort_and_frozenset(cell, graph, m):
+    """(sigma, b) of a critical edge by sorting and by set: the sorting
+    permutation of its source, the loop edge replaced by its smaller end, and
+    the type whose coordinate set, as a frozenset, is the cell's."""
+    loop = graph.loop_edge
+    types = {frozenset(type_tuple(b, m)): b for b in range(1, m + 1)}
+    return sorting_permutation(tuple(loop.lo if c == loop.name else c for c in cell)), types[frozenset(cell)]
+
+
+class TestEdgeNaming:
+    """``BraidSystem.name_edge`` reads (sigma, b) off a critical edge
+    act(sigma, O_b) of either level."""
+
+    def test_type_tuples(self):
+        assert type_tuple(1, 2) == ("a", 2)
+        assert type_tuple(2, 2) == (0, "a")
+        assert type_tuple(2, 3) == (0, "a", 3)
+
+    def test_type_examples(self, sys2, sys3):
+        assert sys2.name_edge(("a", 2)) == (Perm.identity(2), 1)
+        assert sys2.name_edge((0, "a")) == (Perm.identity(2), 2)
+        assert sys2.name_edge(("a", 0)) == (Perm((2, 1)), 2)
+        assert sys3.name_edge((0, "a", 3)) == (Perm.identity(3), 2)
+        assert sys3.name_edge((3, 0, "a")) == (Perm((3, 1, 2)), 2)
+
+    def test_non_type_set_is_refused(self, sys3):
+        with pytest.raises(StructuralError, match="matches no critical type"):
+            sys3.name_edge((0, "a", 4))
+
+    def test_source_and_target(self, sys2):
+        assert sys2.fm.edge_endpoints(("a", 2)) == ((1, 2), (3, 2))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_names_equal_the_sort_and_frozenset_oracle(self, m):
+        system = get_system(m)
+        for level in (system.up, system.down):
+            for cell in level.field.critical(1):
+                assert system.name_edge(cell) == _named_by_sort_and_frozenset(cell, system.graph, m)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_basis_cells_name_their_generators(self, m):
+        system = get_system(m)
+        for g in system.basis_fm + system.basis_q:
+            assert system.name_edge(g.cell()) == (g.sigma, g.type_b)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_permutation_shift_rule(self, m):
+        system = get_system(m)
+        for cell in system.up.field.critical(1):
+            b = system.name_edge(cell)[1]
+            src, tgt = map(sorting_permutation, system.fm.edge_endpoints(cell))
+            assert tgt == src * Perm.cycle(b, m).inverse()
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_permutation_shift_rule_quotient(self, m):
+        # The quotient places each end on the level, a rotation of the
+        # upstairs end, which moves its sorting permutation within its coset.
+        system = get_system(m)
+        for rep in system.down.field.critical(1):
+            b = system.name_edge(rep)[1]
+            src, tgt = map(sorting_permutation, system.quotient.edge_endpoints(rep))
+            assert cyclic_canonical(tgt)[0] == cyclic_canonical(src * Perm.cycle(b, m).inverse())[0]
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_reconstruction_from_source_permutation(self, m):
+        system = get_system(m)
+        for cell in system.up.field.critical(1):
+            sigma, b = system.name_edge(cell)
+            src = system.fm.edge_endpoints(cell)[0]
+            assert sigma == sorting_permutation(src)
+            assert cell == act(sigma, type_tuple(b, m))
+            assert src == act(sigma, tuple(sorted(src)))
+
+    def test_action_on_sorted_tuples(self, sys3):
+        ascending = [v for v in sys3.fm.cells_by_dim[0] if tuple(sorted(v)) == v]
+        for sigma in all_perms(3):
+            for v in ascending:
+                assert sorting_permutation(act(sigma, v)) == sigma
+
+
 class TestSelection:
     def test_m2_selected(self, sys2):
         assert sys2.up.selected == frozenset({(2, "a")})
@@ -61,9 +141,8 @@ class TestSelection:
     def test_m3_counts(self, sys3):
         by_type = {}
         for cell in sys3.up.selected:
-            from braidbu.morse import edge_type
-
-            by_type[edge_type(cell, 3)] = by_type.get(edge_type(cell, 3), 0) + 1
+            b = sys3.name_edge(cell)[1]
+            by_type[b] = by_type.get(b, 0) + 1
         assert by_type == {1: 4, 2: 1}
         assert len(sys3.up.selected) == math.factorial(3) - 1
         assert sys3.down.selected == frozenset({(0, 3, "a")})

@@ -1,3 +1,6 @@
+import math
+from collections import deque
+
 import pytest
 
 from braidbu.errors import InvalidParameterError
@@ -12,6 +15,8 @@ from braidbu.graphs import (
     make_star,
     parse_graph_text,
 )
+
+PAW = "V 4\nE a 0 1\nE b 1 2\nE t 2 3\nE c 0 2 loop\n"  # triangle 0-1-2, tail 2-3
 
 
 class TestConstructors:
@@ -83,8 +88,38 @@ class TestSubdivision:
         assert girth(make_lollipop(3)) == 4
         assert girth(make_cycle(2)) == 2  # parallel edges
 
+    @pytest.mark.parametrize(
+        "graph",
+        [pytest.param(make_lollipop(m), id=f"lollipop-m{m}") for m in (2, 3, 4, 5)]
+        + [pytest.param(make_cycle(n), id=f"C{n}") for n in range(2, 13)]
+        + [pytest.param(make_path(n), id=f"path-{n}") for n in (2, 3, 7)]
+        + [pytest.param(make_star(legs, k), id=f"star({legs},{k})") for legs, k in ((3, 1), (3, 2), (4, 3), (5, 2))]
+        + [pytest.param(parse_graph_text(PAW), id="paw")],
+    )
+    def test_girth_equals_a_search_around_every_edge(self, graph):
+        assert girth(graph) == _girth_by_every_edge(graph)
 
-PAW = "V 4\nE a 0 1\nE b 1 2\nE t 2 3\nE c 0 2 loop\n"  # triangle 0-1-2, tail 2-3
+
+def _girth_by_every_edge(graph: Graph) -> float:
+    """The shortest cycle through any edge: a breadth-first search from one
+    end to the other without that edge, plus one, and 2 for parallel edges."""
+    best = math.inf
+    pairs = [(e.lo, e.hi) for e in graph.edges]
+    if len(set(pairs)) < len(pairs):
+        best = 2
+    for e in graph.edges:
+        dist = {e.lo: 0}
+        queue = deque([e.lo])
+        while queue:
+            u = queue.popleft()
+            for f in graph.edges:
+                if f.name != e.name and u in (f.lo, f.hi):
+                    v = f.hi if u == f.lo else f.lo
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        queue.append(v)
+        best = min(best, dist.get(e.hi, math.inf) + 1)
+    return best
 
 
 def _root(graph: Graph) -> int:

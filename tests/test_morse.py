@@ -25,15 +25,10 @@ from braidbu.morse import (
     KIND_REDUNDANT,
     GradientField,
     _swapped,
-    associated_permutation,
     build_field,
     classify_cell,
-    edge_source,
-    edge_target,
-    edge_type,
-    type_tuple,
 )
-from braidbu.perms import Perm, all_perms, cyclic_canonical, sorting_permutation
+from braidbu.perms import all_perms, cyclic_canonical, sorting_permutation
 from test_complexes import _ordered_walk
 from test_graphs import PAW
 
@@ -149,71 +144,6 @@ class TestClassification:
                 a, b = classify_cell(cell, sys2.fm), classify_cell(act(sigma, cell), sys2.fm)
                 assert a == b
                 assert (None if a is None else act(sigma, _swapped(cell, a))) == _partner(act(sigma, cell), sys2.fm)
-
-
-class TestCriticalEdges:
-    def test_type_tuples(self):
-        assert type_tuple(1, 2) == ("a", 2)
-        assert type_tuple(2, 2) == (0, "a")
-        assert type_tuple(2, 3) == (0, "a", 3)
-
-    def test_edge_type_examples(self):
-        assert edge_type(("a", 2), 2) == 1
-        assert edge_type((0, "a"), 2) == 2
-        assert edge_type((0, "a", 3), 3) == 2
-
-    def test_edge_type_rejects_non_critical_sets(self):
-        with pytest.raises(StructuralError):
-            edge_type((0, "a", 4), 3)
-
-    def test_source_and_target(self, sys2):
-        g = sys2.graph
-        assert edge_source(("a", 2), g) == (1, 2)
-        assert edge_target(("a", 2), g) == (3, 2)
-
-    @pytest.mark.parametrize("m", [2, 3, 4])
-    def test_permutation_shift_rule(self, m):
-        system = get_system(m)
-        for cell in system.up.field.critical(1):
-            b = edge_type(cell, m)
-            src = associated_permutation(edge_source(cell, system.graph))
-            tgt = associated_permutation(edge_target(cell, system.graph))
-            assert tgt == src * Perm.cycle(b, m).inverse()
-
-    @pytest.mark.parametrize("m", [2, 3, 4])
-    def test_permutation_shift_rule_quotient(self, m):
-        system = get_system(m)
-        for rep in system.down.field.critical(1):
-            b = edge_type(rep, m)
-            src = associated_permutation(edge_source(rep, system.graph))
-            tgt = associated_permutation(edge_target(rep, system.graph))
-            assert cyclic_canonical(tgt)[0] == cyclic_canonical(src * Perm.cycle(b, m).inverse())[0]
-
-    @pytest.mark.parametrize("m", [2, 3])
-    def test_reconstruction_from_source_permutation(self, m):
-        system = get_system(m)
-        for cell in system.up.field.critical(1):
-            b = edge_type(cell, m)
-            src = edge_source(cell, system.graph)
-            sigma = associated_permutation(src)
-            assert cell == act(sigma, type_tuple(b, m))
-            assert src == act(sigma, tuple(sorted(src)))
-
-
-class TestAssociatedPermutation:
-    def test_paper_style_example(self):
-        assert associated_permutation((8, 2, 5, 9, 4, 3)).images == (5, 1, 4, 6, 3, 2)
-
-    def test_sorted_tuple(self):
-        assert associated_permutation((0, 1, 2)).is_identity()
-
-    def test_action_on_sorted_tuples(self, sys3):
-        ascending = [
-            v for v in sys3.fm.cells_by_dim[0] if tuple(sorted(v)) == v
-        ]
-        for sigma in all_perms(3):
-            for v in ascending:
-                assert associated_permutation(act(sigma, v)) == sigma
 
 
 # (legs, leg length, particles) of the seven star targets the tree decisions are checked on.
@@ -392,7 +322,7 @@ class TestForest:
         for v in system.fm.cells_by_dim[0]:
             if classes[v] is not None:
                 src, tgt = system.fm.edge_endpoints(classes[v])
-                assert associated_permutation(src) == associated_permutation(tgt)
+                assert sorting_permutation(src) == sorting_permutation(tgt)
 
     @pytest.mark.parametrize("legs, length, n", [(3, 2, 2), (4, 3, 3), (3, 3, 3)])
     def test_star_forests(self, legs, length, n):
