@@ -67,6 +67,7 @@ def cmd_graph_check(args) -> int:
     if args.m < 1:
         raise InvalidParameterError(f"need m >= 1, got {args.m}")
     graph = _load_graph(args.graph)
+    check_room(max(graph.num_vertices, 2), 2)  # as graph build does, before any search
     report = Report(command=f"graph check --m {args.m}")
     report.records.append(("chi", str(graph.euler_characteristic)))
     report.records.append(("essential_vertices", str(len(graph.essential_vertices))))

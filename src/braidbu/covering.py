@@ -9,11 +9,12 @@ the forest to its critical 0-cell (``GradientField.flow``).  The Morse
 complex joins the critical 0-cells by the critical edges, their ends flowed
 (``skeleton``), and the selected edges are its spanning tree
 (``maximal_tree``), with parent pointers from the base's sink
-(``tree_parents``).  A Level turns letters into loops and paths into words:
-``path_to`` is the tree path from the base, the Morse-tree path with each
-edge expanded along the flow; ``loop`` is a letter's edge closed through the
-tree into a based loop; and ``express`` reads a path's letters off in order,
-skipping the forest's and the selected edges.
+(``tree_parents``).  One rule builds every tree path: a critical edge
+expanded along the flow from the sink of its source to the sink of its
+target (``Level._expand``).  The path to a critical 0-cell expands each
+edge of its Morse-tree path; ``loop`` closes a letter's expanded edge into
+a based loop through the paths to its sinks; and ``express`` reads a path's
+letters off in order, skipping the forest's and the selected edges.
 
 ``build_fields(graph, n)`` gives the gradient fields of both sides, and
 ``Covering`` builds its two levels from them, ``up`` (the configuration
@@ -76,19 +77,6 @@ def make_path(cx, start: Cell, steps: Iterable[Step]) -> EdgePath:
             raise InvalidParameterError(f"step {step!r} does not start at {cur!r}")
         cur = to
     return EdgePath(start, steps, cur)
-
-
-def concat(*paths: EdgePath) -> EdgePath:
-    out = paths[0]
-    for p in paths[1:]:
-        if p.start != out.end:
-            raise InvalidParameterError("paths do not concatenate")
-        out = EdgePath(out.start, out.steps + p.steps, p.end)
-    return out
-
-
-def reverse_path(path: EdgePath) -> EdgePath:
-    return EdgePath(path.end, tuple((e, -s) for e, s in reversed(path.steps)), path.start)
 
 
 # -- the Morse complex and its spanning tree -----------------------------------
@@ -254,64 +242,52 @@ class Level:
         ends = field.morse_ends(self.selected)
         to_root, root = field.flow(cx.base)
         self.parents = tree_parents(field.critical(0), ends, root)
-        self._paths: dict[Cell, EdgePath] = {root: self._checked(to_root, root)}
+        if make_path(cx, cx.base, to_root).end != root:
+            raise StructuralError(f"the flow from the base does not end at {root!r}")
+        self._paths: dict[Cell, tuple[Step, ...]] = {root: tuple(to_root)}
         self._edge = {letter: edge for edge, letter in letters.items()}
         self._loops: dict[object, EdgePath] = {}
         self.is_tree_edge = _TreeEdges(self.selected, field.is_forest_edge).__getitem__
 
-    def _checked(self, steps: list[Step], end: Cell) -> EdgePath:
-        """The path from the base along the steps, checked to chain up and
-        to end at ``end``."""
-        path = make_path(self.complex, self.complex.base, steps)
-        if path.end != end:
-            raise StructuralError(f"the tree path to {end!r} ends at {path.end!r}")
-        return path
+    def _expand(self, edge: Cell) -> tuple[Cell, list[Step], Cell]:
+        """A critical edge expanded along the flow into its Morse edge: the
+        sink of its source, the steps -- the source's flow backwards, the
+        edge, and the target's flow -- and the sink of its target.  The
+        steps are checked once, when expanded, to chain from one sink to the
+        other."""
+        src, tgt = self.complex.edge_endpoints(edge)
+        (back, frm), (ahead, to) = self.field.flow(src), self.field.flow(tgt)
+        steps = [*_reversed(back), (edge, 1), *ahead]
+        if make_path(self.complex, frm, steps).end != to:
+            raise StructuralError(f"the expansion of {edge!r} does not end at {to!r}")
+        return frm, steps, to
 
-    def path_to(self, v: Cell) -> EdgePath:
-        """The unique tree path from the base to v: the path to v's sink
-        (``_to_sink``), then v's flow backwards, freely reduced.  The path
-        to the sink was checked when it was made; here only the flow back
-        to v is."""
-        steps, sink = self.field.flow(v)
-        to_sink = self._to_sink(sink)
-        back = make_path(self.complex, sink, _reversed(steps))
-        if to_sink.end != sink or back.end != v:
-            raise StructuralError(f"the tree path to {v!r} does not join at its sink {sink!r}")
-        return EdgePath(to_sink.start, tuple(_reduce(to_sink.steps + back.steps)), v)
-
-    def _to_sink(self, sink: Cell) -> EdgePath:
-        """The tree path from the base to a critical 0-cell, memoised and
-        checked once, when it is made.
-
-        The base flows to the root of the Morse tree.  Below it, the path to
-        a critical 0-cell is its parent's path, then its Morse edge expanded:
-        the flow from the edge's start backwards, the edge, and the flow from
-        its end.  That walk stays in the spanning tree, so once freely
-        reduced it is the tree path.
-        """
-        cx, field, paths, parents = self.complex, self.field, self._paths, self.parents
-        below = []
-        while sink not in paths:
-            below.append(sink)
-            sink = parents[sink][2]
-        path = paths[sink]
-        for u in reversed(below):
-            edge, sign, _ = parents[u]
-            frm, to = _step_endpoints(cx, (edge, sign))
-            steps = _reduce([*path.steps, *_reversed(field.flow(frm)[0]), (edge, sign), *field.flow(to)[0]])
-            path = paths[u] = self._checked(steps, u)
-        return path
+    def _to_sink(self, u: Cell) -> tuple[Step, ...]:
+        """The steps of the tree path from the base to a critical 0-cell,
+        memoised: the base's flow to the root of the Morse tree, and below
+        it the parent's path, then the cell's Morse edge expanded
+        (``_expand``), reversed when it leads up and checked to join the
+        parent to the cell.  The walk stays in the spanning tree, so once
+        freely reduced it is the tree path.  The recursion is as deep as the
+        cell in the Morse tree (15 at m=6)."""
+        if u not in self._paths:
+            edge, sign, parent = self.parents[u]
+            frm, expanded, to = self._expand(edge)
+            if sign == -1:
+                frm, expanded, to = to, _reversed(expanded), frm
+            if (frm, to) != (parent, u):
+                raise StructuralError(f"the Morse edge {edge!r} does not join {parent!r} to {u!r}")
+            self._paths[u] = tuple(_reduce([*self._to_sink(parent), *expanded]))
+        return self._paths[u]
 
     def loop(self, letter) -> EdgePath:
-        """The based loop that reads the single letter: the tree path to its
-        edge's source, the edge, and the tree path back from its target."""
+        """The based loop that reads the single letter: the tree path to the
+        sink of its edge's source, the edge expanded, and the tree path back
+        from the sink of its target, freely reduced."""
         if letter not in self._loops:
-            edge = self._edge[letter]
-            src, tgt = self.complex.edge_endpoints(edge)
-            to_src, to_tgt = self.path_to(src), self.path_to(tgt)
-            if to_src.start != self.complex.base or to_tgt.start != self.complex.base:
-                raise StructuralError("tree paths do not start at the base")
-            self._loops[letter] = concat(to_src, EdgePath(src, ((edge, 1),), tgt), reverse_path(to_tgt))
+            frm, expanded, to = self._expand(self._edge[letter])
+            steps = _reduce([*self._to_sink(frm), *expanded, *_reversed(self._to_sink(to))])
+            self._loops[letter] = EdgePath(self.complex.base, tuple(steps), self.complex.base)
         return self._loops[letter]
 
     def express(self, path: EdgePath) -> FreeWord:

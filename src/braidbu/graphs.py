@@ -320,15 +320,22 @@ def is_sufficiently_subdivided(graph: Graph, m: int) -> bool:
 
     Requires (i) every path between two distinct essential vertices to touch
     at least m vertices, and (ii) every homotopically essential cycle to
-    touch at least m+1 vertices.
+    touch at least m+1 vertices.  For (i), one breadth-first search from all
+    the essential vertices labels each vertex with its nearest one; the
+    closest two lie d(u) + 1 + d(v) apart across an edge uv whose ends have
+    different labels.
     """
-    essential = graph.essential_vertices
-    for i, u in enumerate(essential):
-        dist = _distances_from(graph, u)
-        for v in essential[i + 1:]:
-            if dist[v] + 1 < m:
-                return False
-    return girth(graph) >= m + 1
+    label = {v: v for v in graph.essential_vertices}
+    dist = dict.fromkeys(label, 0)
+    queue = deque(label)
+    while queue:
+        u = queue.popleft()
+        for v, _ in graph.adjacency[u]:
+            if v not in dist:
+                dist[v], label[v] = dist[u] + 1, label[u]
+                queue.append(v)
+    across = [dist[e.lo] + 1 + dist[e.hi] for e in graph.edges if label.get(e.lo) != label.get(e.hi)]
+    return min(across, default=math.inf) + 1 >= m and girth(graph) >= m + 1
 
 
 # -- line-based text format ------------------------------------------------

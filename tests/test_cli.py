@@ -85,6 +85,19 @@ class TestGraphCommands:
         assert "sufficiently_subdivided = true" in out
         assert len(calls) == 1
 
+    def test_check_refuses_an_oversized_graph_before_a_search(self, capsys, monkeypatch, tmp_path):
+        # 2829 vertices: check_room refuses two particles on it, as graph build does.
+        def unreachable(*args):
+            raise AssertionError("the graph was searched")
+
+        monkeypatch.setattr("braidbu.cli.is_sufficiently_subdivided", unreachable)
+        path = tmp_path / "p.txt"
+        path.write_text(emit_graph_text(make_path(2829)))
+        code = main(["graph", "check", "--graph", str(path), "--m", "2"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestDconf:
     def test_stats_records(self, capsys, tmp_path):

@@ -10,12 +10,10 @@ from braidbu.complexes import act, build_dconf, build_quotient, components
 from braidbu.covering import (
     Covering,
     EdgePath,
-    concat,
     express_loop,
     lift_path,
     make_path as make_edge_path,
     maximal_tree,
-    reverse_path,
     skeleton,
     tree_parents,
 )
@@ -346,6 +344,13 @@ def _spanning_tree_paths(level):
     return paths
 
 
+def _closed_through_the_tree(level, paths, path):
+    """The path closed into a based loop through the spanning tree walk's
+    paths to its ends, walked again from the base."""
+    back = [(e, -s) for e, s in reversed(paths[path.end])]
+    return make_edge_path(level.complex, level.complex.base, [*paths[path.start], *path.steps, *back])
+
+
 STAR_COVERINGS = {
     f"star({legs},{length})-n{n}": (legs, length, n)
     for legs, length, n in ((3, 2, 2), (4, 3, 2), (5, 2, 2), (3, 2, 3), (4, 2, 3), (3, 3, 3), (5, 2, 3))
@@ -361,36 +366,60 @@ def _lollipop_or_star(name):
 
 
 class TestMorseTree:
-    """``path_to`` reads the tree path off the flow and the Morse tree; a
-    walk over every 0-cell of the spanning tree must find the same path."""
+    """``loop`` builds every tree path from Morse edges expanded along the
+    flow; a walk over every 0-cell of the spanning tree must find the same
+    paths."""
 
     @pytest.mark.parametrize("name", LOLLIPOPS_AND_STARS)
-    def test_path_to_equals_the_spanning_tree_walk(self, name):
+    def test_loops_equal_the_spanning_tree_walk(self, name):
         system = _lollipop_or_star(name)
         for level in (system.up, system.down):
-            for v, steps in _spanning_tree_paths(level).items():
-                path = level.path_to(v)
-                assert (path.start, path.steps, path.end) == (level.complex.base, steps, v)
+            paths, base = _spanning_tree_paths(level), level.complex.base
+            for edge, letter in level.letters.items():
+                src, tgt = level.complex.edge_endpoints(edge)
+                back = tuple((e, -s) for e, s in reversed(paths[tgt]))
+                assert level.loop(letter) == EdgePath(base, paths[src] + ((edge, 1),) + back, base)
+
+    @pytest.mark.parametrize("name", LOLLIPOPS_AND_STARS)
+    def test_every_loop_walks_from_the_base_back_to_it(self, name):
+        system = _lollipop_or_star(name)
+        for level in (system.up, system.down):
+            base = level.complex.base
+            for letter in level.letters.values():
+                loop = level.loop(letter)
+                assert make_edge_path(level.complex, base, loop.steps) == loop
 
     @pytest.mark.parametrize("level_name", ["up", "down"])
-    @pytest.mark.parametrize("fault", ["off-the-chain", "wrong-end"])
-    def test_broken_memoised_path_is_refused(self, level_name, fault):
-        # A fresh system memoises only the root's path at first.  Break it:
-        # a path made from it later is checked when made, and the join of
-        # the root's path with a flow is checked on every call.
+    def test_flow_step_that_does_not_chain_is_refused(self, level_name, monkeypatch):
+        # A fresh system has expanded no edge yet.  Break the flow from a
+        # letter edge's target with a step that starts elsewhere: the
+        # expansion check refuses the letter's loop.
         system = BraidSystem(3)
         level = getattr(system, level_name)
-        cx, root = level.complex, next(s for s, entry in level.parents.items() if entry is None)
-        path = level._paths[root]
-        if fault == "off-the-chain":
-            letter = next(e for e in level.letters if cx.edge_endpoints(e)[0] != path.end)
-            level._paths[root] = EdgePath(path.start, path.steps + ((letter, 1),), path.end)
-            v = next(s for s, entry in level.parents.items() if entry is not None)
-        else:
-            level._paths[root] = EdgePath(path.start, path.steps, None)
-            v = root
-        with pytest.raises((StructuralError, InvalidParameterError)):
-            level.path_to(v)
+        cx, flow = level.complex, level.field.flow
+        edge, letter = next(iter(level.letters.items()))
+        tgt = cx.edge_endpoints(edge)[1]
+        stray = next(e for e in level.letters if cx.edge_endpoints(e)[0] != flow(tgt)[1])
+
+        def broken(v):
+            steps, sink = flow(v)
+            return (steps + [(stray, 1)] if v == tgt else steps), sink
+
+        monkeypatch.setattr(level.field, "flow", broken)
+        with pytest.raises(InvalidParameterError, match="does not start at"):
+            level.loop(letter)
+
+    @pytest.mark.parametrize("level_name", ["up", "down"])
+    def test_parent_whose_expansion_starts_elsewhere_is_refused(self, level_name):
+        # Turn a parent pointer's sign round: its Morse edge, expanded that
+        # way, starts at the cell, not at the parent, so the join check
+        # refuses the path to the cell.
+        system = BraidSystem(3)
+        level = getattr(system, level_name)
+        u, (edge, sign, parent) = next((s, entry) for s, entry in level.parents.items() if entry is not None)
+        level.parents[u] = (edge, -sign, parent)
+        with pytest.raises(StructuralError, match="does not join"):
+            level._to_sink(u)
 
     @pytest.mark.parametrize("name", sorted(COVERINGS))
     def test_tree_edges_are_the_forest_and_the_selected_edges(self, name):
@@ -421,10 +450,11 @@ class TestLifting:
         # the tree paths to its ends, before reading it.
         system = _lollipop_or_star(name)
         up = system.up
+        paths = _spanning_tree_paths(up)
         for letter in system.down.letters.values():
             for sheet in range(system.m):
                 lifted = lift_path(system.quotient, system.down.loop(letter), system._sheets[sheet])
-                closed = concat(up.path_to(lifted.start), lifted, reverse_path(up.path_to(lifted.end)))
+                closed = _closed_through_the_tree(up, paths, lifted)
                 assert closed.start == closed.end == system.fm.base
                 expected = (up.express(closed), system.deck_exponent(lifted.end))
                 assert system.lift_letter(sheet, letter) == expected
@@ -485,13 +515,13 @@ class TestExpressLoop:
 
     def test_concatenation_multiplies(self, sys2):
         g1, g2 = sys2.basis_fm[0], sys2.basis_fm[1]
-        path = concat(sys2.up.loop(g1), sys2.up.loop(g2))
+        path = make_edge_path(sys2.fm, sys2.fm.base, [*sys2.up.loop(g1).steps, *sys2.up.loop(g2).steps])
         assert sys2.up.express(path) == FreeWord.gen(g1) * FreeWord.gen(g2)
 
     @pytest.mark.parametrize("level_name", ["up", "down"])
     def test_open_path_reads_its_closure_through_the_tree(self, sys3, level_name):
         level = getattr(sys3, level_name)
-        cx = level.complex
+        cx, paths = level.complex, _spanning_tree_paths(level)
         opened = 0
         for edge in [*level.letters, *level.selected]:
             # a critical edge with its ends flowed to their sinks: its Morse edge
@@ -499,7 +529,8 @@ class TestExpressLoop:
             (to_src, sink), to_tgt = level.field.flow(src), level.field.flow(tgt)[0]
             path = make_edge_path(cx, sink, [*((e, -s) for e, s in reversed(to_src)), (edge, 1), *to_tgt])
             opened += path.start != path.end
-            closed = concat(level.path_to(path.start), path, reverse_path(level.path_to(path.end)))
+            closed = _closed_through_the_tree(level, paths, path)
+            assert closed.start == closed.end == cx.base
             word = FreeWord.gen(level.letters[edge]) if edge in level.letters else FreeWord()
             assert level.express(path) == level.express(closed) == word
         assert opened

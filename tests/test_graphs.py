@@ -1,11 +1,14 @@
 import math
+import random
 from collections import deque
 
 import pytest
 
 from braidbu.errors import InvalidParameterError
 from braidbu.graphs import (
+    Edge,
     Graph,
+    _distances_from,
     emit_graph_text,
     girth,
     is_sufficiently_subdivided,
@@ -98,6 +101,49 @@ class TestSubdivision:
     )
     def test_girth_equals_a_search_around_every_edge(self, graph):
         assert girth(graph) == _girth_by_every_edge(graph)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_one_search_equals_a_search_from_every_essential_vertex(self, m):
+        graphs = [make_lollipop(k) for k in (2, 3, 4, 5)] + [make_cycle(n) for n in range(2, 8)]
+        graphs += [make_path(n) for n in (2, 3, 7)] + [parse_graph_text(PAW), _caterpillar(9)]
+        graphs += [make_star(legs, k) for legs, k in ((3, 1), (3, 2), (4, 3), (5, 2))]
+        graphs += _random_graphs(200, seed=m)
+        for graph in graphs:
+            assert is_sufficiently_subdivided(graph, m) == _subdivided_by_every_pair(graph, m), emit_graph_text(graph)
+
+
+def _subdivided_by_every_pair(graph: Graph, m: int) -> bool:
+    """is_sufficiently_subdivided with one breadth-first search per
+    essential vertex, read at every later essential vertex."""
+    essential = graph.essential_vertices
+    for i, u in enumerate(essential):
+        dist = _distances_from(graph, u)
+        for v in essential[i + 1:]:
+            if dist[v] + 1 < m:
+                return False
+    return girth(graph) >= m + 1
+
+
+def _caterpillar(spine: int) -> Graph:
+    """A path on ``spine`` vertices with a leaf on each inner one."""
+    edges = [Edge(f"s{i}", i - 1, i, i, True) for i in range(1, spine)]
+    edges += [Edge(f"l{i}", i, spine + i - 1, spine + i, True) for i in range(1, spine - 1)]
+    return Graph(2 * spine - 2, tuple(edges))
+
+
+def _random_graphs(count: int, seed: int) -> list[Graph]:
+    """Seeded random trees on up to 14 vertices, half of them with an extra
+    edge; a vertex joins one before it, so the early ones are often
+    essential."""
+    rng, out = random.Random(seed), []
+    for _ in range(count):
+        n = rng.randint(1, 14)
+        edges = [Edge(f"e{v}", rng.randrange(v), v, v, True) for v in range(1, n)]
+        if n > 1 and rng.random() < 0.5:
+            lo, hi = sorted(rng.sample(range(n), 2))
+            edges.append(Edge("c", lo, hi, math.inf, False))
+        out.append(Graph(n, tuple(edges)))
+    return out
 
 
 def _girth_by_every_edge(graph: Graph) -> float:
